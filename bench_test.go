@@ -10,6 +10,7 @@ package crashresist
 // who wins, by what factor, and where the funnel collapses.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -43,10 +44,11 @@ func BenchmarkTableI(b *testing.B) {
 		usable := 0
 		falsePos := 0
 		for _, srv := range servers {
-			rep, err := AnalyzeServer(srv, 42)
+			res, err := Run(context.Background(), Request{Server: srv, Seed: 42})
 			if err != nil {
 				b.Fatal(err)
 			}
+			rep := res.Syscall
 			reports = append(reports, rep)
 			usable += len(rep.Usable())
 			for _, st := range rep.Status {
@@ -84,10 +86,11 @@ func BenchmarkTableIDetectOn(b *testing.B) {
 		usable := 0
 		falsePos := 0
 		for _, srv := range servers {
-			rep, err := AnalyzeServer(srv, 42, WithDetect(d))
+			res, err := Run(context.Background(), Request{Server: srv, Seed: 42, Detect: d})
 			if err != nil {
 				b.Fatal(err)
 			}
+			rep := res.Syscall
 			usable += len(rep.Usable())
 			for _, st := range rep.Status {
 				if st == StatusFalsePositive {
@@ -135,10 +138,11 @@ func BenchmarkAPIFunnel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := AnalyzeBrowserAPIs(br, 42)
+		res, err := Run(context.Background(), Request{Pipeline: PipelineAPI, Browser: br, Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := res.Funnel
 		// The paper's funnel: 20,672 → 11,521 → 400 → 25 → 12 → 0.
 		if rep.Total != 20672 || rep.WithPointer != 11521 || rep.CrashResistant != 400 {
 			b.Fatalf("funnel head = %d/%d/%d", rep.Total, rep.WithPointer, rep.CrashResistant)
@@ -154,23 +158,24 @@ func BenchmarkAPIFunnel(b *testing.B) {
 
 // benchSEHReport runs the full-scale exception-handler pipeline once per
 // call (E3/E4 share this).
-func benchSEHReport(b *testing.B, opts ...Option) *SEHReport {
+func benchSEHReport(b *testing.B, req Request) *SEHReport {
 	b.Helper()
 	br, err := IE(PaperBrowserParams())
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep, err := AnalyzeBrowserSEH(br, 42, opts...)
+	req.Pipeline, req.Browser, req.Seed = PipelineSEH, br, 42
+	res, err := Run(context.Background(), req)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return rep
+	return res.SEH
 }
 
 // BenchmarkTableII regenerates the guarded-code-location table (E3).
 func BenchmarkTableII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := benchSEHReport(b)
+		rep := benchSEHReport(b, Request{})
 		row, ok := rep.Row("user32.dll")
 		if !ok || row.Handlers != 70 || row.AVHandlers != 63 || row.OnPath != 40 {
 			b.Fatalf("user32 row = %+v", row)
@@ -193,7 +198,7 @@ func BenchmarkTableII(b *testing.B) {
 // BenchmarkTableIII regenerates the unique-filter table (E4).
 func BenchmarkTableIII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := benchSEHReport(b)
+		rep := benchSEHReport(b, Request{})
 		if rep.TotalModules != 187 {
 			b.Fatalf("modules = %d, want 187", rep.TotalModules)
 		}
@@ -233,7 +238,7 @@ func checkTableIII(b *testing.B, rep *SEHReport) {
 // symex cache stays on in both variants).
 func BenchmarkTableIIISequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := benchSEHReport(b, WithWorkers(1))
+		rep := benchSEHReport(b, Request{Workers: 1})
 		checkTableIII(b, rep)
 		b.ReportMetric(float64(rep.TotalAVFilters), "accepting-filters")
 	}
@@ -245,7 +250,7 @@ func BenchmarkTableIIISequential(b *testing.B) {
 // the two are equal by construction).
 func BenchmarkTableIIIParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep := benchSEHReport(b, WithWorkers(0))
+		rep := benchSEHReport(b, Request{Workers: 0})
 		checkTableIII(b, rep)
 		b.ReportMetric(float64(rep.TotalAVFilters), "accepting-filters")
 	}
@@ -262,11 +267,11 @@ func BenchmarkTableIIIWarmCache(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep := benchSEHReport(b, WithWorkers(1), WithCache(cache))
+	rep := benchSEHReport(b, Request{Workers: 1, Cache: cache})
 	checkTableIII(b, rep)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := benchSEHReport(b, WithWorkers(1), WithCache(cache))
+		rep := benchSEHReport(b, Request{Workers: 1, Cache: cache})
 		checkTableIII(b, rep)
 		hits := rep.Stats.Counter(CtrCacheHits)
 		if hits < 180 {
@@ -289,10 +294,11 @@ func BenchmarkTableIIIGenLarge(b *testing.B) {
 	gh, gf, _, _, _ := br.Plan.GenTotals()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := AnalyzeBrowserSEH(br, 42, WithWorkers(0))
+		res, err := Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 42, Workers: 0})
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := res.SEH
 		if rep.TotalModules != 187+targets.GenDLLsLarge {
 			b.Fatalf("modules = %d, want %d", rep.TotalModules, 187+targets.GenDLLsLarge)
 		}
@@ -314,10 +320,11 @@ func BenchmarkTableIParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reports, err := AnalyzeServers(servers, 42, WithWorkers(0))
+		res, err := Run(context.Background(), Request{Servers: servers, Seed: 42, Workers: 0})
 		if err != nil {
 			b.Fatal(err)
 		}
+		reports := res.Servers
 		usable := 0
 		for _, rep := range reports {
 			usable += len(rep.Usable())
@@ -338,10 +345,11 @@ func BenchmarkAPIFunnelParallel(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := AnalyzeBrowserAPIs(br, 42, WithWorkers(0))
+		res, err := Run(context.Background(), Request{Pipeline: PipelineAPI, Browser: br, Seed: 42, Workers: 0})
 		if err != nil {
 			b.Fatal(err)
 		}
+		rep := res.Funnel
 		if rep.Total != 20672 || rep.WithPointer != 11521 || rep.CrashResistant != 400 {
 			b.Fatalf("funnel head = %d/%d/%d", rep.Total, rep.WithPointer, rep.CrashResistant)
 		}
@@ -534,19 +542,21 @@ func BenchmarkPriorPrimitives(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ieRep, err := AnalyzeBrowserSEH(ie, 42)
+		res, err := Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: ie, Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}
+		ieRep := res.SEH
 		iePW := PriorWork(ieRep)
 		ff, err := Firefox(SmallBrowserParams())
 		if err != nil {
 			b.Fatal(err)
 		}
-		ffRep, err := AnalyzeBrowserSEH(ff, 42)
+		res, err = Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: ff, Seed: 42})
 		if err != nil {
 			b.Fatal(err)
 		}
+		ffRep := res.SEH
 		ffPW := PriorWork(ffRep)
 		if !iePW.IECatchAllFound || !iePW.IEPostUpdateNeedsManual {
 			b.Fatalf("IE prior work = %+v", iePW)
@@ -709,10 +719,11 @@ func BenchmarkAblationTaintVsBaseline(b *testing.B) {
 		}
 		var taintGuided, baseline int
 		for _, srv := range servers {
-			rep, err := AnalyzeServer(srv, 42)
+			res, err := Run(context.Background(), Request{Server: srv, Seed: 42})
 			if err != nil {
 				b.Fatal(err)
 			}
+			rep := res.Syscall
 			taintGuided += len(rep.Findings)
 			for _, st := range rep.Status {
 				if st != discover.StatusNotObserved {

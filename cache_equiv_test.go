@@ -8,6 +8,7 @@ package crashresist
 // timings and cache hit ratios live by design.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,11 +19,11 @@ import (
 )
 
 // cachePipelines enumerates the three discovery pipelines against small
-// fixed targets, each closed over an option slice so callers can vary
-// worker counts and cache wiring per run.
+// fixed targets at seed 42, each taking the request settings callers vary
+// per run (worker counts, cache wiring).
 func cachePipelines(t *testing.T) []struct {
 	name    string
-	analyze func(opts ...Option) (any, error)
+	analyze func(req Request) (any, error)
 } {
 	t.Helper()
 	srv, err := Server("nginx")
@@ -33,13 +34,23 @@ func cachePipelines(t *testing.T) []struct {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	return []struct {
 		name    string
-		analyze func(opts ...Option) (any, error)
+		analyze func(req Request) (any, error)
 	}{
-		{"syscall", func(opts ...Option) (any, error) { return AnalyzeServer(srv, 42, opts...) }},
-		{"api", func(opts ...Option) (any, error) { return AnalyzeBrowserAPIs(br, 42, opts...) }},
-		{"seh", func(opts ...Option) (any, error) { return AnalyzeBrowserSEH(br, 42, opts...) }},
+		{"syscall", func(req Request) (any, error) {
+			req.Server, req.Seed = srv, 42
+			return reportOf(Run(ctx, req))
+		}},
+		{"api", func(req Request) (any, error) {
+			req.Pipeline, req.Browser, req.Seed = PipelineAPI, br, 42
+			return reportOf(Run(ctx, req))
+		}},
+		{"seh", func(req Request) (any, error) {
+			req.Pipeline, req.Browser, req.Seed = PipelineSEH, br, 42
+			return reportOf(Run(ctx, req))
+		}},
 	}
 }
 
@@ -72,7 +83,7 @@ func TestCacheEquivalenceAllPipelines(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			baseline, err := pl.analyze(WithWorkers(1))
+			baseline, err := pl.analyze(Request{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +92,7 @@ func TestCacheEquivalenceAllPipelines(t *testing.T) {
 				t.Errorf("cache-off run counted %d cache hits", h)
 			}
 
-			cold, err := pl.analyze(WithWorkers(1), WithCache(cache))
+			cold, err := pl.analyze(Request{Workers: 1, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +106,7 @@ func TestCacheEquivalenceAllPipelines(t *testing.T) {
 			}
 
 			for _, workers := range []int{1, 4, 8} {
-				warm, err := pl.analyze(WithWorkers(workers), WithCache(cache))
+				warm, err := pl.analyze(Request{Workers: workers, Cache: cache})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -121,51 +132,6 @@ func TestCacheEquivalenceAllPipelines(t *testing.T) {
 	}
 }
 
-// TestWithCacheDirOption covers the directory-based option: a good dir
-// caches, an unusable dir silently degrades to an uncached (but correct)
-// run.
-func TestWithCacheDirOption(t *testing.T) {
-	srv, err := Server("nginx")
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := AnalyzeServer(srv, 42, WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := normalize(t, baseline)
-
-	dir := t.TempDir()
-	for run := 0; run < 2; run++ {
-		rep, err := AnalyzeServer(srv, 42, WithWorkers(1), WithCacheDir(dir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := normalize(t, rep); got != want {
-			t.Errorf("run %d with cache dir differs from baseline", run)
-		}
-		if run == 1 && rep.Stats.Counter(CtrCacheHits) == 0 {
-			t.Error("second run against the same dir never hit")
-		}
-	}
-
-	// A path that cannot be a directory: WithCacheDir must degrade, not fail.
-	file := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := AnalyzeServer(srv, 42, WithWorkers(1), WithCacheDir(filepath.Join(file, "cache")))
-	if err != nil {
-		t.Fatalf("unusable cache dir failed the analysis: %v", err)
-	}
-	if got := normalize(t, rep); got != want {
-		t.Errorf("degraded-cache report differs from baseline")
-	}
-	if rep.Stats.Counter(CtrCacheHits) != 0 || rep.Stats.Counter(CtrCacheMisses) != 0 {
-		t.Error("degraded cache still counted traffic")
-	}
-}
-
 // TestChaosCacheDegradesToRecompute attaches a fault plan to the cache
 // itself (the cas.read / cas.write sites), sweeping seeds and worker
 // counts: injected cache faults may only cost recomputation — every report
@@ -175,7 +141,7 @@ func TestChaosCacheDegradesToRecompute(t *testing.T) {
 	for _, pl := range cachePipelines(t) {
 		pl := pl
 		t.Run(pl.name, func(t *testing.T) {
-			baseline, err := pl.analyze(WithWorkers(1))
+			baseline, err := pl.analyze(Request{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,7 +158,7 @@ func TestChaosCacheDegradesToRecompute(t *testing.T) {
 				cache.SetFaultPlan(plan)
 
 				for _, workers := range chaosWorkerCounts {
-					rep, err := pl.analyze(WithWorkers(workers), WithCache(cache))
+					rep, err := pl.analyze(Request{Workers: workers, Cache: cache})
 					if err != nil {
 						t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 					}
@@ -221,11 +187,12 @@ func TestPipelineChaosBypassesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeServer(srv, 42, WithWorkers(4), WithCache(cache),
-		WithFaultPlan(DefaultFaultPlan(1)), WithRetry(2))
+	res, err := Run(context.Background(), Request{Server: srv, Seed: 42, Workers: 4, Cache: cache,
+		FaultPlan: DefaultFaultPlan(1), Retries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Syscall
 	if h, m := rep.Stats.Counter(CtrCacheHits), rep.Stats.Counter(CtrCacheMisses); h != 0 || m != 0 {
 		t.Errorf("chaos run touched the cache: hits=%d misses=%d", h, m)
 	}
@@ -255,7 +222,7 @@ func TestCorruptedEntriesNeverChangeReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := pl.analyze(WithWorkers(1), WithCache(cache))
+			cold, err := pl.analyze(Request{Workers: 1, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -297,7 +264,7 @@ func TestCorruptedEntriesNeverChangeReports(t *testing.T) {
 				}
 			}
 
-			warm, err := pl.analyze(WithWorkers(4), WithCache(cache))
+			warm, err := pl.analyze(Request{Workers: 4, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -314,7 +281,7 @@ func TestCorruptedEntriesNeverChangeReports(t *testing.T) {
 			}
 
 			// The recompute rewrote every entry: a third run is all hits.
-			healed, err := pl.analyze(WithWorkers(1), WithCache(cache))
+			healed, err := pl.analyze(Request{Workers: 1, Cache: cache})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,10 +317,11 @@ func TestIncrementalRediscovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := AnalyzeBrowserSEH(br, 42, WithWorkers(4), WithCache(cache))
+	res, err := Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 42, Workers: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
+	cold := res.SEH
 	coldMisses := cold.Stats.Counter(CtrCacheMisses)
 	if coldMisses == 0 {
 		t.Fatal("cold run recorded no cache misses")
@@ -369,10 +337,11 @@ func TestIncrementalRediscovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := AnalyzeBrowserSEH(br2, 42, WithWorkers(4), WithCache(cache))
+	res, err = Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br2, Seed: 42, Workers: 4, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
+	warm := res.SEH
 
 	if got, want := normalize(t, warm), normalize(t, cold); got != want {
 		t.Error("inert mutation changed the report")
@@ -410,10 +379,11 @@ func TestCacheSurvivesCorpusPermutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := AnalyzeBrowserSEH(br, 42, WithWorkers(workers), WithCache(cache))
+		res, err := Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 42, Workers: workers, Cache: cache})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := res.SEH
 		got := normalize(t, rep)
 		if i == 0 {
 			want = got

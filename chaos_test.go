@@ -20,6 +20,7 @@ package crashresist
 // scheduling-dependent cache totals live there by design.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -90,12 +91,13 @@ func sweep(t *testing.T, name string, analyze func(workers int) (any, error)) {
 	}
 }
 
-func chaosOpts(seed int64, workers int) []Option {
-	return []Option{
-		WithWorkers(workers),
-		WithFaultPlan(DefaultFaultPlan(seed)),
-		WithRetry(2),
+// reportOf unwraps Run's result into its report, for harnesses that
+// compare reports of any pipeline.
+func reportOf(res *Result, err error) (any, error) {
+	if err != nil {
+		return nil, err
 	}
+	return res.Report(), nil
 }
 
 // TestChaosSyscallPipeline sweeps seeded fault plans over the Table I
@@ -109,13 +111,13 @@ func TestChaosSyscallPipeline(t *testing.T) {
 		srv := srv
 		if chaosPaper {
 			sweep(t, srv.Name+"/clean", func(workers int) (any, error) {
-				return AnalyzeServer(srv, 42, WithWorkers(workers))
+				return reportOf(Run(context.Background(), Request{Server: srv, Seed: 42, Workers: workers}))
 			})
 		}
 		for _, seed := range chaosSeedSet() {
 			seed := seed
 			sweep(t, fmt.Sprintf("%s/chaos-%d", srv.Name, seed), func(workers int) (any, error) {
-				return AnalyzeServer(srv, 42, chaosOpts(seed, workers)...)
+				return reportOf(Run(context.Background(), Request{Server: srv, Seed: 42, Workers: workers, ChaosSeed: seed}))
 			})
 		}
 	}
@@ -131,12 +133,12 @@ func TestChaosSEHPipeline(t *testing.T) {
 	for _, seed := range chaosSeedSet() {
 		seed := seed
 		sweep(t, fmt.Sprintf("seh/chaos-%d", seed), func(workers int) (any, error) {
-			return AnalyzeBrowserSEH(br, 42, chaosOpts(seed, workers)...)
+			return reportOf(Run(context.Background(), Request{Browser: br, Seed: 42, Workers: workers, ChaosSeed: seed}))
 		})
 	}
 	if chaosPaper {
 		sweep(t, "seh/clean", func(workers int) (any, error) {
-			return AnalyzeBrowserSEH(br, 42, WithWorkers(workers))
+			return reportOf(Run(context.Background(), Request{Browser: br, Seed: 42, Workers: workers}))
 		})
 	}
 }
@@ -150,12 +152,12 @@ func TestChaosAPIPipeline(t *testing.T) {
 	for _, seed := range chaosSeedSet() {
 		seed := seed
 		sweep(t, fmt.Sprintf("api/chaos-%d", seed), func(workers int) (any, error) {
-			return AnalyzeBrowserAPIs(br, 42, chaosOpts(seed, workers)...)
+			return reportOf(Run(context.Background(), Request{Pipeline: PipelineAPI, Browser: br, Seed: 42, Workers: workers, ChaosSeed: seed}))
 		})
 	}
 	if chaosPaper {
 		sweep(t, "api/clean", func(workers int) (any, error) {
-			return AnalyzeBrowserAPIs(br, 42, WithWorkers(workers))
+			return reportOf(Run(context.Background(), Request{Pipeline: PipelineAPI, Browser: br, Seed: 42, Workers: workers}))
 		})
 	}
 }
@@ -173,10 +175,11 @@ func TestChaosCountersSurface(t *testing.T) {
 	var records int
 	for _, seed := range chaosSeedSet() {
 		for _, srv := range servers {
-			rep, err := AnalyzeServer(srv, 42, chaosOpts(seed, 4)...)
+			res, err := Run(context.Background(), Request{Server: srv, Seed: 42, Workers: 4, ChaosSeed: seed})
 			if err != nil {
 				t.Fatalf("%s: %v", srv.Name, err)
 			}
+			rep := res.Syscall
 			if rep.Stats == nil {
 				t.Fatalf("%s: no RunStats on chaos run", srv.Name)
 			}
@@ -195,14 +198,14 @@ func TestChaosCountersSurface(t *testing.T) {
 	t.Logf("chaos sweep: %d faults injected, %d jobs degraded (%d records)", injected, degraded, records)
 }
 
-// TestStageTimeout checks WithStageTimeout: an already-expired budget
+// TestStageTimeout checks Request.StageTimeout: an already-expired budget
 // cancels the fanned-out stages and surfaces as a context error.
 func TestStageTimeout(t *testing.T) {
 	srv, err := Server("nginx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = AnalyzeServer(srv, 42, WithWorkers(2), WithStageTimeout(1))
+	_, err = Run(context.Background(), Request{Server: srv, Seed: 42, Workers: 2, StageTimeout: 1})
 	if err == nil {
 		t.Fatal("expired stage timeout did not fail the run")
 	}

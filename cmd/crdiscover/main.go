@@ -7,12 +7,12 @@
 //	crdiscover -target nginx -format json    # machine-readable report
 //	crdiscover -target ie -metrics           # run stats on stderr
 //	crdiscover -target ie -trace t.json      # Chrome trace-event export
-//	crdiscover -target ie -serve :9090       # live /metrics, /profile,
-//	                                         # /trace.json, /debug/vars,
-//	                                         # /debug/pprof
 //	crdiscover -target nginx -cache-dir ~/.cache/crashresist
 //	crdiscover -target ie -profile top       # ranked virtual-cost hot spots
 //	crdiscover -target ie -profile folded    # flamegraph.pl input
+//
+// For live /metrics, /profile and /trace.json endpoints, run the same
+// analysis under `crmon -target X -runs 1`.
 package main
 
 import (
@@ -21,11 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"crashresist"
 	"crashresist/cmd/internal/cliflags"
@@ -51,9 +47,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		det cliflags.Detection
 	)
 	var (
-		target    = fs.String("target", "nginx", "nginx|cherokee|lighttpd|memcached|postgresql|ie|firefox|all|gen|gen-<i>")
-		pipeline  = fs.String("pipeline", "", "syscall|api|seh (default: syscall for servers, seh for browsers)")
-		serveAddr = fs.String("serve", "", "serve /metrics, /profile, /trace.json, /debug/vars and /debug/pprof on this address, and keep serving after the analysis until interrupted")
+		target   = fs.String("target", "nginx", "nginx|cherokee|lighttpd|memcached|postgresql|ie|firefox|all|gen|gen-<i>")
+		pipeline = fs.String("pipeline", "", "syscall|api|seh (default: syscall for servers, seh for browsers)")
 	)
 	an.RegisterScale(fs, "small")
 	an.RegisterSeed(fs)
@@ -75,63 +70,32 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	opts := an.Options(stderr, "crdiscover")
-	opts = append(opts, prf.Options()...)
-	opts = append(opts, det.Options()...)
-
-	// Trace export and live serving both ride a metrics registry sink. The
-	// listener binds before the analysis so scrapes work while it runs.
-	var reg *crashresist.MetricsRegistry
-	if an.Trace != "" || *serveAddr != "" {
-		reg = crashresist.NewMetricsRegistry()
-		opts = append(opts, crashresist.WithSink(reg))
-	}
-	if *serveAddr != "" {
-		// Serve the live profile alongside /metrics. With -profile unset
-		// /profile serves an empty document; with it set, scrapes see
-		// charges accumulate while the analysis runs.
-		reg.SetProfile(prf.Profile())
-	}
-	finish := func() error { return finishObservability(stderr, reg, an.Trace, *serveAddr != "") }
-	if *serveAddr != "" {
-		ln, err := net.Listen("tcp", *serveAddr)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "crdiscover: serving http://%s/metrics\n", ln.Addr())
-		go func() { _ = http.Serve(ln, reg.Handler()) }()
-	}
-
-	res, err := crashresist.Run(context.Background(), crashresist.Request{
-		Pipeline: *pipeline,
-		Target:   *target,
-		Scale:    an.Scale,
-		Seed:     an.Seed,
-		Options:  opts,
-	})
+	req := an.Request(stderr, "crdiscover")
+	req.Pipeline, req.Target = *pipeline, *target
+	req.Profile, req.Detect = prf.Profile(), det.Detect()
+	res, err := crashresist.Run(context.Background(), req)
 	if err != nil {
 		return err
 	}
 	for _, st := range res.RunStats() {
 		out.EmitStats(stderr, st)
 	}
+	if an.Trace != "" {
+		if err := writeTrace(stderr, an.Trace, res.RunStats()); err != nil {
+			return err
+		}
+	}
 
 	if prf.Enabled() {
 		// The profile replaces the report on stdout, so
 		// `crdiscover -profile=folded | flamegraph.pl` pipes cleanly.
-		if err := prf.Emit(stdout); err != nil {
-			return err
-		}
-		return finish()
+		return prf.Emit(stdout)
 	}
 	if out.JSON() {
 		if err := printJSON(stdout, res.Report()); err != nil {
 			return err
 		}
-		if err := det.Emit(stdout); err != nil {
-			return err
-		}
-		return finish()
+		return det.Emit(stdout)
 	}
 	switch {
 	case res.Syscall != nil:
@@ -151,39 +115,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	// The detectability report appends after the report bytes, which stay
 	// identical with detection on or off.
-	if err := det.Emit(stdout); err != nil {
-		return err
-	}
-	return finish()
+	return det.Emit(stdout)
 }
 
-// finishObservability runs after a successful analysis: it writes the
-// requested Chrome trace from the registry's recorded runs and, in -serve
-// mode, blocks until the process is interrupted so the endpoints stay up.
-func finishObservability(stderr io.Writer, reg *crashresist.MetricsRegistry, traceFile string, serving bool) error {
-	if reg == nil {
-		return nil
+// writeTrace writes the runs' span trees to path as Chrome trace-event
+// JSON.
+func writeTrace(stderr io.Writer, path string, runs []*crashresist.RunStats) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return err
-		}
-		if err := crashresist.WriteChromeTrace(f, reg.Runs()...); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "crdiscover: wrote Chrome trace to %s\n", traceFile)
+	if err := crashresist.WriteChromeTrace(f, runs...); err != nil {
+		f.Close()
+		return err
 	}
-	if serving {
-		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-		defer stop()
-		fmt.Fprintln(stderr, "crdiscover: analysis complete; serving until interrupted")
-		<-ctx.Done()
+	if err := f.Close(); err != nil {
+		return err
 	}
+	fmt.Fprintf(stderr, "crdiscover: wrote Chrome trace to %s\n", path)
 	return nil
 }
 

@@ -9,7 +9,6 @@
 //	curl localhost:9090/metrics                  # Prometheus text format
 //	curl localhost:9090/profile                  # exact virtual-cost profile
 //	curl localhost:9090/trace.json               # Chrome trace-event JSON
-//	curl localhost:9090/debug/vars               # expvar
 //	curl localhost:9090/debug/pprof/             # runtime profiles
 //
 // In -serve mode the job API is live on the same address:
@@ -56,7 +55,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	fs := flag.NewFlagSet("crmon", flag.ContinueOnError)
 	var an cliflags.Analysis
 	var (
-		addr     = fs.String("addr", ":9090", "listen address for /metrics, /profile, /trace.json, /debug/vars, /debug/pprof")
+		addr     = fs.String("addr", ":9090", "listen address for /metrics, /profile, /trace.json, /debug/pprof")
 		serve    = fs.Bool("serve", false, "serve the multi-tenant job API (POST /v1/jobs) instead of looping one pipeline")
 		target   = fs.String("target", "nginx", "nginx|cherokee|lighttpd|memcached|postgresql|ie|firefox|gen-<i>")
 		pipeline = fs.String("pipeline", "", "syscall|api|seh (default: syscall for servers, seh for browsers)")

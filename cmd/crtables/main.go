@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -192,20 +193,21 @@ func emit(w io.Writer, cfg config) error {
 	}
 
 	want := func(name string) bool { return cfg.table == "all" || cfg.table == name }
-	opts := []crashresist.Option{crashresist.WithWorkers(cfg.workers)}
-	if cfg.cache != nil {
-		opts = append(opts, crashresist.WithCache(cfg.cache))
+	// Every artifact runs on the same settings; each run attaches its own
+	// target.
+	base := crashresist.Request{
+		Seed:      cfg.seed,
+		Workers:   cfg.workers,
+		ChaosSeed: cfg.chaosSeed,
+		Cache:     cfg.cache,
+		Profile:   cfg.profile,
+		Detect:    cfg.detect,
 	}
-	if cfg.chaosSeed != 0 {
-		opts = append(opts,
-			crashresist.WithFaultPlan(crashresist.DefaultFaultPlan(cfg.chaosSeed)),
-			crashresist.WithRetry(2))
-	}
-	if cfg.profile != nil {
-		opts = append(opts, crashresist.WithProfile(cfg.profile))
-	}
-	if cfg.detect != nil {
-		opts = append(opts, crashresist.WithDetect(cfg.detect))
+	ctx := context.Background()
+	analyzeBrowser := func(pipeline string, br *crashresist.BrowserTarget) (*crashresist.Result, error) {
+		req := base
+		req.Pipeline, req.Browser = pipeline, br
+		return crashresist.Run(ctx, req)
 	}
 
 	doc := document{Schema: crashresist.SchemaV1}
@@ -229,45 +231,45 @@ func emit(w io.Writer, cfg config) error {
 			}
 			servers = append(servers, gen...)
 		}
-		reports, err := crashresist.AnalyzeServers(servers, cfg.seed, opts...)
+		req := base
+		req.Servers = servers
+		res, err := crashresist.Run(ctx, req)
 		if err != nil {
 			return err
 		}
-		doc.TableI = reports
-		for _, rep := range reports {
-			runs = append(runs, rep.Stats)
-		}
+		doc.TableI = res.Servers
+		runs = append(runs, res.RunStats()...)
 	}
 	if want("funnel") {
 		br, err := crashresist.IE(params)
 		if err != nil {
 			return err
 		}
-		rep, err := crashresist.AnalyzeBrowserAPIs(br, cfg.seed, opts...)
+		res, err := analyzeBrowser(crashresist.PipelineAPI, br)
 		if err != nil {
 			return err
 		}
-		doc.Funnel = rep
-		runs = append(runs, rep.Stats)
+		doc.Funnel = res.Funnel
+		runs = append(runs, res.RunStats()...)
 	}
 	if want("2") || want("3") {
 		br, err := crashresist.IE(params)
 		if err != nil {
 			return err
 		}
-		rep, err := crashresist.AnalyzeBrowserSEH(br, cfg.seed, opts...)
+		res, err := analyzeBrowser(crashresist.PipelineSEH, br)
 		if err != nil {
 			return err
 		}
-		doc.SEH = rep
-		runs = append(runs, rep.Stats)
+		doc.SEH = res.SEH
+		runs = append(runs, res.RunStats()...)
 	}
 	if want("prior") {
 		ie, err := crashresist.IE(params)
 		if err != nil {
 			return err
 		}
-		ieRep, err := crashresist.AnalyzeBrowserSEH(ie, cfg.seed, opts...)
+		ieRes, err := analyzeBrowser(crashresist.PipelineSEH, ie)
 		if err != nil {
 			return err
 		}
@@ -275,12 +277,12 @@ func emit(w io.Writer, cfg config) error {
 		if err != nil {
 			return err
 		}
-		ffRep, err := crashresist.AnalyzeBrowserSEH(ff, cfg.seed, opts...)
+		ffRes, err := analyzeBrowser(crashresist.PipelineSEH, ff)
 		if err != nil {
 			return err
 		}
-		doc.Prior = &priorDoc{IE: crashresist.PriorWork(ieRep), Firefox: crashresist.PriorWork(ffRep)}
-		runs = append(runs, ieRep.Stats, ffRep.Stats)
+		doc.Prior = &priorDoc{IE: crashresist.PriorWork(ieRes.SEH), Firefox: crashresist.PriorWork(ffRes.SEH)}
+		runs = append(runs, ieRes.SEH.Stats, ffRes.SEH.Stats)
 	}
 	if want("rate") {
 		rate, err := computeRates(params, cfg.seed)

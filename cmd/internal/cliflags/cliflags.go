@@ -1,4 +1,4 @@
-// Package cliflags holds the flag definitions and option plumbing shared
+// Package cliflags holds the flag definitions and request plumbing shared
 // by the crashresist commands (crtables, crdiscover, crmon, crprobe), so
 // `-workers` or `-cache-dir` means exactly the same thing — same default,
 // same help text, same behavior on a broken cache directory — no matter
@@ -14,7 +14,7 @@ import (
 )
 
 // Analysis groups the analysis-tuning flags. Register the subsets a
-// command supports, Parse, then build library options with Options.
+// command supports, Parse, then build the library request with Request.
 type Analysis struct {
 	Seed      int64
 	Workers   int
@@ -65,20 +65,18 @@ func (a *Analysis) OpenCache(stderr io.Writer, tool string) *crashresist.Analysi
 	return c
 }
 
-// Options translates the parsed flags into library options: the worker
-// pool, the persistent cache (when -cache-dir opens), and — under
-// -chaos-seed — the default fault plan with two retries.
-func (a *Analysis) Options(stderr io.Writer, tool string) []crashresist.Option {
-	opts := []crashresist.Option{crashresist.WithWorkers(a.Workers)}
-	if c := a.OpenCache(stderr, tool); c != nil {
-		opts = append(opts, crashresist.WithCache(c))
+// Request translates the parsed flags into a library request: scale, seed,
+// worker pool, the persistent cache (when -cache-dir opens) and the chaos
+// seed, which Run turns into the default fault plan with two retries. The
+// caller names the target and attaches observers.
+func (a *Analysis) Request(stderr io.Writer, tool string) crashresist.Request {
+	return crashresist.Request{
+		Scale:     a.Scale,
+		Seed:      a.Seed,
+		Workers:   a.Workers,
+		ChaosSeed: a.ChaosSeed,
+		Cache:     a.OpenCache(stderr, tool),
 	}
-	if a.ChaosSeed != 0 {
-		opts = append(opts,
-			crashresist.WithFaultPlan(crashresist.DefaultFaultPlan(a.ChaosSeed)),
-			crashresist.WithRetry(2))
-	}
-	return opts
 }
 
 // Profiling groups the exact-cost-profiler flags shared by the analysis
@@ -117,14 +115,6 @@ func (p *Profiling) Profile() *crashresist.Profile {
 		p.p = crashresist.NewProfile()
 	}
 	return p.p
-}
-
-// Options returns the option list attaching the profile; empty when off.
-func (p *Profiling) Options() []crashresist.Option {
-	if !p.Enabled() {
-		return nil
-	}
-	return []crashresist.Option{crashresist.WithProfile(p.Profile())}
 }
 
 // Emit writes the accumulated profile to w in the selected mode. A no-op
@@ -181,14 +171,6 @@ func (d *Detection) Detect() *crashresist.Detect {
 		d.d = crashresist.NewDetect()
 	}
 	return d.d
-}
-
-// Options returns the option list attaching the observer; empty when off.
-func (d *Detection) Options() []crashresist.Option {
-	if !d.Enabled() {
-		return nil
-	}
-	return []crashresist.Option{crashresist.WithDetect(d.Detect())}
 }
 
 // Emit writes the accumulated detectability report to w in the selected

@@ -6,16 +6,19 @@
 // The toolkit runs entirely on a simulated substrate: M64 binaries execute
 // inside a deterministic process emulator with a Linux-model syscall layer
 // and a Windows-model API/SEH layer. Three discovery pipelines locate
-// crash-resistant primitives in those binaries:
+// crash-resistant primitives in those binaries, selected by
+// Request.Pipeline:
 //
-//   - AnalyzeServer: the Linux syscall pipeline (taint tracking + pointer
+//   - PipelineSyscall: the Linux syscall pipeline (taint tracking + pointer
 //     corruption validation) — Table I.
-//   - AnalyzeBrowserAPIs: the Windows API pipeline (black-box fuzzing +
-//     call-site harvesting + controllability classification) — the §V-B
-//     funnel.
-//   - AnalyzeBrowserSEH: the exception-handler pipeline (scope-table
-//     extraction + symbolic filter execution + coverage cross-reference) —
-//     Tables II and III.
+//   - PipelineAPI: the Windows API pipeline (black-box fuzzing + call-site
+//     harvesting + controllability classification) — the §V-B funnel.
+//   - PipelineSEH: the exception-handler pipeline (scope-table extraction +
+//     symbolic filter execution + coverage cross-reference) — Tables II
+//     and III.
+//
+// A Request describes one analysis — target, seed, workers, fault plan,
+// cache, observers — and Run executes it.
 //
 // Discovered primitives become memory oracles (package-level *Oracle types)
 // that probe the address space without crashing, defeating
@@ -24,18 +27,14 @@
 //
 // Typical usage:
 //
-//	srv, _ := crashresist.Server("nginx")
-//	report, _ := crashresist.AnalyzeServer(srv, 42)
-//	fmt.Println(report.Usable()) // [recv]
+//	res, _ := crashresist.Run(context.Background(), crashresist.Request{Target: "nginx", Seed: 42})
+//	fmt.Println(res.Syscall.Usable()) // [recv]
 package crashresist
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sync"
-	"time"
 
 	"crashresist/internal/cas"
 	"crashresist/internal/defense"
@@ -62,7 +61,8 @@ var (
 	// e.g. an unrecognized corpus scale.
 	ErrBadParams = errors.New("bad parameters")
 	// ErrDegraded marks a pipeline result that is partial because one or
-	// more jobs exhausted their retry budget (see WithFaultPlan/WithRetry).
+	// more jobs exhausted their retry budget (see Request.FaultPlan and
+	// Request.Retries).
 	ErrDegraded = discover.ErrDegraded
 	// ErrInjectedFault is the root sentinel of every error produced by a
 	// fault plan; errors.Is matches it through any wrapping.
@@ -112,7 +112,7 @@ type (
 // Fault injection & graceful degradation (see DESIGN.md §8).
 type (
 	// FaultPlan is a deterministic, seed-driven fault injection plan.
-	// Attach one with WithFaultPlan to run an analysis in chaos mode.
+	// Attach one as Request.FaultPlan to run an analysis in chaos mode.
 	FaultPlan = faultinject.Plan
 	// FaultSite names an injection point (vm.load, kernel.syscall, ...).
 	FaultSite = faultinject.Site
@@ -138,16 +138,12 @@ type (
 	RunStats = metrics.RunStats
 	// StageStats is one completed stage span inside a RunStats.
 	StageStats = metrics.StageStats
-	// StageEvent is one live progress notification (see WithProgress).
+	// StageEvent is one live progress notification (see Request.Progress).
 	StageEvent = metrics.StageEvent
 	// MetricSink receives live stage events and final run snapshots.
 	MetricSink = metrics.Sink
 	// MemorySink retains events and snapshots in memory.
 	MemorySink = metrics.MemorySink
-	// JSONSink writes each run's RunStats as one JSON document.
-	JSONSink = metrics.JSONSink
-	// ExpvarSink publishes counter totals to /debug/vars.
-	ExpvarSink = metrics.ExpvarSink
 	// MetricCounter identifies one run counter (CtrInstructions, ...).
 	MetricCounter = metrics.Counter
 	// TraceSpan is one node of a run's span tree (run → pipeline → stage →
@@ -172,7 +168,7 @@ type (
 // byte-identical at any worker count and with any cache state.
 type (
 	// Profile accumulates exact virtual-cost samples across one or more
-	// runs. Attach one with WithProfile; read it with Snapshot.
+	// runs. Attach one as Request.Profile; read it with Snapshot.
 	Profile = prof.Profile
 	// ProfileSnapshot is a profile's immutable, deterministically ordered
 	// export, rendering as folded stacks (flamegraph.pl), a ranked top-N
@@ -235,18 +231,9 @@ const (
 // NewMemorySink returns an empty in-memory metric sink.
 func NewMemorySink() *MemorySink { return metrics.NewMemorySink() }
 
-// NewJSONSink returns a sink writing one RunStats JSON document per
-// completed run to w.
-func NewJSONSink(w io.Writer) *JSONSink { return metrics.NewJSONSink(w) }
-
-// NewExpvarSink publishes (or reuses) the named expvar map and accumulates
-// counter totals into it. Safe to call repeatedly with the same name, even
-// concurrently.
-func NewExpvarSink(name string) *ExpvarSink { return metrics.NewExpvarSink(name) }
-
 // NewMetricsRegistry returns an empty live-exposition registry. Attach it
-// with WithSink, then serve registry.Handler() (used by cmd/crmon and
-// `crdiscover -serve`).
+// through Request.Sinks, then serve registry.Handler() (as cmd/crmon
+// does).
 func NewMetricsRegistry() *MetricsRegistry { return metrics.NewRegistry() }
 
 // WriteChromeTrace writes the runs' span trees to w as Chrome trace-event
@@ -299,7 +286,7 @@ type (
 
 // Defense observatory (DESIGN.md §14): the online detection engine and the
 // Table VII-style detectability report. Attach a Detect observer with
-// WithDetect (or set Request.IncludeDetect); the rendered section rides
+// Request.Detect (or set Request.IncludeDetect); the rendered section rides
 // RunStats/Result, never the report tables.
 type (
 	// Detect is the streaming detection observer shared across runs; fold
@@ -424,24 +411,6 @@ func GenServerProfiles(seed int64, n int) []GenServerProfile {
 	return targets.GenServerProfiles(seed, n)
 }
 
-// Option tunes an analysis run. All pipelines are deterministic for a
-// given seed: every option combination yields byte-identical reports.
-// Observability options (WithProgress, WithSink) never change report
-// contents — metrics live only in the report's Stats field.
-type Option func(*options)
-
-type options struct {
-	workers      int
-	progress     func(StageEvent)
-	sinks        []MetricSink
-	plan         *FaultPlan
-	retries      int
-	stageTimeout time.Duration
-	cache        *AnalysisCache
-	profile      *Profile
-	detect       *Detect
-}
-
 // AnalysisCache is a persistent, content-addressed store for analysis
 // results (see internal/cas): per-DLL symex verdicts, fuzzing batteries,
 // controllability classifications, and syscall validation outcomes. Warm
@@ -458,201 +427,6 @@ type CacheStats = cas.Stats
 // directory; callers may warn and proceed without a cache — analyses run
 // identically, just cold.
 func OpenAnalysisCache(dir string) (*AnalysisCache, error) { return cas.Open(dir) }
-
-// WithCache attaches a persistent analysis cache to the run. Cached
-// results are keyed by content hashes of their inputs (target bytes, seed,
-// corruption address), so a changed input re-analyzes exactly the changed
-// units. Caching never changes report bytes — only the cache_* counters in
-// the report's Stats. Runs with a fault plan bypass the cache entirely.
-func WithCache(c *AnalysisCache) Option {
-	return func(o *options) { o.cache = c }
-}
-
-// WithCacheDir is WithCache over OpenAnalysisCache(dir), degrading silently
-// to an uncached run when the directory is unusable. CLIs that want to warn
-// on a bad directory open explicitly and use WithCache.
-func WithCacheDir(dir string) Option {
-	return func(o *options) {
-		if c, err := cas.Open(dir); err == nil {
-			o.cache = c
-		}
-	}
-}
-
-// WithWorkers bounds an analysis's worker pool. Values <= 0 (and omitting
-// the option) select GOMAXPROCS. The worker count affects wall-clock time
-// only, never report contents.
-func WithWorkers(n int) Option {
-	return func(o *options) { o.workers = n }
-}
-
-// WithProgress installs a live progress callback receiving StageEvents as
-// the pipeline moves through its stages. Invocations are serialized — even
-// when AnalyzeServers interleaves events from parallel per-server runs —
-// so fn needs no locking of its own.
-func WithProgress(fn func(StageEvent)) Option {
-	return func(o *options) { o.progress = fn }
-}
-
-// WithSink attaches a metric sink receiving the run's live events and
-// final RunStats. May be given multiple times.
-func WithSink(s MetricSink) Option {
-	return func(o *options) { o.sinks = append(o.sinks, s) }
-}
-
-// WithProfile attaches an exact cost profiler to the run. Every pipeline
-// charges its deterministic virtual costs to p's semantic stacks; one
-// profile may span several runs (charges accumulate). Profiling never
-// changes report contents — like metrics, costs live outside the report
-// bytes — and for a fixed request the accumulated profile is identical at
-// any worker count and with any cache state.
-func WithProfile(p *Profile) Option {
-	return func(o *options) { o.profile = p }
-}
-
-// WithDetect attaches a detection observer to the run. Every pipeline
-// feeds it its fault streams (benign baselines, per-primitive probe
-// batteries, the run-level series the online detector watches); one
-// observer may span several runs (sections accumulate per pipeline/target).
-// Detection never changes report contents — the rendered section rides
-// RunStats.Detect — and for a fixed request the section is identical at
-// any worker count and with any cache state.
-func WithDetect(d *Detect) Option {
-	return func(o *options) { o.detect = d }
-}
-
-// WithFaultPlan attaches a deterministic fault injection plan to the run
-// (chaos mode). Injected failures ride the normal error paths; combined
-// with WithRetry the pipelines degrade gracefully, recording dropped jobs
-// in the report's Degraded field instead of aborting. For a fixed plan
-// seed the degraded set is identical at every worker count.
-func WithFaultPlan(p *FaultPlan) Option {
-	return func(o *options) { o.plan = p }
-}
-
-// WithRetry bounds per-job re-runs after a transient failure (n retries
-// after the first attempt). Setting a retry budget — or any fault plan —
-// switches job failures from aborting the analysis to degrading it.
-// Backoff between attempts is virtual: deterministic ticks are counted in
-// CtrBackoffTicks, no wall-clock sleeping happens.
-func WithRetry(n int) Option {
-	return func(o *options) { o.retries = n }
-}
-
-// WithStageTimeout bounds each fanned-out pipeline stage; a stage that
-// exceeds d is cancelled and the analysis returns a context error. Zero
-// (and omitting the option) means no limit.
-func WithStageTimeout(d time.Duration) Option {
-	return func(o *options) { o.stageTimeout = d }
-}
-
-func buildOptions(opts []Option) options {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.progress != nil {
-		// One analysis call may run several collectors concurrently
-		// (AnalyzeServers); serialize the user's callback across them.
-		var mu sync.Mutex
-		fn := o.progress
-		o.progress = func(ev StageEvent) {
-			mu.Lock()
-			defer mu.Unlock()
-			fn(ev)
-		}
-	}
-	return o
-}
-
-func (o options) syscallAnalyzer(seed int64) *discover.SyscallAnalyzer {
-	return &discover.SyscallAnalyzer{
-		Seed: seed, Workers: o.workers, Progress: o.progress, Sinks: o.sinks,
-		FaultPlan: o.plan, Retries: o.retries, StageTimeout: o.stageTimeout,
-		Cache: o.cache, Profile: o.profile, Detect: o.detect,
-	}
-}
-
-// AnalyzeServer runs the Linux syscall pipeline against one server target.
-// The seed fixes ASLR across the observation and validation runs.
-//
-// It is a convenience wrapper over Run: equivalent to running
-// Request{Server: srv, Seed: seed} with the options as functional
-// overrides. New code may prefer Run directly.
-func AnalyzeServer(srv *ServerTarget, seed int64, opts ...Option) (*SyscallReport, error) {
-	return AnalyzeServerContext(context.Background(), srv, seed, opts...)
-}
-
-// AnalyzeServerContext is AnalyzeServer with cancellation: the pipeline
-// checks ctx between stages and before each validation replay, returning
-// ctx.Err() once it is done. It wraps Run(ctx, Request{Server: srv, ...}).
-func AnalyzeServerContext(ctx context.Context, srv *ServerTarget, seed int64, opts ...Option) (*SyscallReport, error) {
-	res, err := Run(ctx, Request{Server: srv, Seed: seed, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return res.Syscall, nil
-}
-
-// AnalyzeServers runs the Linux syscall pipeline against every server in
-// parallel, returning reports in input order.
-//
-// It is a convenience wrapper over Run: equivalent to running
-// Request{Servers: servers, Seed: seed}. New code may prefer Run directly.
-func AnalyzeServers(servers []*ServerTarget, seed int64, opts ...Option) ([]*SyscallReport, error) {
-	return AnalyzeServersContext(context.Background(), servers, seed, opts...)
-}
-
-// AnalyzeServersContext is AnalyzeServers with cancellation. It wraps
-// Run(ctx, Request{Servers: servers, ...}).
-func AnalyzeServersContext(ctx context.Context, servers []*ServerTarget, seed int64, opts ...Option) ([]*SyscallReport, error) {
-	res, err := Run(ctx, Request{Servers: servers, Seed: seed, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return res.Servers, nil
-}
-
-// AnalyzeBrowserAPIs runs the Windows API pipeline against a browser target.
-//
-// It is a convenience wrapper over Run: equivalent to running
-// Request{Pipeline: PipelineAPI, Browser: br, Seed: seed}. New code may
-// prefer Run directly.
-func AnalyzeBrowserAPIs(br *BrowserTarget, seed int64, opts ...Option) (*APIFunnelReport, error) {
-	return AnalyzeBrowserAPIsContext(context.Background(), br, seed, opts...)
-}
-
-// AnalyzeBrowserAPIsContext is AnalyzeBrowserAPIs with cancellation: the
-// pipeline checks ctx between stages and before each fuzzing or
-// classification job. It wraps Run(ctx, Request{Pipeline: PipelineAPI, ...}).
-func AnalyzeBrowserAPIsContext(ctx context.Context, br *BrowserTarget, seed int64, opts ...Option) (*APIFunnelReport, error) {
-	res, err := Run(ctx, Request{Pipeline: PipelineAPI, Browser: br, Seed: seed, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return res.Funnel, nil
-}
-
-// AnalyzeBrowserSEH runs the exception-handler pipeline against a browser
-// target.
-//
-// It is a convenience wrapper over Run: equivalent to running
-// Request{Pipeline: PipelineSEH, Browser: br, Seed: seed}. New code may
-// prefer Run directly.
-func AnalyzeBrowserSEH(br *BrowserTarget, seed int64, opts ...Option) (*SEHReport, error) {
-	return AnalyzeBrowserSEHContext(context.Background(), br, seed, opts...)
-}
-
-// AnalyzeBrowserSEHContext is AnalyzeBrowserSEH with cancellation: the
-// pipeline checks ctx between stages and before each per-DLL symex job. It
-// wraps Run(ctx, Request{Pipeline: PipelineSEH, ...}).
-func AnalyzeBrowserSEHContext(ctx context.Context, br *BrowserTarget, seed int64, opts ...Option) (*SEHReport, error) {
-	res, err := Run(ctx, Request{Pipeline: PipelineSEH, Browser: br, Seed: seed, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return res.SEH, nil
-}
 
 // PriorWork checks an SEH report for the §VII-A previously-published
 // primitives.

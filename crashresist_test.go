@@ -1,6 +1,7 @@
 package crashresist
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -10,10 +11,11 @@ func TestPublicServerWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeServer(srv, 11)
+	res, err := Run(context.Background(), Request{Server: srv, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Syscall
 	if got := rep.Usable(); len(got) != 1 || got[0] != "recv" {
 		t.Errorf("usable = %v", got)
 	}
@@ -24,17 +26,19 @@ func TestPublicBrowserWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	funnel, err := AnalyzeBrowserAPIs(br, 12)
+	res, err := Run(context.Background(), Request{Pipeline: PipelineAPI, Browser: br, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
+	funnel := res.Funnel
 	if funnel.Controllable != 0 {
 		t.Errorf("controllable = %d", funnel.Controllable)
 	}
-	sehRep, err := AnalyzeBrowserSEH(br, 13)
+	res, err = Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sehRep := res.SEH
 	pw := PriorWork(sehRep)
 	if !pw.IECatchAllFound {
 		t.Error("MUTX catch-all not found via public API")
@@ -78,10 +82,11 @@ func TestFormatTableI(t *testing.T) {
 	}
 	var reports []*SyscallReport
 	for _, srv := range servers[:2] { // nginx + cherokee keep the test quick
-		rep, err := AnalyzeServer(srv, 15)
+		res, err := Run(context.Background(), Request{Server: srv, Seed: 15})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := res.Syscall
 		reports = append(reports, rep)
 	}
 	table := FormatTableI(reports)
@@ -97,10 +102,11 @@ func TestFormatTablesIIAndIII(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeBrowserSEH(br, 16)
+	res, err := Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.SEH
 	t2 := FormatTableII(rep, NamedDLLs())
 	t3 := FormatTableIII(rep, NamedDLLs())
 	if !strings.Contains(t2, "jscript9.dll") || !strings.Contains(t3, "ntdll.dll") {
@@ -116,10 +122,11 @@ func TestFormatFunnel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeBrowserAPIs(br, 17)
+	res, err := Run(context.Background(), Request{Pipeline: PipelineAPI, Browser: br, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Funnel
 	out := FormatFunnel(rep)
 	for _, want := range []string{"crash-resistant", "JS context", "controllable"} {
 		if !strings.Contains(out, want) {

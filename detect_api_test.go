@@ -219,7 +219,7 @@ func TestDetectTableIStealthMargins(t *testing.T) {
 	}
 	d := NewDetect()
 	for _, srv := range servers {
-		if _, err := AnalyzeServer(srv, 42, WithDetect(d)); err != nil {
+		if _, err := Run(context.Background(), Request{Server: srv, Seed: 42, Detect: d}); err != nil {
 			t.Fatalf("%s: %v", srv.Name, err)
 		}
 	}

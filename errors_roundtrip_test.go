@@ -7,6 +7,7 @@ package crashresist
 // encoding/json without losing them.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -74,19 +75,18 @@ func TestDegradedReportJSONRoundTrip(t *testing.T) {
 	var rep *SyscallReport
 	for seed := int64(1); seed <= 16 && rep == nil; seed++ {
 		for _, srv := range servers {
-			r, err := AnalyzeServer(srv, 42,
-				WithFaultPlan(DefaultFaultPlan(seed)), WithRetry(0))
+			res, err := Run(context.Background(), Request{Server: srv, Seed: 42, ChaosSeed: seed})
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", srv.Name, seed, err)
 			}
-			if len(r.Degraded) > 0 {
-				rep = r
+			if len(res.Syscall.Degraded) > 0 {
+				rep = res.Syscall
 				break
 			}
 		}
 	}
 	if rep == nil {
-		t.Fatal("no seed in [1,16] degraded any job at retry budget 0")
+		t.Fatal("no seed in [1,16] degraded any job at the default retry budget")
 	}
 
 	raw, err := json.Marshal(rep)

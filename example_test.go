@@ -7,20 +7,21 @@ import (
 	"crashresist"
 )
 
-// The Linux pipeline on the Nginx model finds the recv primitive of §VI-C.
-func ExampleAnalyzeServer() {
+// The Linux pipeline on a pre-built Nginx model finds the recv primitive of
+// §VI-C.
+func ExampleRun_server() {
 	srv, err := crashresist.Server("nginx")
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	report, err := crashresist.AnalyzeServer(srv, 42)
+	res, err := crashresist.Run(context.Background(), crashresist.Request{Server: srv, Seed: 42})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Println(report.Usable())
-	fmt.Println(report.Status["write"])
+	fmt.Println(res.Syscall.Usable())
+	fmt.Println(res.Syscall.Status["write"])
 	// Output:
 	// [recv]
 	// invalid(±)
@@ -58,24 +59,22 @@ func ExampleScanner_Probe() {
 }
 
 // The §V-B funnel collapses to zero controllable primitives.
-func ExampleAnalyzeBrowserAPIs() {
-	br, err := crashresist.IE(crashresist.SmallBrowserParams())
+func ExampleRun_browserAPIs() {
+	res, err := crashresist.Run(context.Background(), crashresist.Request{
+		Pipeline: crashresist.PipelineAPI,
+		Target:   "ie",
+		Seed:     42,
+	})
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	rep, err := crashresist.AnalyzeBrowserAPIs(br, 42)
-	if err != nil {
-		fmt.Println(err)
-		return
-	}
-	fmt.Println(rep.Controllable)
+	fmt.Println(res.Funnel.Controllable)
 	// Output: 0
 }
 
-// Run is the unified entry point behind every pipeline: name a target,
-// get back the typed result envelope. The per-pipeline Analyze* functions
-// are thin wrappers over it.
+// Run is the single entry point behind every pipeline: name a target, get
+// back the typed result envelope.
 func ExampleRun() {
 	res, err := crashresist.Run(context.Background(), crashresist.Request{
 		Target: "nginx",

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -42,18 +43,20 @@ func run(w io.Writer, paper bool) error {
 	}
 
 	fmt.Fprintln(w, "pipeline 2: Windows API fuzzing + call-site harvesting ...")
-	funnel, err := crashresist.AnalyzeBrowserAPIs(ie, 42)
+	ctx := context.Background()
+	res, err := crashresist.Run(ctx, crashresist.Request{Pipeline: crashresist.PipelineAPI, Browser: ie, Seed: 42})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, crashresist.FormatFunnel(funnel))
+	fmt.Fprintln(w, crashresist.FormatFunnel(res.Funnel))
 
 	fmt.Fprintln(w, "pipeline 3: scope-table extraction + symbolic filter execution ...")
-	sehRep, err := crashresist.AnalyzeBrowserSEH(ie, 42)
+	res, err = crashresist.Run(ctx, crashresist.Request{Pipeline: crashresist.PipelineSEH, Browser: ie, Seed: 42})
 	if err != nil {
 		return err
 	}
+	sehRep := res.SEH
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, crashresist.FormatTableII(sehRep, crashresist.NamedDLLs()))
 	fmt.Fprintln(w, crashresist.FormatTableIII(sehRep, crashresist.NamedDLLs()))
@@ -70,11 +73,11 @@ func run(w io.Writer, paper bool) error {
 	if err != nil {
 		return err
 	}
-	ffRep, err := crashresist.AnalyzeBrowserSEH(ff, 42)
+	res, err = crashresist.Run(ctx, crashresist.Request{Pipeline: crashresist.PipelineSEH, Browser: ff, Seed: 42})
 	if err != nil {
 		return err
 	}
-	ffPW := crashresist.PriorWork(ffRep)
+	ffPW := crashresist.PriorWork(res.SEH)
 	fmt.Fprintf(w, "  Firefox VEH primitive missed by the static pipeline: %v\n", ffPW.FirefoxVEHMissed)
 	return nil
 }

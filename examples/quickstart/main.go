@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -33,10 +34,11 @@ func Run(w io.Writer) error {
 
 	// 2. Run the discovery pipeline: taint-tracked test suite, candidate
 	//    extraction, corruption validation.
-	report, err := crashresist.AnalyzeServer(srv, 42)
+	res, err := crashresist.Run(context.Background(), crashresist.Request{Server: srv, Seed: 42})
 	if err != nil {
 		return err
 	}
+	report := res.Syscall
 	fmt.Fprintln(w, "\ndiscovery results:")
 	for _, f := range report.Findings {
 		fmt.Fprintf(w, "  %-10s → %-20s (%s)\n", f.Syscall, f.Status, f.Detail)

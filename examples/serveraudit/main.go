@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log"
@@ -33,10 +34,11 @@ func Run(w io.Writer) error {
 	}
 	// All five pipelines fan out across the worker pool; reports come
 	// back in server order regardless of scheduling.
-	reports, err := crashresist.AnalyzeServers(servers, 42)
+	res, err := crashresist.Run(context.Background(), crashresist.Request{Servers: servers, Seed: 42})
 	if err != nil {
 		return fmt.Errorf("audit: %w", err)
 	}
+	reports := res.Servers
 
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, crashresist.FormatTableI(reports))

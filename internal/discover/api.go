@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"crashresist/internal/cas"
-	"crashresist/internal/defense"
-	"crashresist/internal/faultinject"
 	"crashresist/internal/fuzz"
 	"crashresist/internal/isa"
 	"crashresist/internal/metrics"
@@ -137,72 +134,19 @@ type APIFunnelReport struct {
 	Degraded []Degraded `json:"degraded,omitempty"`
 }
 
-// APIAnalyzer drives the Windows-API pipeline against a browser target.
-type APIAnalyzer struct {
-	Seed int64
-	// InvalidAddr overrides the corruption value.
-	InvalidAddr uint64
-	// Workers bounds the fuzzing and classification fan-out; <= 0 selects
-	// GOMAXPROCS.
-	Workers int
-	// Progress receives live stage events (corpus → fuzz → harvest →
-	// classify). Must be safe for concurrent use.
-	Progress func(metrics.StageEvent)
-	// Sinks receive the run's live events and final RunStats.
-	Sinks []metrics.Sink
-	// FaultPlan, when non-nil, injects deterministic failures into the
-	// harness processes, browse runs and pool-job sites (chaos mode).
-	FaultPlan *faultinject.Plan
-	// Retries bounds per-job re-runs after a transient failure; setting
-	// Retries (or FaultPlan) switches failed jobs from aborting the run
-	// to degrading into Report.Degraded.
-	Retries int
-	// StageTimeout bounds each fanned-out stage; zero means no limit.
-	StageTimeout time.Duration
-	// Cache, when non-nil, persists fuzzing batteries and classification
-	// verdicts across runs, keyed by content (see internal/cas). Ignored
-	// while a FaultPlan is attached: chaos runs must neither read nor
-	// write entries shared with clean runs.
-	Cache *cas.Cache
-	// Profile, when non-nil, receives the run's deterministic cost
-	// attribution (see internal/prof). Profiling never touches report
-	// contents.
-	Profile *prof.Profile
-	// Detect, when non-nil, receives the run's detection inputs: the
-	// instrumented browse as benign baseline and each crash-resistant
-	// API's fuzzing battery as a detectability row. Never touches report
-	// rows — the rendered section rides RunStats.
-	Detect *defense.Detect
-}
-
-// Analyze runs fuzzing, call-site harvesting, context filtering and
-// controllability classification. The fuzzing battery fans out across the
-// worker pool one descriptor per job (each probe already runs in its own
-// single-shot harness process), and the final controllability stage fans
-// out per JS-context API (each replay builds its own environment). Both
-// stages write into index-addressed slices, keeping the funnel
-// byte-identical for any worker count.
-func (a *APIAnalyzer) Analyze(br *targets.Browser) (*APIFunnelReport, error) {
-	return a.AnalyzeContext(context.Background(), br)
-}
-
-// AnalyzeContext is Analyze with cancellation, checked between stages and
-// before each fuzzing or classification job.
-func (a *APIAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (*APIFunnelReport, error) {
-	invalid := a.InvalidAddr
-	if invalid == 0 {
-		invalid = InvalidProbeAddr
-	}
-	col := newRunCollector("api", br.Name, a.Workers, a.Progress, a.Sinks)
-	rp := newRunProf(a.Profile, "api", br.Name)
-	rd := newRunDetect(a.Detect, "api", br.Name)
-	res := newResilience(br.Name, a.FaultPlan, a.Retries, col, rp)
-	rc := runCache{col: col, rp: rp}
-	if a.FaultPlan == nil {
-		rc.c = a.Cache
-	}
+// AnalyzeAPIs runs the Windows-API pipeline against a browser target:
+// fuzzing, call-site harvesting, context filtering and controllability
+// classification, checking ctx between stages and before each fuzzing or
+// classification job. The fuzzing battery fans out across the worker pool
+// one descriptor per job (each probe already runs in its own single-shot
+// harness process), and the final controllability stage fans out per
+// JS-context API (each replay builds its own environment). Both stages
+// write into index-addressed slices, keeping the funnel byte-identical for
+// any worker count.
+func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunnelReport, error) {
+	r := cfg.begin("api", br.Name)
 	var apiParams []byte
-	if rc.c != nil {
+	if r.rc.c != nil {
 		apiParams = marshalAPIParams(br.Params.API)
 	}
 
@@ -212,14 +156,14 @@ func (a *APIAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 
 	// Stage 1: generate the API corpus and select the pointer-taking
 	// descriptors in registry order.
-	span := col.StartStage("corpus", 0)
+	span := r.col.StartStage("corpus", 0)
 	reg, err := winapi.GenerateCorpus(br.Params.API)
 	if err != nil {
 		span.End()
 		return nil, err
 	}
-	fz := fuzz.New(reg, a.Seed)
-	fz.FaultPlan = a.FaultPlan
+	fz := fuzz.New(reg, r.Seed)
+	fz.FaultPlan = r.FaultPlan
 	var ptrAPIs []*winapi.Descriptor
 	for _, d := range reg.All() {
 		if d.HasPointerArg() {
@@ -230,42 +174,39 @@ func (a *APIAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 
 	// Stage 2-3: black-box fuzzing of the corpus, sharded per descriptor.
 	results := make([]fuzz.FuncResult, len(ptrAPIs))
-	span = col.StartStage("fuzz", len(ptrAPIs))
+	span = r.col.StartStage("fuzz", len(ptrAPIs))
 	span.NameJobs(func(i int) string { return "fuzz/" + ptrAPIs[i].Name })
-	fctx, cancel := stageCtx(ctx, a.StageTimeout)
-	err = runIndexed(fctx, a.Workers, len(ptrAPIs), span, func(i int) error {
-		return res.run(fctx, "fuzz", ptrAPIs[i].Name, i, func(int) error {
-			var key cas.Key
-			haveKey := false
-			if rc.c != nil && apiParams != nil {
-				key = fuzzDescKey(apiParams, a.Seed, ptrAPIs[i])
-				haveKey = true
-				var ent apiFuzzEntry
-				if rc.get(casFamilyFuzz, key, &ent, "fuzz", ptrAPIs[i].Name) {
-					col.Add(metrics.CtrProbes, uint64(len(ent.Probes)))
-					harvestVMStats(col, ent.Stats)
-					span.Observe(ent.Stats.Instructions)
-					profileFuzz(rp, ptrAPIs[i].Name, ent)
-					detectFuzz(rd, ent)
-					results[i] = ent
-					return nil
+	fctx, cancel := stageCtx(ctx, r.StageTimeout)
+	err = runIndexed(fctx, r.Workers, len(ptrAPIs), span, func(i int) error {
+		api := ptrAPIs[i].Name
+		return r.res.run(fctx, "fuzz", api, i, func(int) error {
+			var (
+				key cas.Key
+				ent apiFuzzEntry
+				hit bool
+			)
+			cached := r.rc.c != nil && apiParams != nil
+			if cached {
+				key = fuzzDescKey(apiParams, r.Seed, ptrAPIs[i])
+				ent, hit = lookup[apiFuzzEntry](r.rc, casFamilyFuzz, key, "fuzz", api)
+			}
+			if !hit {
+				var err error
+				if ent, err = fz.FuzzOne(ptrAPIs[i]); err != nil {
+					return fmt.Errorf("fuzz %s: %w", api, err)
+				}
+				if cached {
+					r.rc.put(casFamilyFuzz, key, ent, "fuzz", api)
 				}
 			}
-			fres, err := fz.FuzzOne(ptrAPIs[i])
-			if err != nil {
-				return fmt.Errorf("fuzz %s: %w", ptrAPIs[i].Name, err)
-			}
-			if haveKey {
-				rc.put(casFamilyFuzz, key, fres, "fuzz", ptrAPIs[i].Name)
-			}
-			col.Add(metrics.CtrProbes, uint64(len(fres.Probes)))
-			harvestVMStats(col, fres.Stats)
-			// The harness processes' summed instruction count is the
-			// job's deterministic cost.
-			span.Observe(fres.Stats.Instructions)
-			profileFuzz(rp, ptrAPIs[i].Name, fres)
-			detectFuzz(rd, fres)
-			results[i] = fres
+			r.col.Add(metrics.CtrProbes, uint64(len(ent.Probes)))
+			harvestVMStats(r.col, ent.Stats)
+			// The harness processes' summed instruction count is the job's
+			// deterministic cost.
+			span.Observe(ent.Stats.Instructions)
+			profileFuzz(r.rp, api, ent)
+			detectFuzz(r.rd, ent)
+			results[i] = ent
 			return nil
 		})
 	})
@@ -299,10 +240,10 @@ func (a *APIAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 
 	// Stage 4-5: instrumented browse — call-site harvesting and context
 	// tagging.
-	span = col.StartStage("harvest", 0)
+	span = r.col.StartStage("harvest", 0)
 	var obs *browseObservation
-	err = res.run(ctx, "harvest", br.Name, 0, func(int) error {
-		o, err := a.observeBrowse(br, col, span, rp, rd)
+	err = r.res.run(ctx, "harvest", br.Name, 0, func(int) error {
+		o, err := r.observeBrowse(br, span)
 		if err != nil {
 			return err
 		}
@@ -338,45 +279,41 @@ func (a *APIAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 	// Stage 6: pointer-argument controllability for the JS-context set,
 	// one corrupted-replay environment per API.
 	classifications := make([]APIClassification, len(report.JSContextAPIs))
-	span = col.StartStage("classify", len(report.JSContextAPIs))
+	span = r.col.StartStage("classify", len(report.JSContextAPIs))
 	span.NameJobs(func(i int) string { return "classify/" + report.JSContextAPIs[i] })
-	cctx, cancel2 := stageCtx(ctx, a.StageTimeout)
-	err = runIndexed(cctx, a.Workers, len(report.JSContextAPIs), span, func(i int) error {
+	cctx, cancel2 := stageCtx(ctx, r.StageTimeout)
+	err = runIndexed(cctx, r.Workers, len(report.JSContextAPIs), span, func(i int) error {
 		api := report.JSContextAPIs[i]
-		return res.run(cctx, "classify", api, i, func(int) error {
-			var key cas.Key
-			haveKey := false
-			if rc.c != nil {
+		return r.res.run(cctx, "classify", api, i, func(int) error {
+			var (
+				key         cas.Key
+				ent         classifyEntry
+				cached, hit bool
+			)
+			if r.rc.c != nil {
 				if digest, derr := br.ContentDigest(); derr == nil {
-					key = classifyKey(digest, a.Seed, invalid, api, obs.args[api])
-					haveKey = true
-					var ent classifyEntry
-					if rc.get(casFamilyClassify, key, &ent, "classify", api) {
-						span.Observe(ent.Cost.Clock)
-						if ent.Cost.HasEnv {
-							harvestVMStats(col, ent.Cost.Stats)
-						}
-						profileClassify(rp, api, ent.Cost)
-						classifications[i] = ent.Cls
-						return nil
-					}
+					key, cached = classifyKey(digest, r.Seed, api, obs.args[api]), true
+					ent, hit = lookup[classifyEntry](r.rc, casFamilyClassify, key, "classify", api)
 				}
 			}
-			cls, cost, err := a.classify(br, api, obs.args[api], invalid)
-			if err != nil {
-				return fmt.Errorf("classify %s: %w", api, err)
+			if !hit {
+				cls, cost, err := r.classify(br, api, obs.args[api])
+				if err != nil {
+					return fmt.Errorf("classify %s: %w", api, err)
+				}
+				ent = classifyEntry{Cls: cls, Cost: cost}
+				if cached {
+					r.rc.put(casFamilyClassify, key, ent, "classify", api)
+				}
 			}
-			// The replay's virtual clock is the job's deterministic
-			// cost; statically-excluded APIs record zero.
-			span.Observe(cost.Clock)
-			if cost.HasEnv {
-				harvestVMStats(col, cost.Stats)
+			// The replay's virtual clock is the job's deterministic cost;
+			// statically-excluded APIs record zero.
+			span.Observe(ent.Cost.Clock)
+			if ent.Cost.HasEnv {
+				harvestVMStats(r.col, ent.Cost.Stats)
 			}
-			profileClassify(rp, api, cost)
-			if haveKey {
-				rc.put(casFamilyClassify, key, classifyEntry{Cls: cls, Cost: cost}, "classify", api)
-			}
-			classifications[i] = cls
+			profileClassify(r.rp, api, ent.Cost)
+			classifications[i] = ent.Cls
 			return nil
 		})
 	})
@@ -420,13 +357,10 @@ func (a *APIAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 		chain = append(chain, harvest, step("classify", cls.Reason.Token(), "%s", cls.Detail))
 		report.Provenance = append(report.Provenance, PrimitiveProvenance{Primitive: cls.API, Chain: chain})
 	}
-	report.Degraded = res.take()
-	rd.finish(col)
-	stats, err := col.Finish()
+	report.Degraded, report.Stats, err = r.finish()
 	if err != nil {
-		return nil, fmt.Errorf("flush metrics %s: %w", br.Name, err)
+		return nil, err
 	}
-	report.Stats = stats
 	return report, nil
 }
 
@@ -533,19 +467,19 @@ func profileClassify(rp runProf, api string, cost classifyCost) {
 }
 
 // observeBrowse runs one instrumented browse.
-func (a *APIAnalyzer) observeBrowse(br *targets.Browser, col *metrics.Collector, span *metrics.Stage, rp runProf, rd runDetect) (*browseObservation, error) {
-	env, err := br.NewEnv(a.Seed)
+func (r *pipelineRun) observeBrowse(br *targets.Browser, span *metrics.Stage) (*browseObservation, error) {
+	env, err := br.NewEnv(r.Seed)
 	if err != nil {
 		return nil, err
 	}
-	env.Proc.FaultPlan = a.FaultPlan
+	env.Proc.FaultPlan = r.FaultPlan
 	te := taint.New()
 	te.Attach(env.Proc)
 
 	rec := trace.NewRecorder()
 	rec.EnableAPIHarvest()
 	rec.AddContextModule("jscript9.dll")
-	if rd.on() {
+	if r.rd.on() {
 		rec.EnableExceptionLog()
 	}
 
@@ -563,18 +497,10 @@ func (a *APIAnalyzer) observeBrowse(br *targets.Browser, col *metrics.Collector,
 	}
 	browseErr := env.Browse()
 	span.Observe(env.Proc.Clock)
-	harvestVMStats(col, env.Proc.Stats)
-	rp.add("harvest", "browse", prof.KindClockTicks, env.Proc.Clock)
-	rp.add("harvest", "browse", prof.KindVMInstructions, env.Proc.Stats.Instructions)
-	if rd.on() {
-		series := defense.BucketExc(rec.Exceptions())
-		var faults uint64
-		for _, n := range series {
-			faults += n
-		}
-		rd.baseline("browse", faults, env.Proc.Clock, series)
-		rd.series(series)
-	}
+	harvestVMStats(r.col, env.Proc.Stats)
+	r.rp.add("harvest", "browse", prof.KindClockTicks, env.Proc.Clock)
+	r.rp.add("harvest", "browse", prof.KindVMInstructions, env.Proc.Stats.Instructions)
+	r.rd.browseBaseline(rec, env.Proc.Clock)
 	if browseErr != nil {
 		return nil, browseErr
 	}
@@ -585,7 +511,7 @@ func (a *APIAnalyzer) observeBrowse(br *targets.Browser, col *metrics.Collector,
 // (when a corruptible pointer exists) a corrupted replay. The returned cost
 // carries the replay's deterministic counters; the caller observes them, so
 // a cache hit can replay the identical observations.
-func (a *APIAnalyzer) classify(br *targets.Browser, api string, obs argObservation, invalid uint64) (APIClassification, classifyCost, error) {
+func (r *pipelineRun) classify(br *targets.Browser, api string, obs argObservation) (APIClassification, classifyCost, error) {
 	cls := APIClassification{API: api}
 	switch {
 	case obs.onStack:
@@ -601,16 +527,16 @@ func (a *APIAnalyzer) classify(br *targets.Browser, api string, obs argObservati
 
 	// Corrupted replay: rebuild the environment (same seed, same
 	// layout), corrupt the stored pointer, re-browse.
-	env, err := br.NewEnv(a.Seed)
+	env, err := br.NewEnv(r.Seed)
 	if err != nil {
 		return cls, classifyCost{}, err
 	}
-	env.Proc.FaultPlan = a.FaultPlan
+	env.Proc.FaultPlan = r.FaultPlan
 	cost := func() classifyCost {
 		return classifyCost{Clock: env.Proc.Clock, Stats: env.Proc.Stats, HasEnv: true}
 	}
 	te := taint.New()
-	cor := &corruptingFlow{inner: te, as: env.Proc.AS, target: obs.prov, value: invalid}
+	cor := &corruptingFlow{inner: te, as: env.Proc.AS, target: obs.prov, value: InvalidProbeAddr}
 	env.Proc.Flow = cor
 	cor.corrupt()
 	if err := env.Start(); err != nil {

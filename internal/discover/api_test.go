@@ -1,6 +1,7 @@
 package discover
 
 import (
+	"context"
 	"testing"
 
 	"crashresist/internal/targets"
@@ -12,8 +13,7 @@ func TestAPIFunnelIE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &APIAnalyzer{Seed: 5151}
-	rep, err := a.Analyze(br)
+	rep, err := AnalyzeAPIs(context.Background(), Config{Seed: 5151}, br)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,6 +84,14 @@ func (r runCache) get(family string, key cas.Key, out any, stage, unit string) b
 	return res.Hit
 }
 
+// lookup is get decoding into a fresh E. Only jobs that consult the cache
+// call it, so uncached jobs never pay for a heap-allocated decode target.
+func lookup[E any](r runCache, family string, key cas.Key, stage, unit string) (E, bool) {
+	var e E
+	ok := r.get(family, key, &e, stage, unit)
+	return e, ok
+}
+
 // put is Cache.Put plus per-run counter and profile accounting.
 func (r runCache) put(family string, key cas.Key, v any, stage, unit string) {
 	if r.c == nil {
@@ -184,11 +192,11 @@ type classifyEntry struct {
 // classifyKey keys one API's corrupted-replay verdict. The replay loads the
 // whole browser, so the key covers its full content digest: any changed
 // byte in any module invalidates the verdict.
-func classifyKey(digest []byte, seed int64, invalid uint64, api string, obs argObservation) cas.Key {
+func classifyKey(digest []byte, seed int64, api string, obs argObservation) cas.Key {
 	return cas.NewHasher("api-classify/v1").
 		Bytes(digest).
 		Int64(seed).
-		Uint64(invalid).
+		Uint64(InvalidProbeAddr).
 		String(api).
 		Uint64(obs.value).
 		Bool(obs.provOK).
@@ -215,12 +223,12 @@ type validateEntry struct {
 // identity (syscall, argument, provenance address, taint, count). v2
 // entries add the kernel's fault-event bucket series to the stored cost;
 // the schema bump retires v1 entries (which lack it) by key mismatch.
-func validateKey(srvImage []byte, name string, seed int64, invalid uint64, cand Candidate) cas.Key {
+func validateKey(srvImage []byte, name string, seed int64, cand Candidate) cas.Key {
 	return cas.NewHasher("syscall-validate/v2").
 		String(name).
 		Bytes(srvImage).
 		Int64(seed).
-		Uint64(invalid).
+		Uint64(InvalidProbeAddr).
 		String(cand.Syscall).
 		Uint64(cand.Num).
 		Int(cand.ArgIndex).

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"crashresist/internal/metrics"
 	"crashresist/internal/targets"
 )
 
@@ -125,8 +126,7 @@ func TestSEHAnalyzeWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := &SEHAnalyzer{Seed: 42, Workers: 1}
-	want, err := base.Analyze(br)
+	want, err := AnalyzeSEH(context.Background(), Config{Seed: 42, Workers: 1}, br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,7 @@ func TestSEHAnalyzeWorkerInvariance(t *testing.T) {
 	// legitimately worker-dependent; everything else must match exactly.
 	want.Stats = nil
 	for _, workers := range []int{2, 4, 8} {
-		a := &SEHAnalyzer{Seed: 42, Workers: workers}
-		got, err := a.Analyze(br)
+		got, err := AnalyzeSEH(context.Background(), Config{Seed: 42, Workers: workers}, br)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -153,15 +152,13 @@ func TestAPIAnalyzeWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := &APIAnalyzer{Seed: 42, Workers: 1}
-	want, err := base.Analyze(br)
+	want, err := AnalyzeAPIs(context.Background(), Config{Seed: 42, Workers: 1}, br)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want.Stats = nil
 	for _, workers := range []int{2, 8} {
-		a := &APIAnalyzer{Seed: 42, Workers: workers}
-		got, err := a.Analyze(br)
+		got, err := AnalyzeAPIs(context.Background(), Config{Seed: 42, Workers: workers}, br)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -173,7 +170,7 @@ func TestAPIAnalyzeWorkerInvariance(t *testing.T) {
 }
 
 // TestSyscallAnalyzeWorkerInvariance: per-candidate validation fan-out and
-// AnalyzeAll server fan-out both reproduce the sequential reports.
+// AnalyzeServers server fan-out both reproduce the sequential reports.
 func TestSyscallAnalyzeWorkerInvariance(t *testing.T) {
 	servers, err := targets.AllServers()
 	if err != nil {
@@ -182,10 +179,9 @@ func TestSyscallAnalyzeWorkerInvariance(t *testing.T) {
 	// Two servers keep the 3× replay cost reasonable; the golden tests
 	// cover all five at paper scale.
 	servers = servers[:2]
-	seq := &SyscallAnalyzer{Seed: 42, Workers: 1}
 	var want []*SyscallReport
 	for _, srv := range servers {
-		rep, err := seq.Analyze(srv)
+		rep, err := AnalyzeServer(context.Background(), Config{Seed: 42, Workers: 1}, srv)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,8 +189,7 @@ func TestSyscallAnalyzeWorkerInvariance(t *testing.T) {
 		want = append(want, rep)
 	}
 	for _, workers := range []int{2, 8} {
-		a := &SyscallAnalyzer{Seed: 42, Workers: workers}
-		got, err := a.AnalyzeAll(servers)
+		got, err := AnalyzeServers(context.Background(), Config{Seed: 42, Workers: workers}, servers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -221,19 +216,20 @@ func TestSEHCacheEffective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &SEHAnalyzer{Seed: 42}
-	rep, err := a.Analyze(br)
+	rep, err := AnalyzeSEH(context.Background(), Config{Seed: 42}, br)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := a.CacheStats
-	if total := st.Hits + st.Misses + st.Uncacheable; total != rep.TotalFilters {
+	hits := rep.Stats.Counter(metrics.CtrSymexCacheHits)
+	misses := rep.Stats.Counter(metrics.CtrSymexCacheMisses)
+	uncacheable := rep.Stats.Counter(metrics.CtrSymexCacheUncacheable)
+	if total := hits + misses + uncacheable; total != uint64(rep.TotalFilters) {
 		t.Errorf("cache saw %d analyses, want TotalFilters=%d", total, rep.TotalFilters)
 	}
-	if st.Hits < 10*st.Misses {
-		t.Errorf("cache hits (%d) not dominating misses (%d)", st.Hits, st.Misses)
+	if hits < 10*misses {
+		t.Errorf("cache hits (%d) not dominating misses (%d)", hits, misses)
 	}
-	if st.Uncacheable == 0 {
+	if uncacheable == 0 {
 		t.Error("expected the import-calling cfg_filter to be uncacheable")
 	}
 }

@@ -3,6 +3,7 @@ package discover
 import (
 	"crashresist/internal/defense"
 	"crashresist/internal/metrics"
+	"crashresist/internal/trace"
 )
 
 // runDetect adapts one run's pipeline/target to an optional shared
@@ -15,11 +16,6 @@ import (
 type runDetect struct {
 	d                *defense.Detect
 	pipeline, target string
-}
-
-// newRunDetect binds the observer to this run's identity.
-func newRunDetect(d *defense.Detect, pipeline, target string) runDetect {
-	return runDetect{d: d, pipeline: pipeline, target: target}
 }
 
 // on reports whether detection is enabled for the run.
@@ -40,6 +36,21 @@ func (r runDetect) baseline(phase string, faults, ticks uint64, series map[uint6
 		return
 	}
 	r.d.AddBaseline(r.pipeline, r.target, phase, faults, ticks, series)
+}
+
+// browseBaseline folds an instrumented browse's exception log, recorded
+// with EnableExceptionLog, into the section baseline and the run stream.
+func (r runDetect) browseBaseline(rec *trace.Recorder, ticks uint64) {
+	if r.d == nil {
+		return
+	}
+	series := defense.BucketExc(rec.Exceptions())
+	var faults uint64
+	for _, n := range series {
+		faults += n
+	}
+	r.baseline("browse", faults, ticks, series)
+	r.series(series)
 }
 
 // series folds a fault series into the run-level stream the online

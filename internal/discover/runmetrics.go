@@ -13,17 +13,6 @@ import (
 	"crashresist/internal/vm"
 )
 
-// newRunCollector builds the per-run collector for a pipeline, wiring the
-// analyzer's progress callback and sinks.
-func newRunCollector(pipeline, target string, workers int, progress func(metrics.StageEvent), sinks []metrics.Sink) *metrics.Collector {
-	col := metrics.NewCollector(pipeline, target, poolWorkers(workers))
-	col.SetProgress(progress)
-	for _, s := range sinks {
-		col.AddSink(s)
-	}
-	return col
-}
-
 // harvestVMStats mirrors a finished process's counters into the collector.
 func harvestVMStats(col *metrics.Collector, s vm.Stats) {
 	col.Add(metrics.CtrInstructions, s.Instructions)

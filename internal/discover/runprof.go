@@ -1,7 +1,7 @@
 package discover
 
-// Cost-attribution glue between the pipelines and the prof package. Each
-// analyzer optionally carries a *prof.Profile; runProf binds it to one
+// Cost-attribution glue between the pipelines and the prof package. A
+// Config optionally carries a *prof.Profile; runProf binds it to one
 // run's pipeline and target so job bodies can charge their deterministic
 // virtual costs with just (stage, unit, kind, n).
 //
@@ -21,10 +21,6 @@ type runProf struct {
 	p        *prof.Profile
 	pipeline string
 	target   string
-}
-
-func newRunProf(p *prof.Profile, pipeline, target string) runProf {
-	return runProf{p: p, pipeline: pipeline, target: target}
 }
 
 // add charges n units of kind k to pipeline;stage;target;unit.

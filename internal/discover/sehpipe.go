@@ -4,12 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"crashresist/internal/bin"
 	"crashresist/internal/cas"
-	"crashresist/internal/defense"
-	"crashresist/internal/faultinject"
 	"crashresist/internal/metrics"
 	"crashresist/internal/prof"
 	"crashresist/internal/seh"
@@ -93,44 +90,6 @@ func (r *SEHReport) Row(module string) (ModuleSEH, bool) {
 	return ModuleSEH{}, false
 }
 
-// SEHAnalyzer drives the exception-handler pipeline against a browser.
-type SEHAnalyzer struct {
-	Seed int64
-	// Workers bounds the per-DLL fan-out; <= 0 selects GOMAXPROCS.
-	Workers int
-	// Progress receives live stage events (browse → extract → symex →
-	// cross-ref). Must be safe for concurrent use.
-	Progress func(metrics.StageEvent)
-	// Sinks receive the run's live events and final RunStats.
-	Sinks []metrics.Sink
-	// FaultPlan, when non-nil, injects deterministic failures into the
-	// browse run, the symbolic executors and the pool-job sites.
-	FaultPlan *faultinject.Plan
-	// Retries bounds per-job re-runs after a transient failure; setting
-	// Retries (or FaultPlan) switches failed jobs from aborting the run
-	// to degrading into Report.Degraded.
-	Retries int
-	// StageTimeout bounds the symex fan-out; zero means no limit.
-	StageTimeout time.Duration
-	// Cache, when non-nil, persists per-DLL symex results across runs,
-	// keyed by image content (see internal/cas). Ignored while a
-	// FaultPlan is attached: chaos runs must neither read nor write
-	// entries shared with clean runs.
-	Cache *cas.Cache
-	// Profile, when non-nil, receives the run's deterministic cost
-	// attribution (see internal/prof). Profiling never touches report
-	// contents.
-	Profile *prof.Profile
-	// Detect, when non-nil, receives the run's detection inputs: the
-	// instrumented browse's exception log as benign baseline and each
-	// on-path candidate's trigger census as a detectability row. Never
-	// touches report rows — the rendered section rides RunStats.
-	Detect *defense.Detect
-
-	// CacheStats holds the symex cache counters of the last Analyze call.
-	CacheStats sym.CacheStats
-}
-
 // sehSymexResult is one DLL's filter-classification output, produced by a
 // worker and consumed by the sequential cross-ref stage.
 type sehSymexResult struct {
@@ -152,29 +111,16 @@ type sehSymexResult struct {
 	pure bool
 }
 
-// Analyze extracts every module's scope table, symbolically executes each
-// unique filter, runs an instrumented browse to collect coverage, and
-// cross-references the two.
-func (a *SEHAnalyzer) Analyze(br *targets.Browser) (*SEHReport, error) {
-	return a.AnalyzeContext(context.Background(), br)
-}
-
-// AnalyzeContext is Analyze with cancellation. The pipeline runs four
-// stages — browse, extract, symex, cross-ref. Only symex fans out: every
-// worker owns a private process environment and symbolic executor, sharing
-// only the memoizing filter cache, and results land in an index-addressed
-// slice keyed by module load order, so the report is byte-identical for
-// any worker count.
-func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (*SEHReport, error) {
-	col := newRunCollector("seh", br.Name, a.Workers, a.Progress, a.Sinks)
-	rp := newRunProf(a.Profile, "seh", br.Name)
-	rd := newRunDetect(a.Detect, "seh", br.Name)
-	res := newResilience(br.Name, a.FaultPlan, a.Retries, col, rp)
-	rc := runCache{col: col, rp: rp}
-	if a.FaultPlan == nil {
-		rc.c = a.Cache
-	}
-
+// AnalyzeSEH runs the exception-handler pipeline against a browser:
+// scope-table extraction, symbolic execution of each unique filter, an
+// instrumented browse for coverage, and the cross-reference of the two,
+// checking ctx between stages and before each per-DLL symex job. Only
+// symex fans out: every worker owns a private process environment and
+// symbolic executor, sharing only the memoizing filter cache, and results
+// land in an index-addressed slice keyed by module load order, so the
+// report is byte-identical for any worker count.
+func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHReport, error) {
+	r := cfg.begin("seh", br.Name)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -182,20 +128,20 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 	// Stage 1: instrumented browse for coverage, plus the run-time VEH
 	// census and the §VII-A registration scan. Each retry rebuilds the
 	// environment from scratch (same seed, same layout).
-	span := col.StartStage("browse", 0)
+	span := r.col.StartStage("browse", 0)
 	var (
 		env  *targets.BrowserEnv
 		hits map[trace.ScopeKey]uint64
 	)
-	err := res.run(ctx, "browse", br.Name, 0, func(int) error {
-		e, err := br.NewEnv(a.Seed)
+	err := r.res.run(ctx, "browse", br.Name, 0, func(int) error {
+		e, err := br.NewEnv(r.Seed)
 		if err != nil {
 			return err
 		}
-		e.Proc.FaultPlan = a.FaultPlan
+		e.Proc.FaultPlan = r.FaultPlan
 		rec := trace.NewRecorder()
 		rec.EnableCoverage()
-		if rd.on() {
+		if r.rd.on() {
 			rec.EnableExceptionLog()
 		}
 		rec.Attach(e.Proc)
@@ -205,22 +151,14 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 		}
 		browseErr := e.Browse()
 		span.Observe(e.Proc.Clock)
-		harvestVMStats(col, e.Proc.Stats)
-		rp.add("browse", "browse", prof.KindClockTicks, e.Proc.Clock)
-		rp.add("browse", "browse", prof.KindVMInstructions, e.Proc.Stats.Instructions)
+		harvestVMStats(r.col, e.Proc.Stats)
+		r.rp.add("browse", "browse", prof.KindClockTicks, e.Proc.Clock)
+		r.rp.add("browse", "browse", prof.KindVMInstructions, e.Proc.Stats.Instructions)
 		if browseErr != nil {
 			return browseErr
 		}
 		env, hits = e, rec.ScopeHits()
-		if rd.on() {
-			series := defense.BucketExc(rec.Exceptions())
-			var faults uint64
-			for _, n := range series {
-				faults += n
-			}
-			rd.baseline("browse", faults, e.Proc.Clock, series)
-			rd.series(series)
-		}
+		r.rd.browseBaseline(rec, e.Proc.Clock)
 		return nil
 	})
 	span.End()
@@ -254,7 +192,7 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 	// environment's modules. Modules without guarded locations are
 	// analyzed but contribute no row and no symex work.
 	invs := make([]seh.ModuleInventory, len(libs))
-	span = col.StartStage("extract", len(libs))
+	span = r.col.StartStage("extract", len(libs))
 	var work []int // indices into libs with at least one handler
 	err = runIndexed(ctx, 1, len(libs), span, func(i int) error {
 		mod, ok := env.Proc.Module(libs[i])
@@ -279,51 +217,53 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 	cache := sym.NewCache()
 	symex := make([]sehSymexResult, len(libs))
 	symexOK := make([]bool, len(libs))
-	span = col.StartStage("symex", len(work))
+	span = r.col.StartStage("symex", len(work))
 	span.NameJobs(func(w int) string { return "symex/" + libs[work[w]] })
-	sctx, cancel := stageCtx(ctx, a.StageTimeout)
-	err = runSharded(sctx, a.Workers, len(work), span,
+	sctx, cancel := stageCtx(ctx, r.StageTimeout)
+	err = runSharded(sctx, r.Workers, len(work), span,
 		func() (*sym.Executor, error) {
-			wenv, err := br.NewEnv(a.Seed)
+			wenv, err := br.NewEnv(r.Seed)
 			if err != nil {
 				return nil, err
 			}
 			exec := sym.NewExecutor(wenv.Proc)
 			exec.Cache = cache
-			exec.FaultPlan = a.FaultPlan
+			exec.FaultPlan = r.FaultPlan
 			return exec, nil
 		},
 		func(exec *sym.Executor, w int) error {
 			i := work[w]
-			return res.run(sctx, "symex", libs[i], i, func(attempt int) error {
+			return r.res.run(sctx, "symex", libs[i], i, func(attempt int) error {
 				exec.FaultAttempt = attempt
 				mod, ok := exec.Proc().Module(libs[i])
 				if !ok {
 					return fmt.Errorf("module %s missing from worker environment", libs[i])
 				}
-				var key cas.Key
-				haveKey := false
-				if rc.c != nil {
-					key, haveKey = sehModuleKey(mod.Image)
-					var ent sehSymexEntry
-					if haveKey && rc.get(casFamilySEH, key, &ent, "symex", libs[i]) {
-						sx := ent.result()
-						span.Observe(sx.steps)
-						profileSymex(rp, libs[i], sx)
-						symex[i] = sx
-						symexOK[i] = true
-						return nil
+				var (
+					key         cas.Key
+					ent         sehSymexEntry
+					cached, hit bool
+					sx          sehSymexResult
+				)
+				if r.rc.c != nil {
+					key, cached = sehModuleKey(mod.Image)
+				}
+				if cached {
+					ent, hit = lookup[sehSymexEntry](r.rc, casFamilySEH, key, "symex", libs[i])
+				}
+				if hit {
+					sx = ent.result()
+				} else {
+					var err error
+					if sx, err = classifyModuleFilters(exec, mod, invs[i]); err != nil {
+						return err
+					}
+					if cached && sx.pure {
+						r.rc.put(casFamilySEH, key, sehEntryOf(sx), "symex", libs[i])
 					}
 				}
-				sx, err := classifyModuleFilters(exec, mod, invs[i])
-				if err != nil {
-					return err
-				}
-				if haveKey && sx.pure {
-					rc.put(casFamilySEH, key, sehEntryOf(sx), "symex", libs[i])
-				}
 				span.Observe(sx.steps)
-				profileSymex(rp, libs[i], sx)
+				profileSymex(r.rp, libs[i], sx)
 				symex[i] = sx
 				symexOK[i] = true
 				return nil
@@ -334,8 +274,7 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 	if err != nil {
 		return nil, err
 	}
-	a.CacheStats = cache.Stats()
-	harvestCacheStats(col, a.CacheStats)
+	harvestCacheStats(r.col, cache.Stats())
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -343,7 +282,7 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 
 	// Stage 4: cross-reference accepting handlers with browse coverage,
 	// sequentially in module load order.
-	span = col.StartStage("cross-ref", len(work))
+	span = r.col.StartStage("cross-ref", len(work))
 	for _, i := range work {
 		if !symexOK[i] {
 			continue // degraded module: no row, recorded in Degraded
@@ -415,19 +354,16 @@ func (a *SEHAnalyzer) AnalyzeContext(ctx context.Context, br *targets.Browser) (
 	// Detectability rows: each on-path candidate, driven as an oracle,
 	// raises one absorbed AV per probe; the browse-measured trigger census
 	// is the row's probe loop.
-	if rd.on() && env != nil {
+	if r.rd.on() && env != nil {
 		for _, c := range report.Candidates {
-			rd.primitive(fmt.Sprintf("%s/scope-%d", c.Module, c.Scope),
+			r.rd.primitive(fmt.Sprintf("%s/scope-%d", c.Module, c.Scope),
 				c.Hits, c.Hits, env.Proc.Clock, nil)
 		}
 	}
-	report.Degraded = res.take()
-	rd.finish(col)
-	stats, err := col.Finish()
+	report.Degraded, report.Stats, err = r.finish()
 	if err != nil {
-		return nil, fmt.Errorf("flush metrics %s: %w", br.Name, err)
+		return nil, err
 	}
-	report.Stats = stats
 	return report, nil
 }
 

@@ -1,6 +1,7 @@
 package discover
 
 import (
+	"context"
 	"testing"
 
 	"crashresist/internal/targets"
@@ -12,8 +13,7 @@ func TestSEHPipelineIE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &SEHAnalyzer{Seed: 6161}
-	rep, err := a.Analyze(br)
+	rep, err := AnalyzeSEH(context.Background(), Config{Seed: 6161}, br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +92,7 @@ func TestSEHPipelineFirefoxVEHMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &SEHAnalyzer{Seed: 6262}
-	rep, err := a.Analyze(br)
+	rep, err := AnalyzeSEH(context.Background(), Config{Seed: 6262}, br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +117,7 @@ func TestVEHScanExtensionFindsFirefoxHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &SEHAnalyzer{Seed: 6363}
-	rep, err := a.Analyze(br)
+	rep, err := AnalyzeSEH(context.Background(), Config{Seed: 6363}, br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +151,7 @@ func TestVEHScanIEHasNone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &SEHAnalyzer{Seed: 6464}
-	rep, err := a.Analyze(br)
+	rep, err := AnalyzeSEH(context.Background(), Config{Seed: 6464}, br)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,16 @@
 // semi-automated pipelines that locate crash-resistant primitives in binary
 // executables.
 //
-//   - SyscallAnalyzer (§IV-A): runs a server's test suite under byte-granular
+//   - AnalyzeServer (§IV-A): runs a server's test suite under byte-granular
 //     taint tracking, flags EFAULT-capable syscalls whose pointer arguments
 //     originate in attacker-writable memory, then validates each candidate by
 //     corrupting the pointer at its storage location and replaying the suite
 //     — reproducing Table I.
-//   - APIAnalyzer (§IV-B): black-box fuzzes the platform API corpus, harvests
+//   - AnalyzeAPIs (§IV-B): black-box fuzzes the platform API corpus, harvests
 //     call sites from an instrumented browser run, filters for calls
 //     reachable from a scripting context, and classifies pointer-argument
 //     controllability — reproducing the §V-B funnel.
-//   - SEHAnalyzer (§IV-C): statically extracts scope tables, symbolically
+//   - AnalyzeSEH (§IV-C): statically extracts scope tables, symbolically
 //     executes every filter against the access-violation code, and
 //     cross-references survivors with execution coverage — reproducing
 //     Tables II and III.
@@ -21,12 +21,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"crashresist/internal/bin"
 	"crashresist/internal/cas"
-	"crashresist/internal/defense"
-	"crashresist/internal/faultinject"
 	"crashresist/internal/isa"
 	"crashresist/internal/kernel"
 	"crashresist/internal/mem"
@@ -202,63 +199,14 @@ func (r *SyscallReport) Usable() []string {
 	return out
 }
 
-// SyscallAnalyzer drives the Linux pipeline for one or more servers.
-type SyscallAnalyzer struct {
-	// Seed fixes ASLR so provenance addresses stay valid between the
-	// observation run and validation replays.
-	Seed int64
-	// InvalidAddr overrides the corruption value (default
-	// InvalidProbeAddr).
-	InvalidAddr uint64
-	// Workers bounds the fan-out of AnalyzeAll (per server) and of the
-	// validation replays within one Analyze (per candidate); <= 0 selects
-	// GOMAXPROCS.
-	Workers int
-	// Progress receives live stage events (taint → candidate → validate).
-	// When AnalyzeAll fans servers out, events from concurrent runs
-	// interleave; the callback must be safe for concurrent use.
-	Progress func(metrics.StageEvent)
-	// Sinks receive each run's live events and final RunStats.
-	Sinks []metrics.Sink
-	// FaultPlan, when non-nil, injects deterministic failures into the
-	// run's VM, kernel and pool-job sites (chaos mode).
-	FaultPlan *faultinject.Plan
-	// Retries bounds per-job re-runs after a transient failure. Setting
-	// Retries (or FaultPlan) switches failed jobs from aborting the run
-	// to degrading: they are dropped and recorded in Report.Degraded.
-	Retries int
-	// StageTimeout bounds each fanned-out stage; zero means no limit. A
-	// timeout cancels the stage and surfaces as a context error.
-	StageTimeout time.Duration
-	// Cache, when non-nil, persists validation outcomes across runs,
-	// keyed by server content and candidate identity (see internal/cas).
-	// Ignored while a FaultPlan is attached: chaos runs must neither
-	// read nor write entries shared with clean runs.
-	Cache *cas.Cache
-	// Profile, when non-nil, receives each run's deterministic cost
-	// attribution (see internal/prof). Profiling never touches report
-	// contents.
-	Profile *prof.Profile
-	// Detect, when non-nil, receives the run's detection inputs: the
-	// benign observe phase as baseline, each validation replay's fault
-	// series and per-primitive probe costs. Like Profile, it never
-	// touches report rows — the rendered section rides RunStats.
-	Detect *defense.Detect
-}
-
-// AnalyzeAll runs the pipeline for every server, fanning the servers out
-// across the worker pool. Reports are returned in input order and each is
-// identical to what a standalone Analyze(srv) would produce.
-func (a *SyscallAnalyzer) AnalyzeAll(servers []*targets.Server) ([]*SyscallReport, error) {
-	return a.AnalyzeAllContext(context.Background(), servers)
-}
-
-// AnalyzeAllContext is AnalyzeAll with cancellation: workers stop claiming
-// servers once ctx is done and the context error is returned.
-func (a *SyscallAnalyzer) AnalyzeAllContext(ctx context.Context, servers []*targets.Server) ([]*SyscallReport, error) {
+// AnalyzeServers runs the syscall pipeline for every server, fanning the
+// servers out across the worker pool. Workers stop claiming servers once
+// ctx is done. Reports are returned in input order and each is identical to
+// what a standalone AnalyzeServer would produce.
+func AnalyzeServers(ctx context.Context, cfg Config, servers []*targets.Server) ([]*SyscallReport, error) {
 	reports := make([]*SyscallReport, len(servers))
-	err := runIndexed(ctx, a.Workers, len(servers), nil, func(i int) error {
-		rep, err := a.AnalyzeContext(ctx, servers[i])
+	err := runIndexed(ctx, cfg.Workers, len(servers), nil, func(i int) error {
+		rep, err := AnalyzeServer(ctx, cfg, servers[i])
 		if err != nil {
 			return err
 		}
@@ -271,31 +219,19 @@ func (a *SyscallAnalyzer) AnalyzeAllContext(ctx context.Context, servers []*targ
 	return reports, nil
 }
 
-// Analyze runs observation plus per-candidate validation for one server.
-// Validation replays are independent (each builds a fresh corrupted
-// environment), so they fan out across the worker pool; findings land in
-// candidate order and statuses merge sequentially afterwards.
-func (a *SyscallAnalyzer) Analyze(srv *targets.Server) (*SyscallReport, error) {
-	return a.AnalyzeContext(context.Background(), srv)
-}
-
-// AnalyzeContext is Analyze with cancellation, checked between stages and
-// before each validation replay.
-func (a *SyscallAnalyzer) AnalyzeContext(ctx context.Context, srv *targets.Server) (*SyscallReport, error) {
-	invalid := a.InvalidAddr
-	if invalid == 0 {
-		invalid = InvalidProbeAddr
-	}
-	col := newRunCollector("syscall", srv.Name, a.Workers, a.Progress, a.Sinks)
-	rp := newRunProf(a.Profile, "syscall", srv.Name)
-	rd := newRunDetect(a.Detect, "syscall", srv.Name)
-	res := newResilience(srv.Name, a.FaultPlan, a.Retries, col, rp)
-	rc := runCache{col: col, rp: rp}
+// AnalyzeServer runs observation plus per-candidate validation for one
+// server, checking ctx between stages and before each validation replay.
+// Replays are independent (each builds a fresh corrupted environment), so
+// they fan out across the worker pool; findings land in candidate order and
+// statuses merge sequentially afterwards.
+func AnalyzeServer(ctx context.Context, cfg Config, srv *targets.Server) (*SyscallReport, error) {
+	r := cfg.begin("syscall", srv.Name)
 	var srvImage []byte
-	if a.FaultPlan == nil && a.Cache != nil {
+	if r.rc.c != nil {
 		if data, merr := bin.Marshal(srv.Image); merr == nil {
-			rc.c = a.Cache
 			srvImage = data
+		} else {
+			r.rc.c = nil
 		}
 	}
 
@@ -306,8 +242,8 @@ func (a *SyscallAnalyzer) AnalyzeContext(ctx context.Context, srv *targets.Serve
 		observed   map[string]bool
 		candidates []Candidate
 	)
-	err := res.run(ctx, "observe", srv.Name, 0, func(int) error {
-		o, c, err := a.observe(srv, col, rp, rd)
+	err := r.res.run(ctx, "observe", srv.Name, 0, func(int) error {
+		o, c, err := r.observe(srv)
 		if err != nil {
 			return err
 		}
@@ -344,45 +280,42 @@ func (a *SyscallAnalyzer) AnalyzeContext(ctx context.Context, srv *targets.Serve
 	}
 
 	findings := make([]Finding, len(candidates))
-	span := col.StartStage("validate", len(candidates))
+	span := r.col.StartStage("validate", len(candidates))
 	span.NameJobs(func(i int) string {
 		return fmt.Sprintf("validate/%s/arg%d", candidates[i].Syscall, candidates[i].ArgIndex)
 	})
-	vctx, cancel := stageCtx(ctx, a.StageTimeout)
-	err = runIndexed(vctx, a.Workers, len(candidates), span, func(i int) error {
+	vctx, cancel := stageCtx(ctx, r.StageTimeout)
+	err = runIndexed(vctx, r.Workers, len(candidates), span, func(i int) error {
 		cand := candidates[i]
 		jobKey := fmt.Sprintf("%s/%d", cand.Syscall, cand.ArgIndex)
-		return res.run(vctx, "validate", jobKey, i, func(int) error {
-			var key cas.Key
-			haveKey := false
-			if rc.c != nil {
-				key = validateKey(srvImage, srv.Name, a.Seed, invalid, cand)
-				haveKey = true
-				var ent validateEntry
-				if rc.get(casFamilyValidate, key, &ent, "validate", jobKey) {
-					span.Observe(ent.Cost.Clock)
-					harvestVMStats(col, ent.Cost.Stats)
-					harvestKernelCounts(col, ent.Cost.Kernel)
-					profileValidate(rp, jobKey, ent.Cost)
-					detectValidate(rd, cand, ent.Cost)
-					findings[i] = ent.Finding
-					return nil
+		return r.res.run(vctx, "validate", jobKey, i, func(int) error {
+			var (
+				key cas.Key
+				ent validateEntry
+				hit bool
+			)
+			cached := r.rc.c != nil
+			if cached {
+				key = validateKey(srvImage, srv.Name, r.Seed, cand)
+				ent, hit = lookup[validateEntry](r.rc, casFamilyValidate, key, "validate", jobKey)
+			}
+			if !hit {
+				finding, cost, err := r.validate(srv, cand)
+				if err != nil {
+					return fmt.Errorf("validate %s/%s: %w", srv.Name, cand.Syscall, err)
+				}
+				ent = validateEntry{Finding: finding, Cost: cost}
+				if cached {
+					r.rc.put(casFamilyValidate, key, ent, "validate", jobKey)
 				}
 			}
-			finding, cost, err := a.validate(srv, cand, invalid)
-			if err != nil {
-				return fmt.Errorf("validate %s/%s: %w", srv.Name, cand.Syscall, err)
-			}
 			// The replay's virtual clock is the job's deterministic cost.
-			span.Observe(cost.Clock)
-			harvestVMStats(col, cost.Stats)
-			harvestKernelCounts(col, cost.Kernel)
-			profileValidate(rp, jobKey, cost)
-			detectValidate(rd, cand, cost)
-			if haveKey {
-				rc.put(casFamilyValidate, key, validateEntry{Finding: finding, Cost: cost}, "validate", jobKey)
-			}
-			findings[i] = finding
+			span.Observe(ent.Cost.Clock)
+			harvestVMStats(r.col, ent.Cost.Stats)
+			harvestKernelCounts(r.col, ent.Cost.Kernel)
+			profileValidate(r.rp, jobKey, ent.Cost)
+			detectValidate(r.rd, cand, ent.Cost)
+			findings[i] = ent.Finding
 			return nil
 		})
 	})
@@ -421,17 +354,14 @@ func (a *SyscallAnalyzer) AnalyzeContext(ctx context.Context, srv *targets.Serve
 					"pointer arg %d of %s loaded from writable address %#x with taint mask %#x, observed %d time(s)",
 					f.ArgIndex, f.Syscall, f.Provenance, f.TaintMask, f.Count),
 				step("validate", f.Status.Token(),
-					"pointer storage corrupted to %#x and suite replayed: %s", invalid, f.Detail),
+					"pointer storage corrupted to %#x and suite replayed: %s", InvalidProbeAddr, f.Detail),
 			},
 		})
 	}
-	report.Degraded = res.take()
-	rd.finish(col)
-	stats, err := col.Finish()
+	report.Degraded, report.Stats, err = r.finish()
 	if err != nil {
-		return nil, fmt.Errorf("flush metrics %s: %w", srv.Name, err)
+		return nil, err
 	}
-	report.Stats = stats
 	return report, nil
 }
 
@@ -464,13 +394,13 @@ func detectValidate(rd runDetect, cand Candidate, cost validateCost) {
 // observe runs the suite once under taint tracking, collecting observed
 // EFAULT-capable syscalls and corruptible-pointer candidates. The run is
 // the "taint" span; candidate distillation afterwards is "candidate".
-func (a *SyscallAnalyzer) observe(srv *targets.Server, col *metrics.Collector, rp runProf, rd runDetect) (map[string]bool, []Candidate, error) {
-	env, err := srv.NewEnvNoStart(a.Seed)
+func (r *pipelineRun) observe(srv *targets.Server) (map[string]bool, []Candidate, error) {
+	env, err := srv.NewEnvNoStart(r.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	env.Proc.FaultPlan = a.FaultPlan
-	env.Kern.SetFaultPlan(a.FaultPlan)
+	env.Proc.FaultPlan = r.FaultPlan
+	env.Kern.SetFaultPlan(r.FaultPlan)
 
 	observed := make(map[string]bool)
 	candByKey := make(map[string]*Candidate)
@@ -509,37 +439,32 @@ func (a *SyscallAnalyzer) observe(srv *targets.Server, col *metrics.Collector, r
 	}}
 	env.Kern.SetObserver(obs)
 
-	span := col.StartStage("taint", 0)
-	if err := env.Boot(); err != nil {
-		// A server that cannot even boot yields an empty observation.
-		span.Observe(env.Proc.Clock)
-		span.End()
-		counts := env.Kern.Counts()
-		harvestVMStats(col, env.Proc.Stats)
-		harvestKernelCounts(col, counts)
-		rp.add("taint", "suite", prof.KindClockTicks, env.Proc.Clock)
-		rp.add("taint", "suite", prof.KindVMInstructions, env.Proc.Stats.Instructions)
-		rd.baseline("observe", counts.EFAULTReturns, env.Proc.Clock, counts.EFAULTBuckets)
-		rd.series(counts.EFAULTBuckets)
-		return observed, nil, nil
+	span := r.col.StartStage("taint", 0)
+	bootErr := env.Boot()
+	var suiteErr error
+	if bootErr == nil {
+		suiteErr = srv.Suite(env)
 	}
-	suiteErr := srv.Suite(env)
 	span.Observe(env.Proc.Clock)
 	span.End()
 	counts := env.Kern.Counts()
-	harvestVMStats(col, env.Proc.Stats)
-	harvestKernelCounts(col, counts)
-	rp.add("taint", "suite", prof.KindClockTicks, env.Proc.Clock)
-	rp.add("taint", "suite", prof.KindVMInstructions, env.Proc.Stats.Instructions)
+	harvestVMStats(r.col, env.Proc.Stats)
+	harvestKernelCounts(r.col, counts)
+	r.rp.add("taint", "suite", prof.KindClockTicks, env.Proc.Clock)
+	r.rp.add("taint", "suite", prof.KindVMInstructions, env.Proc.Stats.Instructions)
 	// The uncorrupted suite run is the pipeline's benign baseline: what
 	// the defender sees when no one is probing.
-	rd.baseline("observe", counts.EFAULTReturns, env.Proc.Clock, counts.EFAULTBuckets)
-	rd.series(counts.EFAULTBuckets)
-	if suiteErr != nil {
+	r.rd.baseline("observe", counts.EFAULTReturns, env.Proc.Clock, counts.EFAULTBuckets)
+	r.rd.series(counts.EFAULTBuckets)
+	switch {
+	case bootErr != nil:
+		// A server that cannot even boot yields an empty observation.
+		return observed, nil, nil
+	case suiteErr != nil:
 		return nil, nil, suiteErr
 	}
 
-	span = col.StartStage("candidate", len(candByKey))
+	span = r.col.StartStage("candidate", len(candByKey))
 	keys := make([]string, 0, len(candByKey))
 	for k := range candByKey {
 		keys = append(keys, k)
@@ -558,13 +483,13 @@ func (a *SyscallAnalyzer) observe(srv *targets.Server, col *metrics.Collector, r
 // and classifies the outcome. The returned cost carries the replay's
 // deterministic counters; the caller observes them, so a cache hit can
 // replay the identical observations.
-func (a *SyscallAnalyzer) validate(srv *targets.Server, cand Candidate, invalid uint64) (Finding, validateCost, error) {
-	env, err := srv.NewEnvNoStart(a.Seed)
+func (r *pipelineRun) validate(srv *targets.Server, cand Candidate) (Finding, validateCost, error) {
+	env, err := srv.NewEnvNoStart(r.Seed)
 	if err != nil {
 		return Finding{}, validateCost{}, err
 	}
-	env.Proc.FaultPlan = a.FaultPlan
-	env.Kern.SetFaultPlan(a.FaultPlan)
+	env.Proc.FaultPlan = r.FaultPlan
+	env.Kern.SetFaultPlan(r.FaultPlan)
 	cost := func() validateCost {
 		return validateCost{Clock: env.Proc.Clock, Stats: env.Proc.Stats, Kernel: env.Kern.Counts()}
 	}
@@ -576,7 +501,7 @@ func (a *SyscallAnalyzer) validate(srv *targets.Server, cand Candidate, invalid 
 		inner:  env.Proc.Flow,
 		as:     env.Proc.AS,
 		target: cand.Provenance,
-		value:  invalid,
+		value:  InvalidProbeAddr,
 	}
 	env.Proc.Flow = cor
 	cor.corrupt()

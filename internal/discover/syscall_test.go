@@ -1,6 +1,7 @@
 package discover
 
 import (
+	"context"
 	"testing"
 
 	"crashresist/internal/targets"
@@ -13,8 +14,7 @@ func analyzeServer(t *testing.T, name string) *SyscallReport {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &SyscallAnalyzer{Seed: 4242}
-	rep, err := a.Analyze(srv)
+	rep, err := AnalyzeServer(context.Background(), Config{Seed: 4242}, srv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,9 @@ package metrics
 // is a Sink that accumulates completed runs — counter totals keyed by
 // (pipeline, target), latency histograms merged per (pipeline, target,
 // stage) — and renders them in Prometheus exposition format. Handler wires
-// the registry, expvar and net/http/pprof into one mux for cmd/crmon and
-// `crdiscover -serve`.
+// the registry and net/http/pprof into one mux for cmd/crmon.
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -381,8 +379,7 @@ func (g *Registry) writeDetectFamilies(b *strings.Builder) {
 // ?format=folded for flamegraph.pl input, ?format=top for the ranked
 // report), /defense (the folded detectability report: JSON by default,
 // ?format=top for the ranked text view), /trace.json (Chrome trace of the
-// recent runs), /debug/vars (expvar), /debug/pprof (runtime profiles) and
-// /healthz.
+// recent runs), /debug/pprof (runtime profiles) and /healthz.
 func (g *Registry) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -418,7 +415,6 @@ func (g *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		WriteChromeTrace(w, g.Runs()...)
 	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

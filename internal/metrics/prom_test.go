@@ -2,11 +2,9 @@ package metrics
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 
 	"crashresist/internal/prof"
@@ -139,11 +137,6 @@ func TestRegistryHandlerEndpoints(t *testing.T) {
 		t.Error("/trace.json missing traceEvents")
 	}
 
-	body, _ = get("/debug/vars")
-	if !json.Valid([]byte(body)) {
-		t.Error("/debug/vars not valid JSON")
-	}
-
 	body, _ = get("/healthz")
 	if body != "ok\n" {
 		t.Errorf("/healthz = %q", body)
@@ -261,46 +254,5 @@ func TestNilRegistrySafe(t *testing.T) {
 	}
 	if got := g.Runs(); got != nil {
 		t.Errorf("nil registry runs = %v", got)
-	}
-}
-
-// TestExpvarSinkNonMapCollision is the regression test for the
-// double-registration panic: registering a sink whose name collides with an
-// already-published non-Map expvar must fall back to a private map instead
-// of panicking inside expvar.Publish.
-func TestExpvarSinkNonMapCollision(t *testing.T) {
-	name := "crashresist_test_collision"
-	expvar.NewString(name).Set("occupied")
-	s := NewExpvarSink(name) // must not panic
-	if err := s.Flush(&RunStats{Counters: map[string]uint64{"probes": 2}}); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.m.Get("probes").String(); got != "2" {
-		t.Errorf("fallback map probes = %s, want 2", got)
-	}
-	// The published variable is untouched.
-	if got := expvar.Get(name).String(); got != `"occupied"` {
-		t.Errorf("published var = %s, want \"occupied\"", got)
-	}
-}
-
-// TestExpvarSinkConcurrentRegistration hammers get-or-publish from many
-// goroutines; pre-fix this panicked with "Reuse of exported var name".
-func TestExpvarSinkConcurrentRegistration(t *testing.T) {
-	const name = "crashresist_test_concurrent"
-	var wg sync.WaitGroup
-	sinks := make([]*ExpvarSink, 16)
-	for i := range sinks {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sinks[i] = NewExpvarSink(name)
-			sinks[i].Flush(&RunStats{Counters: map[string]uint64{"probes": 1}})
-		}(i)
-	}
-	wg.Wait()
-	// All sinks share the one published map.
-	if got := sinks[0].m.Get("probes").String(); got != "16" {
-		t.Errorf("probes = %s, want 16", got)
 	}
 }

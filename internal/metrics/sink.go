@@ -1,16 +1,11 @@
 package metrics
 
-import (
-	"encoding/json"
-	"expvar"
-	"io"
-	"sync"
-)
+import "sync"
 
 // Sink receives a run's live stage events and its final snapshot. Sinks
-// attached to analyses that fan out across servers (AnalyzeServers) are
-// shared between runs and must be safe for concurrent use; the sinks in
-// this package all are.
+// attached to analyses that fan out across servers are shared between
+// runs and must be safe for concurrent use; the sinks in this package all
+// are.
 type Sink interface {
 	// Event receives one live stage event.
 	Event(ev StageEvent)
@@ -57,70 +52,4 @@ func (m *MemorySink) Runs() []*RunStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]*RunStats(nil), m.runs...)
-}
-
-// JSONSink writes each completed run's RunStats to a writer as one
-// newline-terminated JSON document. Live events are not written.
-type JSONSink struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewJSONSink returns a sink writing snapshots to w.
-func NewJSONSink(w io.Writer) *JSONSink { return &JSONSink{w: w} }
-
-// Event implements Sink (no-op: only snapshots are serialized).
-func (j *JSONSink) Event(StageEvent) {}
-
-// Flush implements Sink.
-func (j *JSONSink) Flush(stats *RunStats) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	enc := json.NewEncoder(j.w)
-	return enc.Encode(stats)
-}
-
-// ExpvarSink publishes counter totals into an expvar.Map, the standard
-// library's process-metrics registry, so an embedding server can expose
-// discovery-run counters on /debug/vars. Counter values accumulate across
-// runs; "runs" counts completed analyses.
-type ExpvarSink struct {
-	m *expvar.Map
-}
-
-// expvarMu serializes expvar registration: expvar.Get followed by
-// expvar.NewMap races when two goroutines construct sinks with the same name
-// concurrently, and NewMap panics outright when the name is already
-// published. The mutex makes get-or-publish atomic for this package.
-var expvarMu sync.Mutex
-
-// NewExpvarSink publishes (or reuses) the named expvar map. Safe to call any
-// number of times with the same name, concurrently included: later calls
-// accumulate into the first registration's map. If the name is already
-// published as something other than an *expvar.Map, the sink falls back to a
-// private unpublished map instead of panicking.
-func NewExpvarSink(name string) *ExpvarSink {
-	expvarMu.Lock()
-	defer expvarMu.Unlock()
-	if v := expvar.Get(name); v != nil {
-		if m, ok := v.(*expvar.Map); ok {
-			return &ExpvarSink{m: m}
-		}
-		m := new(expvar.Map)
-		m.Init()
-		return &ExpvarSink{m: m}
-	}
-	return &ExpvarSink{m: expvar.NewMap(name)}
-}
-
-// Event implements Sink (no-op).
-func (e *ExpvarSink) Event(StageEvent) {}
-
-// Flush implements Sink.
-func (e *ExpvarSink) Flush(stats *RunStats) error {
-	for name, v := range stats.Counters {
-		e.m.Add(name, int64(v))
-	}
-	e.m.Add("runs", 1)
-	return nil
 }

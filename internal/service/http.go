@@ -21,7 +21,7 @@ const retryAfterSeconds = 1
 //	GET    /metrics             job families + the run registry's families
 //
 // Every other path falls through to the run registry's observability
-// handler (/trace.json, /debug/vars, /debug/pprof, /healthz) when one is
+// handler (/trace.json, /debug/pprof, /healthz) when one is
 // configured.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()

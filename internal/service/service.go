@@ -115,7 +115,7 @@ type job struct {
 	evClosed  bool
 }
 
-// onEvent is the job's WithProgress callback: append to the bounded
+// onEvent is the job's Request.Progress callback: append to the bounded
 // replay buffer and fan out to live subscribers (dropping per-subscriber
 // when a client cannot keep up).
 func (j *job) onEvent(ev metrics.StageEvent) {

@@ -33,8 +33,12 @@ import (
 // are synthesized by the executor, not read from the process image.
 //
 // A Cache is safe for concurrent use; worker executors in the parallel
-// SEH pipeline share one. Two workers racing on the same body both run
-// the analysis and store identical reports, so last-write-wins is benign.
+// SEH pipeline share one. Counters are kept per key, so they depend only
+// on the analyzed filters, never on scheduling: the first store of a body
+// counts its one miss, and every other analysis of that body counts a hit.
+// Two workers racing on the same body both run the analysis; the loser's
+// store finds the key present, keeps the first (identical) report and
+// counts the hit it would have been had it looked up a moment later.
 type Cache struct {
 	mu          sync.Mutex
 	m           map[cacheKey]*Report
@@ -55,9 +59,10 @@ func NewCache() *Cache {
 
 // CacheStats reports cache effectiveness counters.
 type CacheStats struct {
-	// Hits counts analyses answered from the cache.
+	// Hits counts analyses of a body already stored (or being stored by
+	// a racing executor).
 	Hits int
-	// Misses counts analyses executed and stored.
+	// Misses counts distinct bodies analyzed and stored.
 	Misses int
 	// Uncacheable counts analyses executed but not stored, either because
 	// the filter has no sized function symbol or because the run was
@@ -85,6 +90,10 @@ func (c *Cache) lookup(k cacheKey) (*Report, bool) {
 func (c *Cache) store(k cacheKey, rep *Report) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if _, ok := c.m[k]; ok {
+		c.hits++
+		return
+	}
 	c.m[k] = rep
 	c.misses++
 }

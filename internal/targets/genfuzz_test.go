@@ -9,6 +9,7 @@ package targets_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"crashresist"
@@ -76,7 +77,8 @@ func FuzzGenDLL(f *testing.F) {
 		if len(br.Plan.Sites) < len(sites) {
 			t.Fatalf("browser plan lost generated sites: %d < %d", len(br.Plan.Sites), len(sites))
 		}
-		if _, err := crashresist.AnalyzeBrowserSEH(br, 42, crashresist.WithWorkers(2)); err != nil {
+		req := crashresist.Request{Pipeline: crashresist.PipelineSEH, Browser: br, Seed: 42, Workers: 2}
+		if _, err := crashresist.Run(context.Background(), req); err != nil {
 			t.Fatalf("SEH pipeline on generated corpus: %v", err)
 		}
 	})
@@ -119,10 +121,11 @@ func FuzzGenServer(f *testing.F) {
 			}
 		}
 
-		rep, err := crashresist.AnalyzeServer(srv, 42, crashresist.WithWorkers(2))
+		res, err := crashresist.Run(context.Background(), crashresist.Request{Server: srv, Seed: 42, Workers: 2})
 		if err != nil {
 			t.Fatalf("syscall pipeline on generated server: %v", err)
 		}
+		rep := res.Syscall
 		if rep.Server != srv.Name {
 			t.Fatalf("report names %q, want %q", rep.Server, srv.Name)
 		}

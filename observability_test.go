@@ -28,18 +28,18 @@ func TestContextPreCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := AnalyzeServerContext(ctx, srv, 11); !errors.Is(err, context.Canceled) {
-		t.Errorf("AnalyzeServerContext = %v, want context.Canceled", err)
+	if _, err := Run(ctx, Request{Server: srv, Seed: 11}); !errors.Is(err, context.Canceled) {
+		t.Errorf("syscall Run = %v, want context.Canceled", err)
 	}
 	br, err := IE(SmallBrowserParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AnalyzeBrowserAPIsContext(ctx, br, 12); !errors.Is(err, context.Canceled) {
-		t.Errorf("AnalyzeBrowserAPIsContext = %v, want context.Canceled", err)
+	if _, err := Run(ctx, Request{Pipeline: PipelineAPI, Browser: br, Seed: 12}); !errors.Is(err, context.Canceled) {
+		t.Errorf("api Run = %v, want context.Canceled", err)
 	}
-	if _, err := AnalyzeBrowserSEHContext(ctx, br, 13); !errors.Is(err, context.Canceled) {
-		t.Errorf("AnalyzeBrowserSEHContext = %v, want context.Canceled", err)
+	if _, err := Run(ctx, Request{Pipeline: PipelineSEH, Browser: br, Seed: 13}); !errors.Is(err, context.Canceled) {
+		t.Errorf("seh Run = %v, want context.Canceled", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("pre-cancelled runs took %v, want a prompt return", elapsed)
@@ -58,9 +58,8 @@ func TestContextCancelMidRun(t *testing.T) {
 	defer cancel()
 
 	var ended atomic.Int32
-	rep, err := AnalyzeBrowserSEHContext(ctx, br, 13,
-		WithWorkers(4),
-		WithProgress(func(ev StageEvent) {
+	res, err := Run(ctx, Request{Pipeline: PipelineSEH, Browser: br, Seed: 13, Workers: 4,
+		Progress: func(ev StageEvent) {
 			if ev.Kind == StageEnd {
 				ended.Add(1)
 			}
@@ -69,11 +68,11 @@ func TestContextCancelMidRun(t *testing.T) {
 			if ev.Stage == "symex" && ev.Kind == StageBegin {
 				cancel()
 			}
-		}))
+		}})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("AnalyzeBrowserSEHContext = %v, want context.Canceled", err)
+		t.Fatalf("seh Run = %v, want context.Canceled", err)
 	}
-	if rep != nil {
+	if res != nil {
 		t.Errorf("cancelled run returned a report")
 	}
 	if n := ended.Load(); n >= 4 {
@@ -86,22 +85,25 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sysRep, err := AnalyzeServer(srv, 11)
+	res, err := Run(context.Background(), Request{Server: srv, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sysRep := res.Syscall
 	br, err := IE(SmallBrowserParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	apiRep, err := AnalyzeBrowserAPIs(br, 12)
+	res, err = Run(context.Background(), Request{Pipeline: PipelineAPI, Browser: br, Seed: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sehRep, err := AnalyzeBrowserSEH(br, 13)
+	apiRep := res.Funnel
+	res, err = Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sehRep := res.SEH
 
 	roundTrip := func(name string, in, out any) {
 		t.Helper()
@@ -129,12 +131,13 @@ func TestProgressEventsAndSinks(t *testing.T) {
 	}
 	sink := NewMemorySink()
 	var events []StageEvent
-	rep, err := AnalyzeServer(srv, 11,
-		WithSink(sink),
-		WithProgress(func(ev StageEvent) { events = append(events, ev) }))
+	res, err := Run(context.Background(), Request{Server: srv, Seed: 11,
+		Sinks:    []MetricSink{sink},
+		Progress: func(ev StageEvent) { events = append(events, ev) }})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.Syscall
 
 	if rep.Stats == nil {
 		t.Fatal("report carries no RunStats")
@@ -198,10 +201,11 @@ func TestStatsDeterministicCounters(t *testing.T) {
 	}
 	var want *RunStats
 	for _, workers := range []int{1, 4} {
-		rep, err := AnalyzeBrowserSEH(br, 16, WithWorkers(workers))
+		res, err := Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 16, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := res.SEH
 		got := normalize(rep.Stats)
 		if want == nil {
 			want = got

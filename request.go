@@ -1,17 +1,19 @@
 package crashresist
 
-// The unified analysis entry point: one Request struct and one Run call
-// subsume the per-pipeline Analyze*Context variants. Request doubles as
-// the wire shape of the discovery service's job submissions (the
-// serializable subset) — internal/service decodes a Request straight off
-// POST /v1/jobs — so library callers and API tenants share one surface.
+// The analysis entry point: one Request struct and one Run call configure
+// and execute every pipeline. Request doubles as the wire shape of the
+// discovery service's job submissions (the serializable subset) —
+// internal/service decodes a Request straight off POST /v1/jobs — so
+// library callers and API tenants share one surface.
 
 import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
+	"crashresist/internal/cas"
 	"crashresist/internal/discover"
 	"crashresist/internal/targets"
 )
@@ -70,20 +72,26 @@ type Request struct {
 	// Seed fixes ASLR and every derived RNG; reports are byte-identical
 	// per seed at any worker count.
 	Seed int64 `json:"seed"`
-	// Workers bounds the analysis worker pool (0 = GOMAXPROCS).
+	// Workers bounds the analysis worker pool (0 = GOMAXPROCS). The worker
+	// count affects wall-clock time only, never report contents.
 	Workers int `json:"workers,omitempty"`
-	// Retries bounds per-job re-runs after transient failures (see
-	// WithRetry). With ChaosSeed set and Retries zero, 2 is used.
+	// Retries bounds per-job re-runs after transient failures. A retry
+	// budget — or any fault plan — switches job failures from aborting the
+	// analysis to degrading it: dropped jobs land in the report's Degraded
+	// field. Backoff between attempts is virtual (counted in
+	// CtrBackoffTicks, never slept). Under a fault plan, zero means 2.
 	Retries int `json:"retries,omitempty"`
-	// StageTimeout bounds each fanned-out pipeline stage (see
-	// WithStageTimeout). Serialized in nanoseconds.
+	// StageTimeout bounds each fanned-out pipeline stage; a stage that
+	// exceeds it is cancelled and Run returns a context error. Zero means
+	// no limit. Serialized in nanoseconds.
 	StageTimeout time.Duration `json:"stage_timeout_ns,omitempty"`
 	// ChaosSeed, when non-zero, runs the analysis under the default fault
 	// plan seeded with it (chaos mode). Ignored when FaultPlan is attached.
 	ChaosSeed int64 `json:"chaos_seed,omitempty"`
-	// CacheDir roots a persistent analysis cache, degrading silently to an
-	// uncached run when unusable (see WithCacheDir). Ignored when Cache is
-	// attached.
+	// CacheDir roots a persistent analysis cache (OpenAnalysisCache),
+	// degrading silently to an uncached run when the directory is
+	// unusable; callers that want to warn open it themselves and attach
+	// Cache. Ignored when Cache is attached.
 	CacheDir string `json:"cache_dir,omitempty"`
 	// IncludeProfile asks Run to cost-profile the analysis and embed the
 	// resulting ProfileSnapshot in the Result (and thus in the service's
@@ -102,28 +110,36 @@ type Request struct {
 	Servers []*ServerTarget `json:"-"`
 	// Browser attaches a pre-built browser target (api or seh pipeline).
 	Browser *BrowserTarget `json:"-"`
-	// FaultPlan attaches a fault injection plan (see WithFaultPlan).
+	// FaultPlan attaches a deterministic fault injection plan (chaos
+	// mode). Injected failures ride the normal error paths and degrade the
+	// run; for a fixed plan seed the degraded set is identical at every
+	// worker count.
 	FaultPlan *FaultPlan `json:"-"`
-	// Cache attaches an open persistent analysis cache (see WithCache).
+	// Cache attaches an open persistent analysis cache. Entries are keyed
+	// by content hashes of their inputs (target bytes, seed, corruption
+	// address), so a changed input re-analyzes exactly the changed units.
+	// Caching never changes report bytes, only the cache_* counters in
+	// Stats. Runs with a fault plan bypass the cache entirely.
 	Cache *AnalysisCache `json:"-"`
-	// Profile attaches a live cost profile (see WithProfile). When set,
-	// the run charges into it; combined with IncludeProfile the Result
-	// also embeds its snapshot. When only IncludeProfile is set, Run
-	// profiles into a fresh private profile.
+	// Profile attaches a live cost profile. When set, the run charges into
+	// it (one profile may span several runs); combined with IncludeProfile
+	// the Result also embeds its snapshot. When only IncludeProfile is
+	// set, Run profiles into a fresh private profile.
 	Profile *Profile `json:"-"`
-	// Detect attaches a live detection observer (see WithDetect). When
-	// set, the run streams into it; combined with IncludeDetect the Result
-	// also embeds its snapshot. When only IncludeDetect is set, Run
-	// watches with a fresh observer on the default calibration panel.
+	// Detect attaches a live detection observer. When set, the run streams
+	// into it (sections accumulate per pipeline/target across runs);
+	// combined with IncludeDetect the Result also embeds its snapshot.
+	// When only IncludeDetect is set, Run watches with a fresh observer on
+	// the default calibration panel.
 	Detect *Detect `json:"-"`
-	// Progress receives live StageEvents (see WithProgress).
+	// Progress receives live StageEvents. Run serializes the calls, even
+	// across the parallel per-server runs of a multi-server request, so
+	// the callback needs no locking of its own.
 	Progress func(StageEvent) `json:"-"`
-	// Sinks receive live events and the final RunStats (see WithSink).
+	// Sinks receive live events and each run's final RunStats. Sinks are
+	// shared by the parallel runs of a multi-server request and must be
+	// safe for concurrent use.
 	Sinks []MetricSink `json:"-"`
-	// Options are functional options applied after — and therefore
-	// overriding — the fields above. They exist so the legacy
-	// Analyze*Context entry points can be thin wrappers over Run.
-	Options []Option `json:"-"`
 }
 
 // Result is Run's envelope: exactly one report field matching the resolved
@@ -217,49 +233,46 @@ func (r *Result) DegradedJobs() []Degraded {
 	return out
 }
 
-// options converts the request's declarative fields into the option list
-// the pipelines consume, with req.Options appended last so functional
-// options override fields.
-func (req Request) options() []Option {
-	opts := []Option{WithWorkers(req.Workers)}
-	retries := req.Retries
-	plan := req.FaultPlan
-	if plan == nil && req.ChaosSeed != 0 {
-		plan = DefaultFaultPlan(req.ChaosSeed)
+// config resolves the request's settings into the one discover.Config
+// every pipeline runs on: a ChaosSeed becomes the default fault plan with
+// two retries unless a budget is given, an attached Cache wins over
+// CacheDir, and the Progress callback is serialized.
+func (req Request) config() discover.Config {
+	cfg := discover.Config{
+		Seed:         req.Seed,
+		Workers:      req.Workers,
+		Sinks:        req.Sinks,
+		FaultPlan:    req.FaultPlan,
+		Retries:      req.Retries,
+		StageTimeout: req.StageTimeout,
+		Cache:        req.Cache,
+		Profile:      req.Profile,
+		Detect:       req.Detect,
 	}
-	if plan != nil {
-		opts = append(opts, WithFaultPlan(plan))
-		if retries == 0 {
-			// Chaos without a retry budget degrades every injected fault
-			// into a dropped job; mirror the CLIs' default budget instead.
-			retries = 2
+	if cfg.FaultPlan == nil && req.ChaosSeed != 0 {
+		cfg.FaultPlan = DefaultFaultPlan(req.ChaosSeed)
+	}
+	if cfg.FaultPlan != nil && cfg.Retries == 0 {
+		// Chaos without a retry budget would degrade every injected
+		// fault into a dropped job; use the CLIs' default budget instead.
+		cfg.Retries = 2
+	}
+	if cfg.Cache == nil && req.CacheDir != "" {
+		if c, err := cas.Open(req.CacheDir); err == nil {
+			cfg.Cache = c
 		}
 	}
-	if retries != 0 {
-		opts = append(opts, WithRetry(retries))
+	if fn := req.Progress; fn != nil {
+		// A multi-server request runs several collectors concurrently;
+		// serialize the callback across them.
+		var mu sync.Mutex
+		cfg.Progress = func(ev StageEvent) {
+			mu.Lock()
+			defer mu.Unlock()
+			fn(ev)
+		}
 	}
-	if req.StageTimeout != 0 {
-		opts = append(opts, WithStageTimeout(req.StageTimeout))
-	}
-	switch {
-	case req.Cache != nil:
-		opts = append(opts, WithCache(req.Cache))
-	case req.CacheDir != "":
-		opts = append(opts, WithCacheDir(req.CacheDir))
-	}
-	if req.Profile != nil {
-		opts = append(opts, WithProfile(req.Profile))
-	}
-	if req.Detect != nil {
-		opts = append(opts, WithDetect(req.Detect))
-	}
-	if req.Progress != nil {
-		opts = append(opts, WithProgress(req.Progress))
-	}
-	for _, s := range req.Sinks {
-		opts = append(opts, WithSink(s))
-	}
-	return append(opts, req.Options...)
+	return cfg
 }
 
 // Validate checks the request's declarative fields without building any
@@ -318,9 +331,9 @@ func (req Request) browserParams() (BrowserParams, error) {
 }
 
 // Run executes one analysis described by req and returns its result
-// envelope. It is the single entry point behind every pipeline — the
-// legacy Analyze*Context functions are thin wrappers over it — and the
-// execution core of the discovery service's job API.
+// envelope. It is the single entry point behind every pipeline and the
+// execution core of the discovery service's job API. Run checks ctx
+// between stages and before each job, returning ctx.Err() once it is done.
 //
 // Resolution rules: an attached Server/Servers/Browser wins over the
 // Target name; an empty Pipeline defaults to syscall for servers and seh
@@ -356,7 +369,7 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 
 // run resolves and executes the request, leaving profile embedding to Run.
 func run(ctx context.Context, req Request) (*Result, error) {
-	opts := req.options()
+	cfg := req.config()
 
 	// Scale gates every dispatch path (browser corpus size, generated
 	// fleet size), so reject unknown values before touching any target.
@@ -372,7 +385,7 @@ func run(ctx context.Context, req Request) (*Result, error) {
 		if req.Pipeline != "" && req.Pipeline != PipelineSyscall {
 			return nil, fmt.Errorf("%w: pipeline %q cannot analyze server targets", ErrBadParams, req.Pipeline)
 		}
-		reports, err := analyzeServersContext(ctx, req.Servers, req.Seed, opts)
+		reports, err := discover.AnalyzeServers(ctx, cfg, req.Servers)
 		if err != nil {
 			return nil, err
 		}
@@ -385,13 +398,13 @@ func run(ctx context.Context, req Request) (*Result, error) {
 		if req.Pipeline != "" && req.Pipeline != PipelineSyscall {
 			return nil, fmt.Errorf("%w: pipeline %q cannot analyze server targets", ErrBadParams, req.Pipeline)
 		}
-		rep, err := analyzeServerContext(ctx, req.Server, req.Seed, opts)
+		rep, err := discover.AnalyzeServer(ctx, cfg, req.Server)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Schema: SchemaV1, Pipeline: PipelineSyscall, Target: req.Server.Name, Syscall: rep}, nil
 	case req.Browser != nil:
-		return runBrowser(ctx, req, req.Browser, req.Browser.Name, opts)
+		return runBrowser(ctx, cfg, req.Pipeline, req.Browser, req.Browser.Name)
 	}
 
 	// Name-mode requests.
@@ -406,7 +419,7 @@ func run(ctx context.Context, req Request) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		reports, err := analyzeServersContext(ctx, servers, req.Seed, opts)
+		reports, err := discover.AnalyzeServers(ctx, cfg, servers)
 		if err != nil {
 			return nil, err
 		}
@@ -423,7 +436,7 @@ func run(ctx context.Context, req Request) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		reports, err := analyzeServersContext(ctx, servers, req.Seed, opts)
+		reports, err := discover.AnalyzeServers(ctx, cfg, servers)
 		if err != nil {
 			return nil, err
 		}
@@ -442,7 +455,7 @@ func run(ctx context.Context, req Request) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return runBrowser(ctx, req, br, req.Target, opts)
+		return runBrowser(ctx, cfg, req.Pipeline, br, req.Target)
 	default:
 		if req.Pipeline != "" && req.Pipeline != PipelineSyscall {
 			return nil, fmt.Errorf("%w: pipeline %q needs a browser target, got %q", ErrBadParams, req.Pipeline, req.Target)
@@ -457,7 +470,7 @@ func run(ctx context.Context, req Request) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rep, err := analyzeServerContext(ctx, srv, req.Seed, opts)
+		rep, err := discover.AnalyzeServer(ctx, cfg, srv)
 		if err != nil {
 			return nil, err
 		}
@@ -466,20 +479,19 @@ func run(ctx context.Context, req Request) (*Result, error) {
 }
 
 // runBrowser dispatches a browser target to the api or seh pipeline.
-func runBrowser(ctx context.Context, req Request, br *BrowserTarget, target string, opts []Option) (*Result, error) {
-	pl := req.Pipeline
+func runBrowser(ctx context.Context, cfg discover.Config, pl string, br *BrowserTarget, target string) (*Result, error) {
 	if pl == "" {
 		pl = PipelineSEH
 	}
 	switch pl {
 	case PipelineAPI:
-		rep, err := analyzeBrowserAPIsContext(ctx, br, req.Seed, opts)
+		rep, err := discover.AnalyzeAPIs(ctx, cfg, br)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Schema: SchemaV1, Pipeline: PipelineAPI, Target: target, Funnel: rep}, nil
 	case PipelineSEH:
-		rep, err := analyzeBrowserSEHContext(ctx, br, req.Seed, opts)
+		rep, err := discover.AnalyzeSEH(ctx, cfg, br)
 		if err != nil {
 			return nil, err
 		}
@@ -489,35 +501,4 @@ func runBrowser(ctx context.Context, req Request, br *BrowserTarget, target stri
 	default:
 		return nil, fmt.Errorf("%w: unknown pipeline %q (want syscall, api or seh)", ErrBadParams, pl)
 	}
-}
-
-// The pipeline cores, shared by Run and the legacy wrappers. Each builds
-// its analyzer from the resolved option set and runs it.
-
-func analyzeServerContext(ctx context.Context, srv *ServerTarget, seed int64, opts []Option) (*SyscallReport, error) {
-	return buildOptions(opts).syscallAnalyzer(seed).AnalyzeContext(ctx, srv)
-}
-
-func analyzeServersContext(ctx context.Context, servers []*ServerTarget, seed int64, opts []Option) ([]*SyscallReport, error) {
-	return buildOptions(opts).syscallAnalyzer(seed).AnalyzeAllContext(ctx, servers)
-}
-
-func analyzeBrowserAPIsContext(ctx context.Context, br *BrowserTarget, seed int64, opts []Option) (*APIFunnelReport, error) {
-	o := buildOptions(opts)
-	a := &discover.APIAnalyzer{
-		Seed: seed, Workers: o.workers, Progress: o.progress, Sinks: o.sinks,
-		FaultPlan: o.plan, Retries: o.retries, StageTimeout: o.stageTimeout,
-		Cache: o.cache, Profile: o.profile, Detect: o.detect,
-	}
-	return a.AnalyzeContext(ctx, br)
-}
-
-func analyzeBrowserSEHContext(ctx context.Context, br *BrowserTarget, seed int64, opts []Option) (*SEHReport, error) {
-	o := buildOptions(opts)
-	a := &discover.SEHAnalyzer{
-		Seed: seed, Workers: o.workers, Progress: o.progress, Sinks: o.sinks,
-		FaultPlan: o.plan, Retries: o.retries, StageTimeout: o.stageTimeout,
-		Cache: o.cache, Profile: o.profile, Detect: o.detect,
-	}
-	return a.AnalyzeContext(ctx, br)
 }

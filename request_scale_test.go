@@ -135,8 +135,8 @@ func TestRunRejectsUnknownScale(t *testing.T) {
 }
 
 // TestRunGenServerByRef runs one generated server end to end through the
-// Request surface and checks the result is the same report a direct
-// pipeline call produces.
+// Request surface and checks the result is the same report a run on the
+// attached pre-built server produces.
 func TestRunGenServerByRef(t *testing.T) {
 	res, err := crashresist.Run(context.Background(), crashresist.Request{Target: "gen-1", Seed: 42})
 	if err != nil {
@@ -149,10 +149,11 @@ func TestRunGenServerByRef(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := crashresist.AnalyzeServer(srv, 42)
+	attached, err := crashresist.Run(context.Background(), crashresist.Request{Server: srv, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
+	direct := attached.Syscall
 	viaRun, err := json.Marshal(stripStats(t, res.Syscall))
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +163,7 @@ func TestRunGenServerByRef(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(viaRun) != string(viaDirect) {
-		t.Error("Run(gen-1) report differs from direct AnalyzeServer")
+		t.Error("Run(gen-1) report differs from the attached-server run")
 	}
 }
 

@@ -24,6 +24,7 @@ package crashresist
 // generated DLL count directly.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -94,11 +95,14 @@ func TestScaleSEHProperties(t *testing.T) {
 
 	var rep *SEHReport
 	sweep(t, "seh-gen", func(workers int) (any, error) {
-		r, err := AnalyzeBrowserSEH(br, 42, WithWorkers(workers))
-		if err == nil && rep == nil {
-			rep = r
+		res, err := Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 42, Workers: workers})
+		if err != nil {
+			return nil, err
 		}
-		return r, err
+		if rep == nil {
+			rep = res.SEH
+		}
+		return res.SEH, nil
 	})
 
 	// Conservation: every module appears exactly once; every generated
@@ -221,10 +225,11 @@ func TestScaleSyscallProperties(t *testing.T) {
 	var reports []*SyscallReport
 	var base []string
 	for _, workers := range []int{1, 4, 8} {
-		reps, err := AnalyzeServers(servers, 42, WithWorkers(workers))
+		res, err := Run(context.Background(), Request{Servers: servers, Seed: 42, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		reps := res.Servers
 		if len(reps) != n {
 			t.Fatalf("workers=%d: %d reports, want %d", workers, len(reps), n)
 		}
@@ -281,11 +286,14 @@ func TestScaleAPIFunnelProperties(t *testing.T) {
 	}
 	var rep *APIFunnelReport
 	sweep(t, "api-gen", func(workers int) (any, error) {
-		r, err := AnalyzeBrowserAPIs(br, 42, WithWorkers(workers))
-		if err == nil && rep == nil {
-			rep = r
+		res, err := Run(context.Background(), Request{Pipeline: PipelineAPI, Browser: br, Seed: 42, Workers: workers})
+		if err != nil {
+			return nil, err
 		}
-		return r, err
+		if rep == nil {
+			rep = res.Funnel
+		}
+		return res.Funnel, nil
 	})
 	if rep.Total != params.API.Total {
 		t.Errorf("funnel total = %d, want corpus size %d", rep.Total, params.API.Total)
@@ -319,18 +327,21 @@ func TestScaleCacheEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	off, err := AnalyzeBrowserSEH(br, 42)
+	res, err := Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := AnalyzeBrowserSEH(br, 42, WithCache(cache))
+	off := res.SEH
+	res, err = Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 42, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := AnalyzeBrowserSEH(br, 42, WithCache(cache))
+	cold := res.SEH
+	res, err = Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 42, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
+	warm := res.SEH
 	want := normalize(t, off)
 	if got := normalize(t, cold); got != want {
 		t.Error("cold cached run differs from cache-off run")
@@ -351,18 +362,21 @@ func TestScaleCacheEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	soff, err := AnalyzeServer(srv, 42)
+	res, err = Run(context.Background(), Request{Server: srv, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scold, err := AnalyzeServer(srv, 42, WithCache(cache))
+	soff := res.Syscall
+	res, err = Run(context.Background(), Request{Server: srv, Seed: 42, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
-	swarm, err := AnalyzeServer(srv, 42, WithCache(cache))
+	scold := res.Syscall
+	res, err = Run(context.Background(), Request{Server: srv, Seed: 42, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
 	}
+	swarm := res.Syscall
 	wantS := normalize(t, soff)
 	if got := normalize(t, scold); got != wantS {
 		t.Error("cold cached server run differs from cache-off run")
@@ -383,7 +397,7 @@ func TestScaleChaosDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	sweep(t, "chaos-gen", func(workers int) (any, error) {
-		return AnalyzeBrowserSEH(br, 42,
-			WithWorkers(workers), WithFaultPlan(DefaultFaultPlan(7)), WithRetry(2))
+		return reportOf(Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 42,
+			Workers: workers, FaultPlan: DefaultFaultPlan(7), Retries: 2}))
 	})
 }

@@ -1,6 +1,7 @@
 package crashresist
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -37,24 +38,27 @@ func TestLatencyHistogramsWorkerInvariant(t *testing.T) {
 
 	pipelines := map[string]func(workers int) (*RunStats, error){
 		"syscall": func(w int) (*RunStats, error) {
-			rep, err := AnalyzeServer(srv, 21, WithWorkers(w))
+			res, err := Run(context.Background(), Request{Server: srv, Seed: 21, Workers: w})
 			if err != nil {
 				return nil, err
 			}
+			rep := res.Syscall
 			return rep.Stats, nil
 		},
 		"api": func(w int) (*RunStats, error) {
-			rep, err := AnalyzeBrowserAPIs(br, 22, WithWorkers(w))
+			res, err := Run(context.Background(), Request{Pipeline: PipelineAPI, Browser: br, Seed: 22, Workers: w})
 			if err != nil {
 				return nil, err
 			}
+			rep := res.Funnel
 			return rep.Stats, nil
 		},
 		"seh": func(w int) (*RunStats, error) {
-			rep, err := AnalyzeBrowserSEH(br, 23, WithWorkers(w))
+			res, err := Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 23, Workers: w})
 			if err != nil {
 				return nil, err
 			}
+			rep := res.SEH
 			return rep.Stats, nil
 		},
 	}
@@ -109,10 +113,11 @@ func TestProvenanceChains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := AnalyzeServer(srv, 21)
+		res, err := Run(context.Background(), Request{Server: srv, Seed: 21})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := res.Syscall
 		if len(rep.Findings) == 0 {
 			t.Fatal("no findings to carry provenance")
 		}
@@ -134,10 +139,11 @@ func TestProvenanceChains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := AnalyzeBrowserAPIs(br, 22)
+		res, err := Run(context.Background(), Request{Pipeline: PipelineAPI, Browser: br, Seed: 22})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := res.Funnel
 		if len(rep.Classifications) == 0 {
 			t.Fatal("no classifications to carry provenance")
 		}
@@ -159,10 +165,11 @@ func TestProvenanceChains(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := AnalyzeBrowserSEH(br, 23)
+		res, err := Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 23})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := res.SEH
 		if len(rep.Candidates) == 0 {
 			t.Fatal("no candidates to carry provenance")
 		}
@@ -210,10 +217,11 @@ func TestProvenanceWorkerInvariant(t *testing.T) {
 	}
 	var want []PrimitiveProvenance
 	for _, workers := range []int{1, 4, 8} {
-		rep, err := AnalyzeBrowserSEH(br, 23, WithWorkers(workers))
+		res, err := Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 23, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
+		rep := res.SEH
 		if want == nil {
 			want = rep.Provenance
 			continue
@@ -231,10 +239,11 @@ func TestRunSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := AnalyzeBrowserSEH(br, 23, WithWorkers(2))
+	res, err := Run(context.Background(), Request{Pipeline: PipelineSEH, Browser: br, Seed: 23, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep := res.SEH
 	st := rep.Stats
 	if st == nil || len(st.Spans) == 0 {
 		t.Fatal("run recorded no spans")
