@@ -9,14 +9,15 @@ ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 20m ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) build ./...
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 20m ./...
 
 fuzz-short:
 	$(GO) test -fuzz=FuzzDecodeRoundTrip -fuzztime=30s ./internal/isa

@@ -82,14 +82,7 @@ type probeRun struct {
 
 // harvest folds a probed process's VM counters into the run collector.
 func (pr *probeRun) harvest(p *vm.Process) {
-	st := p.Stats
-	pr.col.Add(metrics.CtrInstructions, st.Instructions)
-	pr.col.Add(metrics.CtrFaults, st.Faults)
-	pr.col.Add(metrics.CtrFaultsUnmapped, st.FaultsUnmapped)
-	pr.col.Add(metrics.CtrFaultsHandled, st.FaultsHandled)
-	pr.col.Add(metrics.CtrFaultsInjected, st.FaultsInjected)
-	pr.col.Add(metrics.CtrSyscalls, st.Syscalls)
-	pr.col.Add(metrics.CtrAPICalls, st.APICalls)
+	pr.col.AddVM(p.Stats)
 	pr.scanClock = p.Clock - pr.bootClock
 	pr.profilePhases(p)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"testing"
 )
 
@@ -264,5 +265,49 @@ func TestDetectTableIStealthMargins(t *testing.T) {
 		if flagged == 0 {
 			t.Errorf("%s: no primitive trips the §VII-C default at full speed", srv.Name)
 		}
+	}
+}
+
+// TestSharedDetectRunSection: two runs sharing one observer and one
+// registry sink. Each run's RunStats section carries only that run's own
+// inputs, the shared observer holds both runs, and the registry — which
+// folds every flushed section — ends up holding exactly what the observer
+// holds, not the observer's running totals summed once per run.
+func TestSharedDetectRunSection(t *testing.T) {
+	d := NewDetect()
+	reg := NewMetricsRegistry()
+	probes := func(sec *DetectSection) uint64 {
+		t.Helper()
+		for _, row := range sec.Rows {
+			if row.Primitive == "recv/arg1" {
+				return row.Probes
+			}
+		}
+		t.Fatalf("no recv/arg1 row in section %s/%s", sec.Pipeline, sec.Target)
+		return 0
+	}
+	for i := 0; i < 2; i++ {
+		req := Request{Target: "nginx", Seed: 42, Detect: d, Sinks: []MetricSink{reg}}
+		res, err := Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sec := res.Syscall.Stats.Detect
+		if sec == nil {
+			t.Fatalf("run %d: RunStats carries no detect section", i)
+		}
+		if got := probes(sec); got != 1 {
+			t.Errorf("run %d: RunStats recv/arg1 probes = %d, want 1 (the run's own)", i, got)
+		}
+	}
+	want := d.Snapshot()
+	if got := probes(&want.Sections[0]); got != 2 {
+		t.Errorf("shared observer recv/arg1 probes = %d, want 2", got)
+	}
+	got := reg.DetectReport()
+	if !reflect.DeepEqual(got, want) {
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		t.Errorf("registry detect report differs from the shared observer:\n got  %s\n want %s", gj, wj)
 	}
 }

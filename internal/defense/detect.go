@@ -364,6 +364,15 @@ func NewDetect(cals ...Calibration) *Detect {
 	return &Detect{cals: cals, secs: make(map[string]*secAccum)}
 }
 
+// Calibrations returns a copy of the observer's calibration panel, so a
+// run-local observer can evaluate on the same panel as a shared one.
+func (d *Detect) Calibrations() []Calibration {
+	if d == nil {
+		return nil
+	}
+	return append([]Calibration(nil), d.cals...)
+}
+
 func (d *Detect) sec(pipeline, target string) *secAccum {
 	key := pipeline + "\x00" + target
 	s, ok := d.secs[key]

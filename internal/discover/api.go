@@ -6,10 +6,10 @@ import (
 	"sort"
 
 	"crashresist/internal/cas"
+	"crashresist/internal/defense"
 	"crashresist/internal/fuzz"
 	"crashresist/internal/isa"
 	"crashresist/internal/metrics"
-	"crashresist/internal/prof"
 	"crashresist/internal/taint"
 	"crashresist/internal/targets"
 	"crashresist/internal/trace"
@@ -146,7 +146,7 @@ type APIFunnelReport struct {
 func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunnelReport, error) {
 	r := cfg.begin("api", br.Name)
 	var apiParams []byte
-	if r.rc.c != nil {
+	if r.Cache != nil {
 		apiParams = marshalAPIParams(br.Params.API)
 	}
 
@@ -179,16 +179,16 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 	fctx, cancel := stageCtx(ctx, r.StageTimeout)
 	err = runIndexed(fctx, r.Workers, len(ptrAPIs), span, func(i int) error {
 		api := ptrAPIs[i].Name
-		return r.res.run(fctx, "fuzz", api, i, func(int) error {
+		return r.runJob(fctx, "fuzz", api, i, func(int) error {
 			var (
 				key cas.Key
 				ent apiFuzzEntry
 				hit bool
 			)
-			cached := r.rc.c != nil && apiParams != nil
+			cached := r.Cache != nil && apiParams != nil
 			if cached {
 				key = fuzzDescKey(apiParams, r.Seed, ptrAPIs[i])
-				ent, hit = lookup[apiFuzzEntry](r.rc, casFamilyFuzz, key, "fuzz", api)
+				ent, hit = lookup[apiFuzzEntry](r, casFamilyFuzz, key, "fuzz", api)
 			}
 			if !hit {
 				var err error
@@ -196,16 +196,15 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 					return fmt.Errorf("fuzz %s: %w", api, err)
 				}
 				if cached {
-					r.rc.put(casFamilyFuzz, key, ent, "fuzz", api)
+					r.store(casFamilyFuzz, key, ent, "fuzz", api)
 				}
 			}
-			r.col.Add(metrics.CtrProbes, uint64(len(ent.Probes)))
-			harvestVMStats(r.col, ent.Stats)
 			// The harness processes' summed instruction count is the job's
 			// deterministic cost.
-			span.Observe(ent.Stats.Instructions)
-			profileFuzz(r.rp, api, ent)
-			detectFuzz(r.rd, ent)
+			r.charge(charge{
+				stage: "fuzz", unit: api, span: span, sample: ent.Stats.Instructions,
+				vm: ent.Stats, probes: ent.Probes, sight: r.fuzzSighting(ent),
+			})
 			results[i] = ent
 			return nil
 		})
@@ -242,7 +241,7 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 	// tagging.
 	span = r.col.StartStage("harvest", 0)
 	var obs *browseObservation
-	err = r.res.run(ctx, "harvest", br.Name, 0, func(int) error {
+	err = r.runJob(ctx, "harvest", br.Name, 0, func(int) error {
 		o, err := r.observeBrowse(br, span)
 		if err != nil {
 			return err
@@ -284,16 +283,16 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 	cctx, cancel2 := stageCtx(ctx, r.StageTimeout)
 	err = runIndexed(cctx, r.Workers, len(report.JSContextAPIs), span, func(i int) error {
 		api := report.JSContextAPIs[i]
-		return r.res.run(cctx, "classify", api, i, func(int) error {
+		return r.runJob(cctx, "classify", api, i, func(int) error {
 			var (
 				key         cas.Key
 				ent         classifyEntry
 				cached, hit bool
 			)
-			if r.rc.c != nil {
+			if r.Cache != nil {
 				if digest, derr := br.ContentDigest(); derr == nil {
 					key, cached = classifyKey(digest, r.Seed, api, obs.args[api]), true
-					ent, hit = lookup[classifyEntry](r.rc, casFamilyClassify, key, "classify", api)
+					ent, hit = lookup[classifyEntry](r, casFamilyClassify, key, "classify", api)
 				}
 			}
 			if !hit {
@@ -303,16 +302,15 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 				}
 				ent = classifyEntry{Cls: cls, Cost: cost}
 				if cached {
-					r.rc.put(casFamilyClassify, key, ent, "classify", api)
+					r.store(casFamilyClassify, key, ent, "classify", api)
 				}
 			}
 			// The replay's virtual clock is the job's deterministic cost;
-			// statically-excluded APIs record zero.
-			span.Observe(ent.Cost.Clock)
-			if ent.Cost.HasEnv {
-				harvestVMStats(r.col, ent.Cost.Stats)
-			}
-			profileClassify(r.rp, api, ent.Cost)
+			// statically-excluded APIs ran no replay and record zero.
+			r.charge(charge{
+				stage: "classify", unit: api, span: span, sample: ent.Cost.Clock,
+				clock: ent.Cost.Clock, vm: ent.Cost.Stats,
+			})
 			classifications[i] = ent.Cls
 			return nil
 		})
@@ -423,27 +421,16 @@ func (a *apiArgTracer) stackInJS(t *vm.Thread) bool {
 	return false
 }
 
-// profileFuzz charges one API's fuzzing battery, one sub-frame per probe
-// pointer so flamegraphs break an API's cost down by battery entry.
-// Per-probe instruction counts are persisted in the cache entry, so cold
-// computes and warm replays charge identical stacks.
-func profileFuzz(rp runProf, api string, res fuzz.FuncResult) {
-	for _, pr := range res.Probes {
-		rp.addSub("fuzz", api, fmt.Sprintf("ptr:%#x", pr.Pointer), prof.KindVMInstructions, pr.Instructions)
-	}
-}
-
-// detectFuzz folds one crash-resistant API's fuzzing battery into its
-// detectability row: every battery probe is one oracle query, and every
-// ErrInvalidPointer return is a kernel-validated rejection — the Windows
-// analogue of an EFAULT return, and exactly what a kernel-boundary
-// defender counts (crash-resistant APIs raise no user-mode fault). The
-// harness processes each start at virtual clock zero, so their rejections
-// land in the run stream's first virtual second. Inputs come from the
-// cache entry, so cold computes and warm replays fold identical rows.
-func detectFuzz(rd runDetect, res fuzz.FuncResult) {
-	if !rd.on() || !res.CrashResistant {
-		return
+// fuzzSighting is one API's fuzzing battery as the detector sees it, for
+// crash-resistant APIs when detection is on: every battery probe is one
+// oracle query, and every ErrInvalidPointer return is a kernel-validated
+// rejection — the Windows analogue of an EFAULT return, and exactly what a
+// kernel-boundary defender counts (crash-resistant APIs raise no user-mode
+// fault). The harness processes each start at virtual clock zero, so their
+// rejections land in the run stream's first virtual second.
+func (r *pipelineRun) fuzzSighting(res fuzz.FuncResult) sighting {
+	if r.det == nil || !res.CrashResistant {
+		return sighting{}
 	}
 	var faults uint64
 	for _, pr := range res.Probes {
@@ -451,19 +438,23 @@ func detectFuzz(rd runDetect, res fuzz.FuncResult) {
 			faults++
 		}
 	}
-	rd.primitive(res.Name, uint64(len(res.Probes)), faults, res.Stats.Instructions, nil)
+	s := sighting{primitive: res.Name, probes: uint64(len(res.Probes)), faults: faults, ticks: res.Stats.Instructions}
 	if faults > 0 {
-		rd.series(map[uint64]uint64{0: faults})
+		s.stream = map[uint64]uint64{0: faults}
 	}
+	return s
 }
 
-// profileClassify charges one classification job's replay cost, identically
-// for cold computes and warm cache replays (the entry persists the cost).
-func profileClassify(rp runProf, api string, cost classifyCost) {
-	rp.add("classify", api, prof.KindClockTicks, cost.Clock)
-	if cost.HasEnv {
-		rp.add("classify", api, prof.KindVMInstructions, cost.Stats.Instructions)
+// browseSighting is an instrumented browse's benign baseline: the
+// exception log, recorded with EnableExceptionLog while detection is on,
+// bucketed into the baseline series and the run-level stream.
+func browseSighting(rec *trace.Recorder, ticks uint64) sighting {
+	series := defense.BucketExc(rec.Exceptions())
+	var faults uint64
+	for _, n := range series {
+		faults += n
 	}
+	return sighting{phase: "browse", faults: faults, ticks: ticks, series: series, stream: series}
 }
 
 // observeBrowse runs one instrumented browse.
@@ -479,7 +470,7 @@ func (r *pipelineRun) observeBrowse(br *targets.Browser, span *metrics.Stage) (*
 	rec := trace.NewRecorder()
 	rec.EnableAPIHarvest()
 	rec.AddContextModule("jscript9.dll")
-	if r.rd.on() {
+	if r.det != nil {
 		rec.EnableExceptionLog()
 	}
 
@@ -496,11 +487,10 @@ func (r *pipelineRun) observeBrowse(br *targets.Browser, span *metrics.Stage) (*
 		return nil, err
 	}
 	browseErr := env.Browse()
-	span.Observe(env.Proc.Clock)
-	harvestVMStats(r.col, env.Proc.Stats)
-	r.rp.add("harvest", "browse", prof.KindClockTicks, env.Proc.Clock)
-	r.rp.add("harvest", "browse", prof.KindVMInstructions, env.Proc.Stats.Instructions)
-	r.rd.browseBaseline(rec, env.Proc.Clock)
+	r.charge(charge{
+		stage: "harvest", unit: "browse", span: span, sample: env.Proc.Clock,
+		clock: env.Proc.Clock, vm: env.Proc.Stats, sight: browseSighting(rec, env.Proc.Clock),
+	})
 	if browseErr != nil {
 		return nil, browseErr
 	}

@@ -5,10 +5,9 @@ package discover
 // bytes, seed, corruption address, candidate identity — so a changed byte
 // anywhere in the inputs invalidates exactly that unit and nothing else.
 // Entries store the result *and* its deterministic costs (virtual clock,
-// VM/kernel counters, symbolic steps), so a warm run replays the same
-// span.Observe and counter harvests a cold run performs: reports stay
-// byte-identical and latency histograms stay consistent whether a unit was
-// computed or served from disk.
+// VM/kernel counters, symbolic steps), so a warm hit makes the same charge
+// (ledger.go) as the cold compute: reports stay byte-identical, and every
+// observer agrees whether a unit was computed or served from disk.
 //
 // Three key families:
 //
@@ -37,8 +36,6 @@ import (
 	"crashresist/internal/cas"
 	"crashresist/internal/fuzz"
 	"crashresist/internal/kernel"
-	"crashresist/internal/metrics"
-	"crashresist/internal/prof"
 	"crashresist/internal/sym"
 	"crashresist/internal/vm"
 	"crashresist/internal/winapi"
@@ -52,54 +49,33 @@ const (
 	casFamilyValidate = "syscall-validate"
 )
 
-// runCache binds an optional persistent cache to one run's collector and
-// profile, mirroring every lookup into the run's cache_* counters and
-// charging entry byte traffic to the unit that owns the entry. The zero
-// value (nil cache) is a valid always-miss cache that counts nothing.
-type runCache struct {
-	c   *cas.Cache
-	col *metrics.Collector
-	rp  runProf
-}
-
-// get is Cache.Get plus per-run counter and profile accounting; stage and
-// unit attribute the transferred bytes. An entry read on a warm hit has
-// the same encoded size as the cold run's store of it, so per-unit cache
-// byte charges agree between cold and warm runs.
-func (r runCache) get(family string, key cas.Key, out any, stage, unit string) bool {
-	if r.c == nil {
-		return false
-	}
-	res := r.c.Get(family, key, out)
+// lookup is Cache.Get decoding into a fresh E, plus one charge for the
+// lookup: a hit with the entry bytes read, or a miss, and a bad entry,
+// attributed to stage and unit. An entry read on a warm hit has the same
+// encoded size as the cold run's store of it, so per-unit cache byte
+// charges agree between cold and warm runs. Only jobs that consult the
+// cache call it, so uncached jobs never pay for a heap-allocated decode
+// target.
+func lookup[E any](r *pipelineRun, family string, key cas.Key, stage, unit string) (E, bool) {
+	var e E
+	res := r.Cache.Get(family, key, &e)
+	c := charge{stage: stage, unit: unit}
 	if res.Hit {
-		r.col.Add(metrics.CtrCacheHits, 1)
-		r.col.Add(metrics.CtrCacheBytes, res.Bytes)
-		r.rp.add(stage, unit, prof.KindCacheBytes, res.Bytes)
+		c.cacheHits, c.cacheBytes = 1, res.Bytes
 	} else {
-		r.col.Add(metrics.CtrCacheMisses, 1)
+		c.cacheMisses = 1
 	}
 	if res.Bad {
-		r.col.Add(metrics.CtrCacheBadEntries, 1)
+		c.cacheBad = 1
 	}
-	return res.Hit
+	r.charge(c)
+	return e, res.Hit
 }
 
-// lookup is get decoding into a fresh E. Only jobs that consult the cache
-// call it, so uncached jobs never pay for a heap-allocated decode target.
-func lookup[E any](r runCache, family string, key cas.Key, stage, unit string) (E, bool) {
-	var e E
-	ok := r.get(family, key, &e, stage, unit)
-	return e, ok
-}
-
-// put is Cache.Put plus per-run counter and profile accounting.
-func (r runCache) put(family string, key cas.Key, v any, stage, unit string) {
-	if r.c == nil {
-		return
-	}
-	if res := r.c.Put(family, key, v); res.Stored {
-		r.col.Add(metrics.CtrCacheBytes, res.Bytes)
-		r.rp.add(stage, unit, prof.KindCacheBytes, res.Bytes)
+// store is Cache.Put plus one charge for the entry bytes written.
+func (r *pipelineRun) store(family string, key cas.Key, v any, stage, unit string) {
+	if res := r.Cache.Put(family, key, v); res.Stored {
+		r.charge(charge{stage: stage, unit: unit, cacheBytes: res.Bytes})
 	}
 }
 

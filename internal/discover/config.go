@@ -46,23 +46,26 @@ type Config struct {
 	// Profile, when non-nil, receives the run's deterministic cost
 	// attribution (see internal/prof).
 	Profile *prof.Profile
-	// Detect, when non-nil, receives the run's detection inputs: benign
+	// Detect, when non-nil, receives the run's detection section: benign
 	// baselines, per-primitive probe batteries and the run-level fault
-	// series. The rendered section rides RunStats, never report rows.
+	// series. The run watches on Detect's calibration panel and folds only
+	// its own section in, when it finishes. The section rides RunStats,
+	// never report rows.
 	Detect *defense.Detect
 }
 
-// pipelineRun is one pipeline run: its Config plus the per-run observers
-// every job charges — collector, profile, detection, retry/degradation and
-// the persistent cache.
+// pipelineRun is one pipeline run: its Config, its collector, its
+// retry/degradation state and its detection observer. Every unit of work
+// reaches those observers and Config.Profile through one charge (see
+// ledger.go). Cache is nil when the run must not use it.
 type pipelineRun struct {
 	Config
-	target string
-	col    *metrics.Collector
-	rp     runProf
-	rd     runDetect
-	res    *resilience
-	rc     runCache
+	pipeline, target string
+	col              *metrics.Collector
+	res              *resilience
+	// det watches this run alone, on Config.Detect's calibration panel;
+	// finish folds its section into Config.Detect.
+	det *defense.Detect
 }
 
 // begin builds the observers for one run of pipeline against target.
@@ -72,28 +75,40 @@ func (c Config) begin(pipeline, target string) *pipelineRun {
 	for _, s := range c.Sinks {
 		col.AddSink(s)
 	}
-	rp := runProf{p: c.Profile, pipeline: pipeline, target: target}
 	r := &pipelineRun{
-		Config: c,
-		target: target,
-		col:    col,
-		rp:     rp,
-		rd:     runDetect{d: c.Detect, pipeline: pipeline, target: target},
-		res:    newResilience(target, c.FaultPlan, c.Retries, col, rp),
-		rc:     runCache{col: col, rp: rp},
+		Config:   c,
+		pipeline: pipeline,
+		target:   target,
+		col:      col,
+		res:      newResilience(c.FaultPlan, c.Retries),
 	}
-	if c.FaultPlan == nil {
-		r.rc.c = c.Cache
+	if c.FaultPlan != nil {
+		r.Cache = nil
+	}
+	if c.Detect != nil {
+		r.det = defense.NewDetect(c.Detect.Calibrations()...)
 	}
 	return r
 }
 
-// finish returns the run's degraded jobs and its RunStats, rendering the
-// detection section first so RunStats carries it. Call after every stage
-// has merged.
+// finish returns the run's degraded jobs and its RunStats. It renders the
+// run's detection section first, folds it into Config.Detect, streams its
+// detections as typed events (live stream first, then baseline trips) and
+// attaches it to RunStats. Call after every stage has merged.
 func (r *pipelineRun) finish() ([]Degraded, *metrics.RunStats, error) {
 	degraded := r.res.take()
-	r.rd.finish(r.col)
+	if sec := r.det.Section(r.pipeline, r.target); sec != nil {
+		r.Detect.FoldSection(sec)
+		for _, ev := range sec.Events {
+			r.col.Detection(ev)
+		}
+		if sec.Baseline != nil {
+			for _, ev := range sec.Baseline.Events {
+				r.col.Detection(ev)
+			}
+		}
+		r.col.SetDetect(sec)
+	}
 	stats, err := r.col.Finish()
 	if err != nil {
 		return nil, nil, fmt.Errorf("flush metrics %s: %w", r.target, err)

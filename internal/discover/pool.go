@@ -10,10 +10,10 @@ package discover
 // report contents.
 //
 // Both runners take a context and an optional metrics stage span. Workers
-// stop claiming jobs once the context is cancelled; the lowest-index job
-// error still wins, and ctx.Err() is only reported when no job failed.
-// The span receives a JobDone per executed job and the final per-worker
-// task distribution; a nil span records nothing.
+// stop claiming jobs once the context is cancelled or a job has failed;
+// the lowest-index job error wins, and ctx.Err() is only reported when no
+// job failed. The span receives a JobDone per successful job and the final
+// per-worker task distribution; a nil span records nothing.
 
 import (
 	"context"
@@ -33,113 +33,29 @@ func poolWorkers(n int) int {
 	return n
 }
 
-// runIndexed runs fn(0) .. fn(n-1) on up to workers goroutines. Workers
-// pull job indices from a shared atomic counter; each job's error lands in
-// its own slot and the lowest-index error is returned, so the reported
-// failure is independent of scheduling. With one worker the jobs run on
-// the calling goroutine.
+// runIndexed runs fn(0) .. fn(n-1) on up to workers goroutines: runSharded
+// without per-worker state.
 func runIndexed(ctx context.Context, workers, n int, span *metrics.Stage, fn func(i int) error) error {
-	workers = poolWorkers(workers)
-	if workers > n {
-		workers = n
-	}
-	if n == 0 {
-		return ctx.Err()
-	}
-	if workers <= 1 {
-		sh := span.Shard(0)
-		defer sh.End()
-		tasks := 0
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				span.ShardTasks([]int{tasks})
-				return err
-			}
-			js := sh.Job(i)
-			err := fn(i)
-			js.End()
-			if err != nil {
-				span.ShardTasks([]int{tasks})
-				return err
-			}
-			tasks++
-			span.JobDone()
-		}
-		span.ShardTasks([]int{tasks})
-		return nil
-	}
-	errs := make([]error, n)
-	tasks := make([]int, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sh := span.Shard(w)
-			defer sh.End()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				js := sh.Job(i)
-				errs[i] = fn(i)
-				js.End()
-				tasks[w]++
-				span.JobDone()
-			}
-		}(w)
-	}
-	wg.Wait()
-	span.ShardTasks(tasks)
-	if err := firstError(errs); err != nil {
-		return err
-	}
-	return ctx.Err()
+	return runSharded(ctx, workers, n, span,
+		func() (struct{}, error) { return struct{}{}, nil },
+		func(_ struct{}, i int) error { return fn(i) })
 }
 
-// runSharded is runIndexed for jobs that need per-worker state (a private
-// VM environment, a private symbolic executor). newState runs once per
-// worker, up-front on the calling goroutine so construction order is
-// deterministic; fn receives the state of whichever worker claimed the
-// job. States never travel between goroutines after handoff.
+// runSharded runs fn(s, 0) .. fn(s, n-1) on up to workers lanes, each
+// owning one state s (a private VM environment, a private symbolic
+// executor). newState runs once per lane, up-front on the calling
+// goroutine so construction order is deterministic; fn receives the state
+// of whichever lane claimed the job, and states never travel between
+// goroutines after handoff. Lanes pull job indices from a shared atomic
+// counter and stop claiming once the context is done or any job has
+// failed. Each job's error lands in its own slot and the lowest-index
+// error is returned: every lower-index job was claimed before the first
+// failure, so the reported failure is independent of scheduling. With one
+// worker the single lane runs on the calling goroutine.
 func runSharded[S any](ctx context.Context, workers, n int, span *metrics.Stage, newState func() (S, error), fn func(s S, i int) error) error {
-	workers = poolWorkers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers = min(poolWorkers(workers), n)
 	if n == 0 {
 		return ctx.Err()
-	}
-	if workers <= 1 {
-		s, err := newState()
-		if err != nil {
-			return err
-		}
-		sh := span.Shard(0)
-		defer sh.End()
-		tasks := 0
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				span.ShardTasks([]int{tasks})
-				return err
-			}
-			js := sh.Job(i)
-			err := fn(s, i)
-			js.End()
-			if err != nil {
-				span.ShardTasks([]int{tasks})
-				return err
-			}
-			tasks++
-			span.JobDone()
-		}
-		span.ShardTasks([]int{tasks})
-		return nil
 	}
 	states := make([]S, workers)
 	for w := range states {
@@ -152,30 +68,39 @@ func runSharded[S any](ctx context.Context, workers, n int, span *metrics.Stage,
 	errs := make([]error, n)
 	tasks := make([]int, workers)
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int, s S) {
-			defer wg.Done()
-			sh := span.Shard(w)
-			defer sh.End()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				js := sh.Job(i)
-				errs[i] = fn(s, i)
-				js.End()
-				tasks[w]++
-				span.JobDone()
+	var failed atomic.Bool
+	lane := func(w int) {
+		sh := span.Shard(w)
+		defer sh.End()
+		for ctx.Err() == nil && !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
-		}(w, states[w])
+			js := sh.Job(i)
+			errs[i] = fn(states[w], i)
+			js.End()
+			if errs[i] != nil {
+				failed.Store(true)
+				return
+			}
+			tasks[w]++
+			span.JobDone()
+		}
 	}
-	wg.Wait()
+	if workers == 1 {
+		lane(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				lane(w)
+			}()
+		}
+		wg.Wait()
+	}
 	span.ShardTasks(tasks)
 	if err := firstError(errs); err != nil {
 		return err

@@ -13,7 +13,7 @@ package discover
 // record, and the merge stages skip the empty slots. Records are ordered by
 // (stage execution order, job index), never by scheduling.
 //
-// A nil *resilience (no plan, no retries) short-circuits every wrapper to a
+// A nil *resilience (no plan, no retries) short-circuits runJob to a
 // plain fn(0) call with the error propagated unchanged, so the default
 // configuration is byte-identical to the pre-resilience pipelines.
 
@@ -26,8 +26,6 @@ import (
 	"time"
 
 	"crashresist/internal/faultinject"
-	"crashresist/internal/metrics"
-	"crashresist/internal/prof"
 )
 
 // ErrDegraded marks a pipeline result that is partial because one or more
@@ -54,11 +52,8 @@ type Degraded struct {
 // resilience carries one run's fault plan, retry budget and degradation
 // log. Methods on a nil receiver behave as "inactive".
 type resilience struct {
-	target  string
 	plan    *faultinject.Plan
 	retries int
-	col     *metrics.Collector
-	rp      runProf
 
 	mu    sync.Mutex
 	order map[string]int // stage name -> first-seen ordinal
@@ -72,63 +67,62 @@ type degradedRec struct {
 
 // newResilience returns nil when neither a plan nor a retry budget is
 // configured, keeping the default path allocation- and branch-free.
-func newResilience(target string, plan *faultinject.Plan, retries int, col *metrics.Collector, rp runProf) *resilience {
+func newResilience(plan *faultinject.Plan, retries int) *resilience {
 	if plan == nil && retries <= 0 {
 		return nil
 	}
-	return &resilience{target: target, plan: plan, retries: retries, col: col, rp: rp}
+	return &resilience{plan: plan, retries: retries}
 }
 
-// run executes one job with injection, bounded retry and degradation. The
-// job key feeds the pool.job injection site as Key(target, stage, jobKey).
-// Context errors are returned immediately — cancellation is never retried
-// or degraded. Transient failures retry up to the budget, accumulating
-// 1<<attempt virtual backoff ticks per retry (no wall-clock sleep, so runs
-// stay fast and deterministic). A job that exhausts the budget, or fails
-// permanently, files a Degraded record and returns nil so the stage
-// continues; its result slot keeps the zero value.
-func (r *resilience) run(ctx context.Context, stage, jobKey string, job int, fn func(attempt int) error) error {
-	if r == nil {
+// runJob executes one job with injection, bounded retry and degradation.
+// The job key feeds the pool.job injection site as Key(target, stage,
+// jobKey). Context errors are returned immediately — cancellation is never
+// retried or degraded. Transient failures retry up to the budget,
+// accumulating 1<<attempt virtual backoff ticks per retry (no wall-clock
+// sleep, so runs stay fast and deterministic). A job that exhausts the
+// budget, or fails permanently, files a Degraded record and returns nil so
+// the stage continues; its result slot keeps the zero value. Each failed
+// attempt makes one charge, attributed to the job.
+func (r *pipelineRun) runJob(ctx context.Context, stage, jobKey string, job int, fn func(attempt int) error) error {
+	res := r.res
+	if res == nil {
 		return fn(0)
 	}
 	key := faultinject.Key(r.target, stage, jobKey)
-	var err error
-	attempts := 0
 	for attempt := 0; ; attempt++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
-		attempts = attempt + 1
-		if ierr := r.plan.ErrAttempt(faultinject.SitePoolJob, key, attempt); ierr != nil {
-			r.col.Add(metrics.CtrFaultsInjected, 1)
+		c := charge{stage: stage, unit: jobKey}
+		var err error
+		if ierr := res.plan.ErrAttempt(faultinject.SitePoolJob, key, attempt); ierr != nil {
+			c.injected = 1
 			err = fmt.Errorf("%s job %q: %w", stage, jobKey, ierr)
-		} else {
-			err = fn(attempt)
-		}
-		if err == nil {
+		} else if err = fn(attempt); err == nil {
 			return nil
 		}
-		if cerr := ctx.Err(); cerr != nil {
+		cerr := ctx.Err()
+		// Retry decisions are a stateless hash of (seed, site, key,
+		// attempt), so these charges are scheduling-independent too.
+		retry := cerr == nil && attempt < res.retries && faultinject.IsTransient(err)
+		if retry {
+			c.retries, c.backoff = 1, uint64(1)<<attempt
+		} else if cerr == nil {
+			c.degraded = 1
+		}
+		r.charge(c)
+		if cerr != nil {
 			return cerr
 		}
-		if attempt < r.retries && faultinject.IsTransient(err) {
-			r.col.Add(metrics.CtrRetries, 1)
-			r.col.Add(metrics.CtrBackoffTicks, uint64(1)<<attempt)
-			// Retry decisions are a stateless hash of (seed, site, key,
-			// attempt), so these charges are scheduling-independent too.
-			r.rp.add(stage, jobKey, prof.KindRetries, 1)
-			r.rp.add(stage, jobKey, prof.KindBackoffTicks, uint64(1)<<attempt)
-			continue
+		if !retry {
+			res.degrade(stage, jobKey, job, attempt+1, err)
+			return nil
 		}
-		break
 	}
-	r.degrade(stage, jobKey, job, attempts, err)
-	return nil
 }
 
-// degrade files one degradation record and bumps the counter.
+// degrade files one degradation record.
 func (r *resilience) degrade(stage, jobKey string, job, attempts int, err error) {
-	r.col.Add(metrics.CtrDegraded, 1)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.order == nil {

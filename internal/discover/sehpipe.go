@@ -8,7 +8,6 @@ import (
 	"crashresist/internal/bin"
 	"crashresist/internal/cas"
 	"crashresist/internal/metrics"
-	"crashresist/internal/prof"
 	"crashresist/internal/seh"
 	"crashresist/internal/sym"
 	"crashresist/internal/targets"
@@ -101,10 +100,8 @@ type sehSymexResult struct {
 	// Reports including their Steps, so the sum is identical no matter
 	// which worker paid for the cache miss.
 	steps uint64
-	// classSteps breaks steps down by filter class (see filterClass) for
-	// cost attribution: the corpus spreads its thousands of filters evenly
-	// across modules, so the class axis — not the module axis — is where a
-	// hot spot can show.
+	// classSteps breaks steps down by filter class (the verdict's
+	// ProfileClass) for cost attribution; see charge.classSteps.
 	classSteps map[string]uint64
 	// pure reports that every filter analysis in the module was pure —
 	// the license for persisting the result beyond the process.
@@ -133,7 +130,7 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 		env  *targets.BrowserEnv
 		hits map[trace.ScopeKey]uint64
 	)
-	err := r.res.run(ctx, "browse", br.Name, 0, func(int) error {
+	err := r.runJob(ctx, "browse", br.Name, 0, func(int) error {
 		e, err := br.NewEnv(r.Seed)
 		if err != nil {
 			return err
@@ -141,7 +138,7 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 		e.Proc.FaultPlan = r.FaultPlan
 		rec := trace.NewRecorder()
 		rec.EnableCoverage()
-		if r.rd.on() {
+		if r.det != nil {
 			rec.EnableExceptionLog()
 		}
 		rec.Attach(e.Proc)
@@ -150,15 +147,19 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 			return err
 		}
 		browseErr := e.Browse()
-		span.Observe(e.Proc.Clock)
-		harvestVMStats(r.col, e.Proc.Stats)
-		r.rp.add("browse", "browse", prof.KindClockTicks, e.Proc.Clock)
-		r.rp.add("browse", "browse", prof.KindVMInstructions, e.Proc.Stats.Instructions)
+		c := charge{
+			stage: "browse", unit: "browse", span: span, sample: e.Proc.Clock,
+			clock: e.Proc.Clock, vm: e.Proc.Stats,
+		}
+		// Only a completed browse is the benign baseline.
+		if browseErr == nil {
+			c.sight = browseSighting(rec, e.Proc.Clock)
+		}
+		r.charge(c)
 		if browseErr != nil {
 			return browseErr
 		}
 		env, hits = e, rec.ScopeHits()
-		r.rd.browseBaseline(rec, e.Proc.Clock)
 		return nil
 	})
 	span.End()
@@ -233,7 +234,7 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 		},
 		func(exec *sym.Executor, w int) error {
 			i := work[w]
-			return r.res.run(sctx, "symex", libs[i], i, func(attempt int) error {
+			return r.runJob(sctx, "symex", libs[i], i, func(attempt int) error {
 				exec.FaultAttempt = attempt
 				mod, ok := exec.Proc().Module(libs[i])
 				if !ok {
@@ -245,11 +246,11 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 					cached, hit bool
 					sx          sehSymexResult
 				)
-				if r.rc.c != nil {
+				if r.Cache != nil {
 					key, cached = sehModuleKey(mod.Image)
 				}
 				if cached {
-					ent, hit = lookup[sehSymexEntry](r.rc, casFamilySEH, key, "symex", libs[i])
+					ent, hit = lookup[sehSymexEntry](r, casFamilySEH, key, "symex", libs[i])
 				}
 				if hit {
 					sx = ent.result()
@@ -259,11 +260,13 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 						return err
 					}
 					if cached && sx.pure {
-						r.rc.put(casFamilySEH, key, sehEntryOf(sx), "symex", libs[i])
+						r.store(casFamilySEH, key, sehEntryOf(sx), "symex", libs[i])
 					}
 				}
-				span.Observe(sx.steps)
-				profileSymex(r.rp, libs[i], sx)
+				r.charge(charge{
+					stage: "symex", unit: libs[i], span: span, sample: sx.steps,
+					classSteps: sx.classSteps,
+				})
 				symex[i] = sx
 				symexOK[i] = true
 				return nil
@@ -274,7 +277,7 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 	if err != nil {
 		return nil, err
 	}
-	harvestCacheStats(r.col, cache.Stats())
+	r.charge(charge{stage: "symex", symCache: cache.Stats()})
 
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -322,6 +325,13 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 		}
 	}
 	for _, c := range report.Candidates {
+		primitive := fmt.Sprintf("%s/scope-%d", c.Module, c.Scope)
+		// Driven as an oracle, each candidate raises one absorbed AV per
+		// probe; the browse-measured trigger census is the detectability
+		// row's probe loop.
+		r.charge(charge{stage: "cross-ref", unit: primitive, sight: sighting{
+			primitive: primitive, probes: c.Hits, faults: c.Hits, ticks: env.Proc.Clock,
+		}})
 		var handler seh.Handler
 		for _, h := range invByModule[c.Module].Handlers {
 			if h.Index == c.Scope {
@@ -342,7 +352,7 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 				handler.Entry.Filter, verdict)
 		}
 		report.Provenance = append(report.Provenance, PrimitiveProvenance{
-			Primitive: fmt.Sprintf("%s/scope-%d", c.Module, c.Scope),
+			Primitive: primitive,
 			Chain: []EvidenceStep{
 				extract,
 				symexStep,
@@ -350,15 +360,6 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 					"guarded location triggered %d time(s) during the instrumented browse", c.Hits),
 			},
 		})
-	}
-	// Detectability rows: each on-path candidate, driven as an oracle,
-	// raises one absorbed AV per probe; the browse-measured trigger census
-	// is the row's probe loop.
-	if r.rd.on() && env != nil {
-		for _, c := range report.Candidates {
-			r.rd.primitive(fmt.Sprintf("%s/scope-%d", c.Module, c.Scope),
-				c.Hits, c.Hits, env.Proc.Clock, nil)
-		}
 	}
 	report.Degraded, report.Stats, err = r.finish()
 	if err != nil {
@@ -386,7 +387,7 @@ func classifyModuleFilters(exec *sym.Executor, mod *bin.Module, inv seh.ModuleIn
 			res.pure = false
 		}
 		res.steps += uint64(rep.Steps)
-		res.classSteps[filterClass(rep.Verdict)] += uint64(rep.Steps)
+		res.classSteps[rep.Verdict.ProfileClass()] += uint64(rep.Steps)
 		res.verdicts[f] = rep.Verdict
 		switch rep.Verdict {
 		case sym.VerdictAccepts:
@@ -396,25 +397,6 @@ func classifyModuleFilters(exec *sym.Executor, mod *bin.Module, inv seh.ModuleIn
 		}
 	}
 	return res, nil
-}
-
-// filterClass names the cost-attribution unit for one filter analysis: its
-// verdict class. The corpus builds thousands of filters from a handful of
-// idioms spread evenly over the modules, so per-module (or per-filter)
-// attribution is flat noise; the class axis is where symbolic-execution
-// cost genuinely concentrates. The module stays visible as the profile's
-// sub-frame.
-func filterClass(v sym.Verdict) string {
-	return v.ProfileClass()
-}
-
-// profileSymex charges one module job's symbolic steps to its filter
-// classes. Cold computes and warm cache replays carry the same breakdown
-// (sehSymexEntry persists it), so the charges agree in both directions.
-func profileSymex(rp runProf, module string, sx sehSymexResult) {
-	for class, n := range sx.classSteps {
-		rp.addSub("symex", class, module, prof.KindSymexSteps, n)
-	}
 }
 
 // crossRefModuleSEH builds one module's table row from its inventory,

@@ -28,7 +28,6 @@ import (
 	"crashresist/internal/kernel"
 	"crashresist/internal/mem"
 	"crashresist/internal/metrics"
-	"crashresist/internal/prof"
 	"crashresist/internal/targets"
 	"crashresist/internal/vm"
 )
@@ -227,11 +226,11 @@ func AnalyzeServers(ctx context.Context, cfg Config, servers []*targets.Server) 
 func AnalyzeServer(ctx context.Context, cfg Config, srv *targets.Server) (*SyscallReport, error) {
 	r := cfg.begin("syscall", srv.Name)
 	var srvImage []byte
-	if r.rc.c != nil {
+	if r.Cache != nil {
 		if data, merr := bin.Marshal(srv.Image); merr == nil {
 			srvImage = data
 		} else {
-			r.rc.c = nil
+			r.Cache = nil
 		}
 	}
 
@@ -242,7 +241,7 @@ func AnalyzeServer(ctx context.Context, cfg Config, srv *targets.Server) (*Sysca
 		observed   map[string]bool
 		candidates []Candidate
 	)
-	err := r.res.run(ctx, "observe", srv.Name, 0, func(int) error {
+	err := r.runJob(ctx, "observe", srv.Name, 0, func(int) error {
 		o, c, err := r.observe(srv)
 		if err != nil {
 			return err
@@ -288,16 +287,16 @@ func AnalyzeServer(ctx context.Context, cfg Config, srv *targets.Server) (*Sysca
 	err = runIndexed(vctx, r.Workers, len(candidates), span, func(i int) error {
 		cand := candidates[i]
 		jobKey := fmt.Sprintf("%s/%d", cand.Syscall, cand.ArgIndex)
-		return r.res.run(vctx, "validate", jobKey, i, func(int) error {
+		return r.runJob(vctx, "validate", jobKey, i, func(int) error {
 			var (
 				key cas.Key
 				ent validateEntry
 				hit bool
 			)
-			cached := r.rc.c != nil
+			cached := r.Cache != nil
 			if cached {
 				key = validateKey(srvImage, srv.Name, r.Seed, cand)
-				ent, hit = lookup[validateEntry](r.rc, casFamilyValidate, key, "validate", jobKey)
+				ent, hit = lookup[validateEntry](r, casFamilyValidate, key, "validate", jobKey)
 			}
 			if !hit {
 				finding, cost, err := r.validate(srv, cand)
@@ -306,15 +305,27 @@ func AnalyzeServer(ctx context.Context, cfg Config, srv *targets.Server) (*Sysca
 				}
 				ent = validateEntry{Finding: finding, Cost: cost}
 				if cached {
-					r.rc.put(casFamilyValidate, key, ent, "validate", jobKey)
+					r.store(casFamilyValidate, key, ent, "validate", jobKey)
 				}
 			}
 			// The replay's virtual clock is the job's deterministic cost.
-			span.Observe(ent.Cost.Clock)
-			harvestVMStats(r.col, ent.Cost.Stats)
-			harvestKernelCounts(r.col, ent.Cost.Kernel)
-			profileValidate(r.rp, jobKey, ent.Cost)
-			detectValidate(r.rd, cand, ent.Cost)
+			// Its corrupted invocations that returned -EFAULT are the
+			// primitive's probes, and the kernel's bucket series both the
+			// row profile and part of the run-level stream.
+			cost := ent.Cost
+			buckets := cost.Kernel.EFAULTBuckets
+			r.charge(charge{
+				stage: "validate", unit: jobKey, span: span, sample: cost.Clock,
+				clock: cost.Clock, vm: cost.Stats, kern: cost.Kernel,
+				sight: sighting{
+					primitive: fmt.Sprintf("%s/arg%d", cand.Syscall, cand.ArgIndex),
+					probes:    max(cost.Kernel.EFAULTReturns, 1),
+					faults:    cost.Kernel.EFAULTReturns,
+					ticks:     cost.Clock,
+					series:    buckets,
+					stream:    buckets,
+				},
+			})
 			findings[i] = ent.Finding
 			return nil
 		})
@@ -363,32 +374,6 @@ func AnalyzeServer(ctx context.Context, cfg Config, srv *targets.Server) (*Sysca
 		return nil, err
 	}
 	return report, nil
-}
-
-// profileValidate charges one validation replay's cost, identically for
-// cold computes and warm cache replays (the entry persists the cost).
-func profileValidate(rp runProf, jobKey string, cost validateCost) {
-	rp.add("validate", jobKey, prof.KindClockTicks, cost.Clock)
-	rp.add("validate", jobKey, prof.KindVMInstructions, cost.Stats.Instructions)
-}
-
-// detectValidate feeds one validation replay into the detection engine,
-// identically for cold computes and warm cache replays: the corrupted
-// invocations that returned -EFAULT are the primitive's probes, the
-// replay's virtual clock their measured cost, and the kernel's bucket
-// series both the row profile and part of the run-level stream.
-func detectValidate(rd runDetect, cand Candidate, cost validateCost) {
-	if !rd.on() {
-		return
-	}
-	faults := cost.Kernel.EFAULTReturns
-	probes := faults
-	if probes == 0 {
-		probes = 1
-	}
-	primitive := fmt.Sprintf("%s/arg%d", cand.Syscall, cand.ArgIndex)
-	rd.primitive(primitive, probes, faults, cost.Clock, cost.Kernel.EFAULTBuckets)
-	rd.series(cost.Kernel.EFAULTBuckets)
 }
 
 // observe runs the suite once under taint tracking, collecting observed
@@ -445,17 +430,21 @@ func (r *pipelineRun) observe(srv *targets.Server) (map[string]bool, []Candidate
 	if bootErr == nil {
 		suiteErr = srv.Suite(env)
 	}
-	span.Observe(env.Proc.Clock)
-	span.End()
-	counts := env.Kern.Counts()
-	harvestVMStats(r.col, env.Proc.Stats)
-	harvestKernelCounts(r.col, counts)
-	r.rp.add("taint", "suite", prof.KindClockTicks, env.Proc.Clock)
-	r.rp.add("taint", "suite", prof.KindVMInstructions, env.Proc.Stats.Instructions)
 	// The uncorrupted suite run is the pipeline's benign baseline: what
 	// the defender sees when no one is probing.
-	r.rd.baseline("observe", counts.EFAULTReturns, env.Proc.Clock, counts.EFAULTBuckets)
-	r.rd.series(counts.EFAULTBuckets)
+	counts := env.Kern.Counts()
+	r.charge(charge{
+		stage: "taint", unit: "suite", span: span, sample: env.Proc.Clock,
+		clock: env.Proc.Clock, vm: env.Proc.Stats, kern: counts,
+		sight: sighting{
+			phase:  "observe",
+			faults: counts.EFAULTReturns,
+			ticks:  env.Proc.Clock,
+			series: counts.EFAULTBuckets,
+			stream: counts.EFAULTBuckets,
+		},
+	})
+	span.End()
 	switch {
 	case bootErr != nil:
 		// A server that cannot even boot yields an empty observation.

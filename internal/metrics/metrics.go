@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"crashresist/internal/defense"
+	"crashresist/internal/vm"
 )
 
 // Counter identifies one monotonically increasing run counter.
@@ -393,10 +394,21 @@ func (c *Collector) AddSink(s Sink) {
 // Add increments a counter. Safe from any goroutine; additions commute, so
 // totals are deterministic regardless of scheduling.
 func (c *Collector) Add(ctr Counter, n uint64) {
-	if c == nil || ctr >= numCounters {
+	if c == nil || ctr >= numCounters || n == 0 {
 		return
 	}
 	c.counts[ctr].Add(n)
+}
+
+// AddVM adds a finished process's VM counters to the run counters.
+func (c *Collector) AddVM(s vm.Stats) {
+	c.Add(CtrInstructions, s.Instructions)
+	c.Add(CtrFaults, s.Faults)
+	c.Add(CtrFaultsUnmapped, s.FaultsUnmapped)
+	c.Add(CtrFaultsHandled, s.FaultsHandled)
+	c.Add(CtrFaultsInjected, s.FaultsInjected)
+	c.Add(CtrSyscalls, s.Syscalls)
+	c.Add(CtrAPICalls, s.APICalls)
 }
 
 // AddFaultEvents folds one process's fault-event time series (kernel

@@ -126,8 +126,9 @@ type Request struct {
 	// the Result also embeds its snapshot. When only IncludeProfile is
 	// set, Run profiles into a fresh private profile.
 	Profile *Profile `json:"-"`
-	// Detect attaches a live detection observer. When set, the run streams
-	// into it (sections accumulate per pipeline/target across runs);
+	// Detect attaches a shared detection observer. Each run watches on its
+	// calibration panel and folds only its own section into it, when the
+	// run finishes (sections accumulate per pipeline/target across runs);
 	// combined with IncludeDetect the Result also embeds its snapshot.
 	// When only IncludeDetect is set, Run watches with a fresh observer on
 	// the default calibration panel.
