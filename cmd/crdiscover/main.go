@@ -5,11 +5,15 @@
 //	crdiscover -target ie -pipeline api      # §V-B funnel
 //	crdiscover -target firefox -pipeline seh # Tables II/III inventory
 //	crdiscover -target nginx -format json    # machine-readable report
-//	crdiscover -target ie -metrics           # run stats on stderr
-//	crdiscover -target ie -trace t.json      # Chrome trace-event export
 //	crdiscover -target nginx -cache-dir ~/.cache/crashresist
-//	crdiscover -target ie -profile top       # ranked virtual-cost hot spots
-//	crdiscover -target ie -profile folded    # flamegraph.pl input
+//	crdiscover -target ie -emit stats=stats.txt          # run stats
+//	crdiscover -target ie -emit trace=t.json             # Chrome trace-event export
+//	crdiscover -target ie -emit profile=top.txt          # ranked virtual-cost hot spots
+//	crdiscover -target ie -emit profile:folded=p.folded  # flamegraph.pl input
+//	crdiscover -target nginx -emit detect=detect.txt     # detectability report
+//
+// Each -emit writes its artifact to its own file; the report is always
+// alone on stdout.
 //
 // For live /metrics, /profile and /trace.json endpoints, run the same
 // analysis under `crmon -target X -runs 1`.
@@ -28,10 +32,7 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "crdiscover:", err)
-		os.Exit(1)
-	}
+	os.Exit(cliflags.ExitCode(os.Stderr, "crdiscover", run(os.Args[1:], os.Stdout, os.Stderr)))
 }
 
 // run is the whole command behind process setup: it parses args with its
@@ -43,8 +44,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var (
 		an  cliflags.Analysis
 		out cliflags.Output
-		prf cliflags.Profiling
-		det cliflags.Detection
+		em  cliflags.Emit
 	)
 	var (
 		target   = fs.String("target", "nginx", "nginx|cherokee|lighttpd|memcached|postgresql|ie|firefox|all|gen|gen-<i>")
@@ -55,49 +55,26 @@ func run(args []string, stdout, stderr io.Writer) error {
 	an.RegisterPool(fs)
 	an.RegisterChaos(fs)
 	out.Register(fs)
-	prf.Register(fs)
-	det.Register(fs)
-	if err := fs.Parse(args); err != nil {
+	em.Register(fs)
+	if err := cliflags.Parse(fs, args); err != nil {
 		return err
 	}
 	if err := out.Validate(); err != nil {
 		return err
 	}
-	if err := prf.Validate(); err != nil {
-		return err
-	}
-	if err := det.Validate(); err != nil {
-		return err
-	}
 
 	req := an.Request(stderr, "crdiscover")
 	req.Pipeline, req.Target = *pipeline, *target
-	req.Profile, req.Detect = prf.Profile(), det.Detect()
+	req.Profile, req.Detect = em.Profile, em.Detect
 	res, err := crashresist.Run(context.Background(), req)
 	if err != nil {
 		return err
 	}
-	for _, st := range res.RunStats() {
-		out.EmitStats(stderr, st)
-	}
-	if an.Trace != "" {
-		if err := writeTrace(stderr, an.Trace, res.RunStats()); err != nil {
-			return err
-		}
-	}
-
-	if prf.Enabled() {
-		// The profile replaces the report on stdout, so
-		// `crdiscover -profile=folded | flamegraph.pl` pipes cleanly.
-		return prf.Emit(stdout)
-	}
-	if out.JSON() {
+	switch {
+	case out.JSON():
 		if err := printJSON(stdout, res.Report()); err != nil {
 			return err
 		}
-		return det.Emit(stdout)
-	}
-	switch {
 	case res.Syscall != nil:
 		printServerReport(stdout, res.Syscall)
 	case res.Servers != nil:
@@ -113,27 +90,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	case res.SEH != nil:
 		printSEHReport(stdout, res.SEH)
 	}
-	// The detectability report appends after the report bytes, which stay
-	// identical with detection on or off.
-	return det.Emit(stdout)
-}
-
-// writeTrace writes the runs' span trees to path as Chrome trace-event
-// JSON.
-func writeTrace(stderr io.Writer, path string, runs []*crashresist.RunStats) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := crashresist.WriteChromeTrace(f, runs...); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "crdiscover: wrote Chrome trace to %s\n", path)
-	return nil
+	return em.Write(res.RunStats())
 }
 
 // printServerReport renders one syscall-pipeline report as text.

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"crashresist/cmd/internal/cliflags"
 )
 
 // runString drives the whole command and returns stdout, stderr and the
@@ -36,6 +39,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if _, _, err := runString(t, "-target", "nginx", "-format", "xml"); err == nil {
 		t.Error("unknown format should fail")
+	}
+	for _, args := range [][]string{{"-no-such-flag"}, {"-emit", "bogus=f"}} {
+		if _, _, err := runString(t, args...); !errors.Is(err, cliflags.ErrUsage) {
+			t.Errorf("run(%q) = %v, want a usage error", args, err)
+		}
 	}
 }
 
@@ -117,36 +125,64 @@ func TestCacheDirBrowserPipelines(t *testing.T) {
 	}
 }
 
-// TestProfileFlag checks -profile replaces the report on stdout with the
-// selected rendering, byte-stable across repeated identical runs.
-func TestProfileFlag(t *testing.T) {
-	folded1, _, err := runString(t, "-target", "ie", "-pipeline", "seh", "-profile", "folded")
+// TestEmitKeepsReport pins that the report owns stdout: emitting every
+// artifact kind leaves it byte-identical to a run that emits nothing, and
+// every artifact lands in its own non-empty file.
+func TestEmitKeepsReport(t *testing.T) {
+	args := []string{"-target", "ie", "-pipeline", "seh"}
+	plain, _, err := runString(t, args...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(folded1, "unique exception filters") {
-		t.Errorf("-profile output still carries the report:\n%.300s", folded1)
+	dir := t.TempDir()
+	specs := []string{"profile:top", "profile:folded", "profile:json", "detect:top", "detect:json", "stats:text", "trace:json"}
+	for _, spec := range specs {
+		args = append(args, "-emit", spec+"="+filepath.Join(dir, strings.ReplaceAll(spec, ":", ".")))
 	}
+	emitted, _, err := runString(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if emitted != plain {
+		t.Error("emitting artifacts changed the report on stdout")
+	}
+	for _, spec := range specs {
+		out, err := os.ReadFile(filepath.Join(dir, strings.ReplaceAll(spec, ":", ".")))
+		if err != nil || len(out) == 0 {
+			t.Errorf("-emit %s wrote no artifact: %v", spec, err)
+		}
+	}
+}
+
+// TestProfileFlag checks -emit profile writes the selected rendering to
+// its file, byte-stable across repeated identical runs.
+func TestProfileFlag(t *testing.T) {
+	dir := t.TempDir()
+	profile := func(spec string) string {
+		t.Helper()
+		path := filepath.Join(dir, "profile")
+		if _, _, err := runString(t, "-target", "ie", "-pipeline", "seh", "-emit", spec+"="+path); err != nil {
+			t.Fatal(err)
+		}
+		out, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+	folded1 := profile("profile:folded")
 	if !strings.Contains(folded1, "symex_steps;seh;symex;iexplore;filter:") {
 		t.Errorf("folded output missing symex verdict-class stacks:\n%.300s", folded1)
 	}
-	folded2, _, err := runString(t, "-target", "ie", "-pipeline", "seh", "-profile", "folded")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if folded1 != folded2 {
+	if folded2 := profile("profile:folded"); folded1 != folded2 {
 		t.Error("identical runs produced different folded profiles")
 	}
 
-	top, _, err := runString(t, "-target", "ie", "-pipeline", "seh", "-profile", "top")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(top, "== symex_steps: total") {
-		t.Errorf("-profile top missing ranked sections:\n%.300s", top)
+	if top := profile("profile:top"); !strings.Contains(top, "== symex_steps: total") {
+		t.Errorf("-emit profile:top missing ranked sections:\n%.300s", top)
 	}
 
-	if _, _, err := runString(t, "-target", "ie", "-profile", "bogus"); err == nil {
-		t.Error("unknown -profile value accepted")
+	if _, _, err := runString(t, "-target", "ie", "-emit", "profile:bogus="+filepath.Join(dir, "x")); err == nil {
+		t.Error("unknown profile mode accepted")
 	}
 }

@@ -41,11 +41,13 @@ import (
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := run(ctx, os.Args[1:], nil); err != nil && !errors.Is(err, context.Canceled) {
-		fmt.Fprintln(os.Stderr, "crmon:", err)
-		os.Exit(1)
+	err := run(ctx, os.Args[1:], nil)
+	stop()
+	if errors.Is(err, context.Canceled) {
+		// Interrupted: the normal way to stop the monitor.
+		err = nil
 	}
+	os.Exit(cliflags.ExitCode(os.Stderr, "crmon", err))
 }
 
 // run drives the whole command. ready, when non-nil, receives the bound
@@ -67,7 +69,7 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 	an.RegisterScale(fs, "small")
 	an.RegisterSeed(fs)
 	an.RegisterPool(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := cliflags.Parse(fs, args); err != nil {
 		return err
 	}
 
@@ -82,17 +84,13 @@ func run(ctx context.Context, args []string, ready func(addr string)) error {
 		}, ready)
 	}
 
-	isBrowser := *target == "ie" || *target == "firefox"
 	pl := *pipeline
 	if pl == "" {
-		if isBrowser {
+		if *target == "ie" || *target == "firefox" {
 			pl = "seh"
 		} else {
 			pl = "syscall"
 		}
-	}
-	if !isBrowser && pl != "syscall" {
-		return fmt.Errorf("%w: pipeline %q needs a browser target", crashresist.ErrBadParams, pl)
 	}
 
 	req := crashresist.Request{

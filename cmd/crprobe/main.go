@@ -7,13 +7,15 @@
 //	crprobe -target nginx -size 262144
 //	crprobe -target cherokee -requests 100   # timing side channel
 //	crprobe -target nginx -format json       # machine-readable result
-//	crprobe -target ie -metrics              # run stats on stderr
-//	crprobe -target ie -profile top          # boot/scan virtual-cost split
+//	crprobe -target ie -emit stats=stats.txt # run stats
+//	crprobe -target ie -emit profile=top.txt # boot/scan virtual-cost split
+//
+// Each -emit KIND[:MODE]=PATH writes its artifact to its own file; the
+// narrative or JSON result is always alone on stdout.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,20 +29,8 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		// The flag package already printed usage; keep its conventional
-		// exit code so all four CLIs agree on flag errors.
-		if errors.Is(err, flag.ErrHelp) || errors.Is(err, errFlagParse) {
-			os.Exit(2)
-		}
-		fmt.Fprintln(os.Stderr, "crprobe:", err)
-		os.Exit(1)
-	}
+	os.Exit(cliflags.ExitCode(os.Stderr, "crprobe", run(os.Args[1:], os.Stdout, os.Stderr)))
 }
-
-// errFlagParse marks a flag-parsing failure, whose message the flag
-// package has already written to stderr alongside the usage text.
-var errFlagParse = errors.New("flag parse error")
 
 // probeDoc is the -format=json result document.
 type probeDoc struct {
@@ -68,7 +58,7 @@ type probeRun struct {
 	w    io.Writer // narrative output; io.Discard under -format=json
 	doc  probeDoc
 	col  *metrics.Collector
-	prof *crashresist.Profile // nil unless -profile is set
+	prof *crashresist.Profile // nil unless a profile is emitted
 
 	// boot marks the target's counters at the moment probing began, so
 	// the profiler can split the long-lived process's exact costs into a
@@ -76,7 +66,7 @@ type probeRun struct {
 	boot      vm.Stats
 	bootClock uint64
 	// scanClock is the scan phase's virtual duration, recorded at harvest
-	// for the detectability row (-detect).
+	// for the detectability row.
 	scanClock uint64
 }
 
@@ -116,21 +106,16 @@ func (pr *probeRun) profilePhases(p *vm.Process) {
 	add("scan", unit, crashresist.ProfClockTicks, p.Clock-pr.bootClock)
 }
 
-// run is the whole command behind argument parsing, returning an error
+// run is the whole command behind process setup, returning an error
 // (wrapping the crashresist sentinels where one applies) instead of
-// exiting, so tests can drive it directly.
-func run(args []string) error {
-	return runTo(args, os.Stdout, os.Stderr)
-}
-
-// runTo is run with explicit output streams for the CLI smoke tests.
-func runTo(args []string, stdout, stderr io.Writer) error {
+// exiting, so tests can drive it end to end.
+func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("crprobe", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		an  cliflags.Analysis
 		out cliflags.Output
-		prf cliflags.Profiling
-		det cliflags.Detection
+		em  cliflags.Emit
 	)
 	var (
 		target   = fs.String("target", "ie", "ie|firefox|nginx|cherokee")
@@ -141,29 +126,15 @@ func runTo(args []string, stdout, stderr io.Writer) error {
 	an.RegisterScale(fs, "small")
 	an.RegisterSeed(fs)
 	out.Register(fs)
-	prf.Register(fs)
-	det.Register(fs)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return err
-		}
-		return fmt.Errorf("%w: %v", errFlagParse, err)
+	em.Register(fs)
+	if err := cliflags.Parse(fs, args); err != nil {
+		return err
 	}
 	if err := out.Validate(); err != nil {
 		return err
 	}
-	if err := prf.Validate(); err != nil {
-		return err
-	}
-	if err := det.Validate(); err != nil {
-		return err
-	}
 
-	pr := &probeRun{w: stdout, col: metrics.NewCollector("probe", *target, 1), prof: prf.Profile()}
-	if prf.Enabled() {
-		// The profile replaces the narrative/result on stdout.
-		pr.w = io.Discard
-	}
+	pr := &probeRun{w: stdout, col: metrics.NewCollector("probe", *target, 1), prof: em.Profile}
 	if out.JSON() {
 		pr.w = io.Discard
 	}
@@ -186,16 +157,11 @@ func runTo(args []string, stdout, stderr io.Writer) error {
 	}
 
 	stats := pr.col.Snapshot()
-	out.EmitStats(stderr, stats)
-	if det.Enabled() && pr.doc.Probes > 0 {
+	if em.Detect != nil && pr.doc.Probes > 0 {
 		// The attack campaign as one detectability row: every unmapped
 		// probe is a defender-visible fault, over the scan's virtual time.
-		det.Detect().AddPrimitive("probe", *target, pr.doc.Oracle,
+		em.Detect.AddPrimitive("probe", *target, pr.doc.Oracle,
 			uint64(pr.doc.Probes), uint64(pr.doc.Probes-pr.doc.Mapped), pr.scanClock, nil)
-	}
-	if prf.Enabled() {
-		// The profile replaces the narrative/result on stdout.
-		return prf.Emit(stdout)
 	}
 	if out.JSON() {
 		pr.doc.Stats = stats
@@ -204,9 +170,8 @@ func runTo(args []string, stdout, stderr io.Writer) error {
 		if err := enc.Encode(&pr.doc); err != nil {
 			return err
 		}
-		return det.Emit(stdout)
 	}
-	return det.Emit(stdout)
+	return em.Write([]*crashresist.RunStats{stats})
 }
 
 func (pr *probeRun) probeBrowser(name, scale string, size, window uint64, seed int64) error {

@@ -2,59 +2,21 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"crashresist"
+	"crashresist/cmd/internal/cliflags"
 )
-
-// TestOpenCacheOrWarn covers the CLI's degrade-don't-fail contract for
-// -cache-dir: empty means off, a usable path opens, an unusable path warns
-// to stderr and returns nil so the run proceeds uncached.
-func TestOpenCacheOrWarn(t *testing.T) {
-	var warnings bytes.Buffer
-	if c := openCacheOrWarn(&warnings, ""); c != nil {
-		t.Error("empty dir should disable the cache")
-	}
-	if warnings.Len() != 0 {
-		t.Errorf("empty dir warned: %s", warnings.String())
-	}
-
-	dir := t.TempDir()
-	c := openCacheOrWarn(&warnings, dir)
-	if c == nil {
-		t.Fatal("usable dir did not open")
-	}
-	if c.Dir() != dir {
-		t.Errorf("cache rooted at %q, want %q", c.Dir(), dir)
-	}
-	if warnings.Len() != 0 {
-		t.Errorf("usable dir warned: %s", warnings.String())
-	}
-
-	occupied := filepath.Join(t.TempDir(), "file")
-	if err := os.WriteFile(occupied, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if c := openCacheOrWarn(&warnings, filepath.Join(occupied, "cache")); c != nil {
-		t.Error("unusable dir should return nil")
-	}
-	if !strings.Contains(warnings.String(), "cache disabled") {
-		t.Errorf("unusable dir did not warn: %q", warnings.String())
-	}
-}
 
 // TestEmitWithCacheLifecycle runs one artifact at small scale through the
 // fresh → reused → disabled cache lifecycle and checks the bytes never
-// change. A nil cache (what openCacheOrWarn returns for a broken path) is
-// the disabled stage.
+// change. A nil cache (what -cache-dir opens to for a broken path) is the
+// disabled stage.
 func TestEmitWithCacheLifecycle(t *testing.T) {
 	render := func(cache *crashresist.AnalysisCache) string {
 		var buf bytes.Buffer
-		cfg := config{table: "1", scale: "small", format: "text", seed: 42, cache: cache}
-		if err := emit(&buf, cfg); err != nil {
+		cfg := config{table: "1", format: "text", req: crashresist.Request{Scale: "small", Seed: 42, Cache: cache}}
+		if _, err := emit(&buf, cfg); err != nil {
 			t.Fatalf("emit: %v", err)
 		}
 		return buf.String()
@@ -62,9 +24,9 @@ func TestEmitWithCacheLifecycle(t *testing.T) {
 
 	baseline := render(nil)
 
-	dir := t.TempDir()
+	flags := cliflags.Analysis{CacheDir: t.TempDir()}
 	var warnings bytes.Buffer
-	cache := openCacheOrWarn(&warnings, dir)
+	cache := flags.OpenCache(&warnings, "crtables")
 	if fresh := render(cache); fresh != baseline {
 		t.Error("fresh-cache emit differs from uncached emit")
 	}
@@ -73,7 +35,7 @@ func TestEmitWithCacheLifecycle(t *testing.T) {
 	}
 	// A second Cache instance over the same dir — the reused-directory
 	// case of the CLI lifecycle.
-	reusedCache := openCacheOrWarn(&warnings, dir)
+	reusedCache := flags.OpenCache(&warnings, "crtables")
 	if reused := render(reusedCache); reused != baseline {
 		t.Error("reused-cache emit differs from uncached emit")
 	}

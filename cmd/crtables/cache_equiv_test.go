@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,16 +14,13 @@ import (
 func emitCachedString(t *testing.T, table string, workers int, cache *crashresist.AnalysisCache) string {
 	t.Helper()
 	var buf bytes.Buffer
-	cfg := config{
-		table:    table,
-		scale:    "paper",
-		format:   "text",
-		seed:     goldenSeed,
-		workers:  workers,
-		metricsW: io.Discard,
-		cache:    cache,
-	}
-	if err := emit(&buf, cfg); err != nil {
+	cfg := config{table: table, format: "text", req: crashresist.Request{
+		Scale:   "paper",
+		Seed:    goldenSeed,
+		Workers: workers,
+		Cache:   cache,
+	}}
+	if _, err := emit(&buf, cfg); err != nil {
 		t.Fatalf("emit %s (workers=%d, cached): %v", table, workers, err)
 	}
 	return buf.String()

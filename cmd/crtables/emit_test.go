@@ -16,13 +16,13 @@ func TestEmitErrorSentinels(t *testing.T) {
 		cfg  config
 		want error
 	}{
-		{"unknown table", config{table: "9", scale: "small", format: "text"}, crashresist.ErrUnknownTable},
-		{"unknown scale", config{table: "1", scale: "huge", format: "text"}, crashresist.ErrBadParams},
-		{"unknown format", config{table: "1", scale: "small", format: "xml"}, crashresist.ErrBadParams},
+		{"unknown table", config{table: "9", format: "text", req: crashresist.Request{Scale: "small"}}, crashresist.ErrUnknownTable},
+		{"unknown scale", config{table: "1", format: "text", req: crashresist.Request{Scale: "huge"}}, crashresist.ErrBadParams},
+		{"unknown format", config{table: "1", format: "xml", req: crashresist.Request{Scale: "small"}}, crashresist.ErrBadParams},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := emit(io.Discard, tc.cfg)
+			_, err := emit(io.Discard, tc.cfg)
 			if !errors.Is(err, tc.want) {
 				t.Errorf("emit(%+v) = %v, want %v", tc.cfg, err, tc.want)
 			}
@@ -34,8 +34,8 @@ func TestEmitErrorSentinels(t *testing.T) {
 // decodes into the document shape and carries its run stats.
 func TestEmitJSON(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := config{table: "funnel", scale: "small", format: "json", seed: goldenSeed, workers: 2}
-	if err := emit(&buf, cfg); err != nil {
+	cfg := config{table: "funnel", format: "json", req: crashresist.Request{Scale: "small", Seed: goldenSeed, Workers: 2}}
+	if _, err := emit(&buf, cfg); err != nil {
 		t.Fatal(err)
 	}
 	var doc document
@@ -57,14 +57,18 @@ func TestEmitJSON(t *testing.T) {
 }
 
 // TestTraceExportAndProvenancePaperScale runs the full paper-scale artifact
-// bundle once with the trace writer attached and checks the two
-// machine-readable acceptance surfaces: the Chrome trace validates as JSON
+// bundle once, exports the runs it returns as a Chrome trace, and checks the
+// two machine-readable acceptance surfaces: the Chrome trace validates as JSON
 // with at least one span per pipeline stage of every run, and every
 // primitive row of Tables I/II/III carries a non-empty provenance chain.
 func TestTraceExportAndProvenancePaperScale(t *testing.T) {
 	var out, trace bytes.Buffer
-	cfg := config{table: "all", scale: "paper", format: "json", seed: goldenSeed, workers: 4, traceW: &trace}
-	if err := emit(&out, cfg); err != nil {
+	cfg := config{table: "all", format: "json", req: crashresist.Request{Scale: "paper", Seed: goldenSeed, Workers: 4}}
+	runs, err := emit(&out, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := crashresist.WriteChromeTrace(&trace, runs...); err != nil {
 		t.Fatal(err)
 	}
 

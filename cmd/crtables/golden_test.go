@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"crashresist"
 )
 
 // update rewrites the golden files from the current (sequential) output:
@@ -20,21 +21,20 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // golden file.
 const goldenSeed = 42
 
-// emitString renders one artifact with metrics collection enabled (routed
-// to a discarded stream), so the goldens prove the observability layer
-// never leaks into table bytes.
+// emitString renders one artifact with a live profile and detector
+// attached, so the goldens prove the observers never leak into table
+// bytes.
 func emitString(t *testing.T, table string, workers int) string {
 	t.Helper()
 	var buf bytes.Buffer
-	cfg := config{
-		table:    table,
-		scale:    "paper",
-		format:   "text",
-		seed:     goldenSeed,
-		workers:  workers,
-		metricsW: io.Discard,
-	}
-	if err := emit(&buf, cfg); err != nil {
+	cfg := config{table: table, format: "text", req: crashresist.Request{
+		Scale:   "paper",
+		Seed:    goldenSeed,
+		Workers: workers,
+		Profile: crashresist.NewProfile(),
+		Detect:  crashresist.NewDetect(),
+	}}
+	if _, err := emit(&buf, cfg); err != nil {
 		t.Fatalf("emit %s (workers=%d): %v", table, workers, err)
 	}
 	return buf.String()

@@ -6,7 +6,10 @@
 //	crtables -table funnel -scale small
 //	crtables -table 3 -workers 8   # parallel SEH pipeline
 //	crtables -table all -format json > eval.json
-//	crtables -table 3 -metrics     # run stats on stderr
+//	crtables -table 3 -emit stats=stats.txt              # run stats
+//	crtables -table 3 -emit profile=top.txt              # ranked virtual-cost hot spots
+//	crtables -table all -emit profile:folded=p.folded    # flamegraph.pl input
+//	crtables -table 1 -emit detect:json=defense.json     # detectability report
 //
 // Tables: 1 (syscall candidates), funnel (§V-B API funnel), 2 (guarded code
 // locations), 3 (unique exception filters), prior (§VII-A rediscovery),
@@ -14,8 +17,8 @@
 //
 // Output is deterministic: for a fixed -seed and -scale, every -workers
 // value produces byte-identical tables (see the golden regression tests).
-// Run metrics (-metrics) go to a separate stream precisely so the table
-// bytes stay stable.
+// Each -emit artifact goes to its own file, so the tables are alone on
+// stdout whatever is emitted.
 package main
 
 import (
@@ -31,98 +34,46 @@ import (
 )
 
 func main() {
+	os.Exit(cliflags.ExitCode(os.Stderr, "crtables", run(os.Args[1:], os.Stdout, os.Stderr)))
+}
+
+// run is the whole command behind process setup: it parses args, writes
+// the tables to stdout and then every -emit artifact to its file.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("crtables", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		an  cliflags.Analysis
 		out cliflags.Output
-		prf cliflags.Profiling
-		det cliflags.Detection
+		em  cliflags.Emit
 	)
-	table := flag.String("table", "all", "which artifact: 1, funnel, 2, 3, prior, rate, all")
-	an.RegisterScale(flag.CommandLine, "paper")
-	an.RegisterSeed(flag.CommandLine)
-	an.RegisterPool(flag.CommandLine)
-	an.RegisterChaos(flag.CommandLine)
-	out.Register(flag.CommandLine)
-	prf.Register(flag.CommandLine)
-	det.Register(flag.CommandLine)
-	flag.Parse()
+	table := fs.String("table", "all", "which artifact: 1, funnel, 2, 3, prior, rate, all")
+	an.RegisterScale(fs, "paper")
+	an.RegisterSeed(fs)
+	an.RegisterPool(fs)
+	an.RegisterChaos(fs)
+	out.Register(fs)
+	em.Register(fs)
+	if err := cliflags.Parse(fs, args); err != nil {
+		return err
+	}
 
-	cfg := config{
-		table:       *table,
-		scale:       an.Scale,
-		format:      out.Format,
-		seed:        an.Seed,
-		workers:     an.Workers,
-		chaosSeed:   an.ChaosSeed,
-		profile:     prf.Profile(),
-		profileMode: prf.Mode,
-		detect:      det.Detect(),
-		detectMode:  det.Mode,
+	req := an.Request(stderr, "crtables")
+	req.Profile, req.Detect = em.Profile, em.Detect
+	runs, err := emit(stdout, config{table: *table, format: out.Format, req: req})
+	if err != nil {
+		return err
 	}
-	if out.Metrics {
-		cfg.metricsW = os.Stderr
-	}
-	cfg.cache = openCacheOrWarn(os.Stderr, an.CacheDir)
-	if an.Trace != "" {
-		f, err := os.Create(an.Trace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crtables:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		cfg.traceW = f
-	}
-	if err := emit(os.Stdout, cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "crtables:", err)
-		os.Exit(1)
-	}
+	return em.Write(runs)
 }
 
-// config selects the artifacts, scale and rendering of one emit call.
+// config selects the artifacts and rendering of one emit call, and the
+// base request every artifact's run starts from: scale, seed, workers,
+// chaos seed, cache and observers.
 type config struct {
-	table   string
-	scale   string
-	format  string
-	seed    int64
-	workers int
-	// chaosSeed, when non-zero, runs every pipeline under the default
-	// fault plan seeded with it, plus a retry budget; degraded jobs are
-	// rendered after the affected artifact.
-	chaosSeed int64
-	// metricsW receives each run's stats as text; nil suppresses them.
-	// Metrics never go to the artifact writer, keeping goldens stable.
-	metricsW io.Writer
-	// traceW receives the runs' span trees as one Chrome trace-event JSON
-	// document; nil suppresses the export. Like metricsW it never touches
-	// the artifact writer.
-	traceW io.Writer
-	// cache, when non-nil, persists per-unit analysis results across
-	// invocations. A missing or broken cache only costs recomputation;
-	// it never changes the artifact bytes.
-	cache *crashresist.AnalysisCache
-	// profile, when non-nil, receives every run's exact virtual costs.
-	// Attaching a profile never touches the artifact writer — the golden
-	// tests pin that tables render byte-identically with profiling on.
-	profile *crashresist.Profile
-	// profileMode, when non-empty (top, folded or json), writes the
-	// accumulated profile to the artifact writer INSTEAD of the tables,
-	// so `crtables -profile=folded | flamegraph.pl` pipes cleanly.
-	profileMode string
-	// detect, when non-nil, watches every run with the defense detection
-	// engine. Like profile it never touches the artifact bytes — the
-	// golden tests pin that tables render byte-identically with it on.
-	detect *crashresist.Detect
-	// detectMode, when non-empty (top or json), appends the accumulated
-	// detectability report to the artifact writer after the tables.
-	detectMode string
-}
-
-// openCacheOrWarn opens the persistent analysis cache at dir. An empty dir
-// means caching is off. Failure to open is a warning, not an error: the
-// command degrades to cold computation and still exits 0.
-func openCacheOrWarn(errW io.Writer, dir string) *crashresist.AnalysisCache {
-	a := cliflags.Analysis{CacheDir: dir}
-	return a.OpenCache(errW, "crtables")
+	table  string
+	format string
+	req    crashresist.Request
 }
 
 // document is the -format=json artifact bundle. Only requested artifacts
@@ -153,59 +104,33 @@ type rateDoc struct {
 	StealthTicks  uint64 `json:"stealth_ticks"`
 }
 
-// emit computes the selected artifacts and writes them to w. It is the
-// whole command behind the flag parsing, so tests can snapshot output
-// byte-for-byte.
-func emit(w io.Writer, cfg config) error {
-	params, err := crashresist.BrowserParamsForScale(cfg.scale)
+// emit computes the selected artifacts, writes them to w and returns the
+// stats of every run behind them. It is the whole command behind the flag
+// parsing, so tests can snapshot output byte-for-byte.
+func emit(w io.Writer, cfg config) ([]*crashresist.RunStats, error) {
+	params, err := crashresist.BrowserParamsForScale(cfg.req.Scale)
 	if err != nil {
-		return fmt.Errorf("bad -scale: %w", err)
+		return nil, fmt.Errorf("bad -scale: %w", err)
 	}
 
 	switch cfg.table {
 	case "all", "1", "funnel", "2", "3", "prior", "rate":
 	default:
-		return fmt.Errorf("%w %q (want 1, funnel, 2, 3, prior, rate, or all)", crashresist.ErrUnknownTable, cfg.table)
+		return nil, fmt.Errorf("%w %q (want 1, funnel, 2, 3, prior, rate, or all)", crashresist.ErrUnknownTable, cfg.table)
 	}
 
 	switch cfg.format {
 	case "text", "json":
 	default:
-		return fmt.Errorf("%w: unknown -format %q (want text or json)", crashresist.ErrBadParams, cfg.format)
-	}
-
-	switch cfg.profileMode {
-	case "", "top", "folded", "json":
-	default:
-		return fmt.Errorf("%w: unknown -profile %q (want top, folded or json)", crashresist.ErrBadParams, cfg.profileMode)
-	}
-	if cfg.profileMode != "" && cfg.profile == nil {
-		cfg.profile = crashresist.NewProfile()
-	}
-
-	switch cfg.detectMode {
-	case "", "top", "json":
-	default:
-		return fmt.Errorf("%w: unknown -detect %q (want top or json)", crashresist.ErrBadParams, cfg.detectMode)
-	}
-	if cfg.detectMode != "" && cfg.detect == nil {
-		cfg.detect = crashresist.NewDetect()
+		return nil, fmt.Errorf("%w: unknown -format %q (want text or json)", crashresist.ErrBadParams, cfg.format)
 	}
 
 	want := func(name string) bool { return cfg.table == "all" || cfg.table == name }
-	// Every artifact runs on the same settings; each run attaches its own
-	// target.
-	base := crashresist.Request{
-		Seed:      cfg.seed,
-		Workers:   cfg.workers,
-		ChaosSeed: cfg.chaosSeed,
-		Cache:     cfg.cache,
-		Profile:   cfg.profile,
-		Detect:    cfg.detect,
-	}
 	ctx := context.Background()
+	// Every artifact runs on the base request; each run attaches its own
+	// target.
 	analyzeBrowser := func(pipeline string, br *crashresist.BrowserTarget) (*crashresist.Result, error) {
-		req := base
+		req := cfg.req
 		req.Pipeline, req.Browser = pipeline, br
 		return crashresist.Run(ctx, req)
 	}
@@ -216,26 +141,26 @@ func emit(w io.Writer, cfg config) error {
 	if want("1") {
 		servers, err := crashresist.Servers()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// At generated scales Table I fans out over the synthesized fleet
 		// too; small/paper keep the exact five-server goldens.
-		if cfg.scale == crashresist.ScaleLarge || cfg.scale == crashresist.ScaleMega {
-			n, err := crashresist.GenServerCount(cfg.scale)
+		if cfg.req.Scale == crashresist.ScaleLarge || cfg.req.Scale == crashresist.ScaleMega {
+			n, err := crashresist.GenServerCount(cfg.req.Scale)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			gen, err := crashresist.GenServers(crashresist.DefaultGenSeed, n)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			servers = append(servers, gen...)
 		}
-		req := base
+		req := cfg.req
 		req.Servers = servers
 		res, err := crashresist.Run(ctx, req)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		doc.TableI = res.Servers
 		runs = append(runs, res.RunStats()...)
@@ -243,11 +168,11 @@ func emit(w io.Writer, cfg config) error {
 	if want("funnel") {
 		br, err := crashresist.IE(params)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := analyzeBrowser(crashresist.PipelineAPI, br)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		doc.Funnel = res.Funnel
 		runs = append(runs, res.RunStats()...)
@@ -255,11 +180,11 @@ func emit(w io.Writer, cfg config) error {
 	if want("2") || want("3") {
 		br, err := crashresist.IE(params)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		res, err := analyzeBrowser(crashresist.PipelineSEH, br)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		doc.SEH = res.SEH
 		runs = append(runs, res.RunStats()...)
@@ -267,85 +192,37 @@ func emit(w io.Writer, cfg config) error {
 	if want("prior") {
 		ie, err := crashresist.IE(params)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ieRes, err := analyzeBrowser(crashresist.PipelineSEH, ie)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ff, err := crashresist.Firefox(params)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ffRes, err := analyzeBrowser(crashresist.PipelineSEH, ff)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		doc.Prior = &priorDoc{IE: crashresist.PriorWork(ieRes.SEH), Firefox: crashresist.PriorWork(ffRes.SEH)}
 		runs = append(runs, ieRes.SEH.Stats, ffRes.SEH.Stats)
 	}
 	if want("rate") {
-		rate, err := computeRates(params, cfg.seed)
+		rate, err := computeRates(params, cfg.req.Seed)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		doc.Rate = rate
 	}
 
-	if cfg.metricsW != nil {
-		for _, st := range runs {
-			fmt.Fprint(cfg.metricsW, st.Format())
-		}
-	}
-	if cfg.traceW != nil {
-		if err := crashresist.WriteChromeTrace(cfg.traceW, runs...); err != nil {
-			return fmt.Errorf("write trace: %w", err)
-		}
-	}
-
-	if cfg.profileMode != "" {
-		// The profile replaces the artifact on stdout; the tables were
-		// still computed in full, so the profile covers every run above.
-		return writeProfile(w, cfg.profile, cfg.profileMode)
-	}
 	if cfg.format == "json" {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(&doc); err != nil {
-			return err
-		}
-	} else if err := renderText(w, &doc, cfg.table); err != nil {
-		return err
+		return runs, enc.Encode(&doc)
 	}
-	if cfg.detectMode != "" {
-		// The detectability report appends after the tables; the table
-		// bytes above are unchanged, so `crtables -detect=top` shows the
-		// artifacts and their defender's view in one pass.
-		return writeDetect(w, cfg.detect, cfg.detectMode)
-	}
-	return nil
-}
-
-// writeDetect renders the accumulated detectability report.
-func writeDetect(w io.Writer, d *crashresist.Detect, mode string) error {
-	rep := d.Snapshot()
-	if mode == "top" {
-		return rep.WriteTop(w)
-	}
-	return rep.WriteJSON(w)
-}
-
-// writeProfile renders the accumulated cost profile in the selected mode.
-func writeProfile(w io.Writer, p *crashresist.Profile, mode string) error {
-	snap := p.Snapshot()
-	switch mode {
-	case "top":
-		return snap.WriteTop(w, 0)
-	case "folded":
-		return snap.WriteFolded(w)
-	default:
-		return snap.WriteJSON(w)
-	}
+	return runs, renderText(w, &doc, cfg.table)
 }
 
 // renderText writes the classic table output, byte-identical to the

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -16,17 +15,14 @@ import (
 // artifact bytes plus the profile's ranked and folded renderings.
 func profileOutputs(t *testing.T, cfg config) (tables, top, folded string) {
 	t.Helper()
-	if cfg.profile == nil {
-		cfg.profile = crashresist.NewProfile()
-	}
-	if cfg.metricsW == nil {
-		cfg.metricsW = io.Discard
+	if cfg.req.Profile == nil {
+		cfg.req.Profile = crashresist.NewProfile()
 	}
 	var buf bytes.Buffer
-	if err := emit(&buf, cfg); err != nil {
+	if _, err := emit(&buf, cfg); err != nil {
 		t.Fatalf("emit: %v", err)
 	}
-	snap := cfg.profile.Snapshot()
+	snap := cfg.req.Profile.Snapshot()
 	var tb, fb bytes.Buffer
 	if err := snap.WriteTop(&tb, 0); err != nil {
 		t.Fatal(err)
@@ -66,10 +62,9 @@ func TestProfileGoldenUnchanged(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tables, _, folded := profileOutputs(t, config{
-				table: tc.table, scale: "paper", format: "text",
-				seed: goldenSeed, workers: 4,
-			})
+			tables, _, folded := profileOutputs(t, config{table: tc.table, format: "text", req: crashresist.Request{
+				Scale: "paper", Seed: goldenSeed, Workers: 4,
+			}})
 			want, err := os.ReadFile(filepath.Join("testdata", "golden", tc.name+".golden"))
 			if err != nil {
 				t.Fatalf("missing golden: %v", err)
@@ -89,15 +84,15 @@ func TestProfileGoldenUnchanged(t *testing.T) {
 // the ranked symex section is dominated (≥50%) by the reject-proof verdict
 // class, the paper's actual hot spot.
 func TestProfileWorkerInvariance(t *testing.T) {
-	base := config{table: profileSweepTable(), scale: "paper", format: "text", seed: goldenSeed}
+	base := config{table: profileSweepTable(), format: "text", req: crashresist.Request{Scale: "paper", Seed: goldenSeed}}
 
 	cfg := base
-	cfg.workers = 1
+	cfg.req.Workers = 1
 	_, top1, folded1 := profileOutputs(t, cfg)
 
 	for _, workers := range []int{4, 8} {
 		cfg := base
-		cfg.workers = workers
+		cfg.req.Workers = workers
 		_, top, folded := profileOutputs(t, cfg)
 		if top != top1 {
 			t.Errorf("workers=%d ranked profile differs from workers=1:\n%s", workers, diffLines(top1, top))
@@ -145,7 +140,7 @@ func checkSymexHotSpot(t *testing.T, top string) {
 // included — is byte-identical between the cold run that wrote the
 // entries and the warm run that replayed them.
 func TestProfileCacheInvariance(t *testing.T) {
-	base := config{table: profileSweepTable(), scale: "paper", format: "text", seed: goldenSeed, workers: 4}
+	base := config{table: profileSweepTable(), format: "text", req: crashresist.Request{Scale: "paper", Seed: goldenSeed, Workers: 4}}
 
 	_, topOff, _ := profileOutputs(t, base)
 
@@ -154,11 +149,11 @@ func TestProfileCacheInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := base
-	cold.cache = cache
+	cold.req.Cache = cache
 	_, topCold, foldedCold := profileOutputs(t, cold)
 
 	warm := base
-	warm.cache = cache
+	warm.req.Cache = cache
 	_, topWarm, foldedWarm := profileOutputs(t, warm)
 
 	if topCold != topOff {
@@ -176,7 +171,7 @@ func TestProfileCacheInvariance(t *testing.T) {
 // the same -chaos-seed yields byte-identical folded profiles, retries and
 // backoff included.
 func TestProfileChaosStable(t *testing.T) {
-	cfg := config{table: "3", scale: "paper", format: "text", seed: goldenSeed, workers: 4, chaosSeed: 7}
+	cfg := config{table: "3", format: "text", req: crashresist.Request{Scale: "paper", Seed: goldenSeed, Workers: 4, ChaosSeed: 7}}
 	_, top1, folded1 := profileOutputs(t, cfg)
 	_, top2, folded2 := profileOutputs(t, cfg)
 	if folded1 != folded2 {

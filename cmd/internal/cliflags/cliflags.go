@@ -1,14 +1,18 @@
 // Package cliflags holds the flag definitions and request plumbing shared
 // by the crashresist commands (crtables, crdiscover, crmon, crprobe), so
-// `-workers` or `-cache-dir` means exactly the same thing — same default,
-// same help text, same behavior on a broken cache directory — no matter
-// which tool it is passed to.
+// `-workers`, `-cache-dir` or `-emit` means exactly the same thing — same
+// default, same help text, same behavior on a broken cache directory — no
+// matter which tool it is passed to, and every tool maps its errors to the
+// same exit codes.
 package cliflags
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"strings"
 
 	"crashresist"
 )
@@ -20,7 +24,6 @@ type Analysis struct {
 	Workers   int
 	ChaosSeed int64
 	CacheDir  string
-	Trace     string
 	Scale     string
 }
 
@@ -44,10 +47,9 @@ func (a *Analysis) RegisterPool(fs *flag.FlagSet) {
 	fs.StringVar(&a.CacheDir, "cache-dir", "", "persist per-unit analysis results under this directory and reuse them on later runs")
 }
 
-// RegisterChaos adds -chaos-seed and -trace.
+// RegisterChaos adds -chaos-seed.
 func (a *Analysis) RegisterChaos(fs *flag.FlagSet) {
 	fs.Int64Var(&a.ChaosSeed, "chaos-seed", 0, "inject deterministic faults from this seed, with retry and graceful degradation (0 = off)")
-	fs.StringVar(&a.Trace, "trace", "", "write the run span trees to this file as Chrome trace-event JSON")
 }
 
 // OpenCache opens -cache-dir, or returns nil (with a warning on stderr)
@@ -79,126 +81,14 @@ func (a *Analysis) Request(stderr io.Writer, tool string) crashresist.Request {
 	}
 }
 
-// Profiling groups the exact-cost-profiler flags shared by the analysis
-// CLIs. The zero value (no -profile) disables profiling entirely.
-type Profiling struct {
-	Mode string
-	p    *crashresist.Profile
-}
-
-// Register adds -profile.
-func (p *Profiling) Register(fs *flag.FlagSet) {
-	fs.StringVar(&p.Mode, "profile", "",
-		"write the run's exact virtual-cost profile to stdout instead of the report: top (ranked hot spots), folded (flamegraph.pl input) or json")
-}
-
-// Validate rejects unknown -profile values.
-func (p *Profiling) Validate() error {
-	switch p.Mode {
-	case "", "top", "folded", "json":
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown -profile %q (want top, folded or json)", crashresist.ErrBadParams, p.Mode)
-	}
-}
-
-// Enabled reports whether -profile was given.
-func (p *Profiling) Enabled() bool { return p.Mode != "" }
-
-// Profile returns the live profile the run should charge into, creating
-// it on first use; nil when profiling is off.
-func (p *Profiling) Profile() *crashresist.Profile {
-	if !p.Enabled() {
-		return nil
-	}
-	if p.p == nil {
-		p.p = crashresist.NewProfile()
-	}
-	return p.p
-}
-
-// Emit writes the accumulated profile to w in the selected mode. A no-op
-// when profiling is off.
-func (p *Profiling) Emit(w io.Writer) error {
-	if !p.Enabled() {
-		return nil
-	}
-	snap := p.Profile().Snapshot()
-	switch p.Mode {
-	case "top":
-		return snap.WriteTop(w, 0)
-	case "folded":
-		return snap.WriteFolded(w)
-	case "json":
-		return snap.WriteJSON(w)
-	}
-	return nil
-}
-
-// Detection groups the defense-observatory flags shared by the analysis
-// CLIs. The zero value (no -detect) disables detection entirely.
-type Detection struct {
-	Mode string
-	d    *crashresist.Detect
-}
-
-// Register adds -detect.
-func (d *Detection) Register(fs *flag.FlagSet) {
-	fs.StringVar(&d.Mode, "detect", "",
-		"watch the run with the defense detection engine and write the detectability report to stdout after the report: top (ranked text) or json")
-}
-
-// Validate rejects unknown -detect values.
-func (d *Detection) Validate() error {
-	switch d.Mode {
-	case "", "top", "json":
-		return nil
-	default:
-		return fmt.Errorf("%w: unknown -detect %q (want top or json)", crashresist.ErrBadParams, d.Mode)
-	}
-}
-
-// Enabled reports whether -detect was given.
-func (d *Detection) Enabled() bool { return d.Mode != "" }
-
-// Detect returns the live observer the run should stream into, creating it
-// on first use (default calibration panel); nil when detection is off.
-func (d *Detection) Detect() *crashresist.Detect {
-	if !d.Enabled() {
-		return nil
-	}
-	if d.d == nil {
-		d.d = crashresist.NewDetect()
-	}
-	return d.d
-}
-
-// Emit writes the accumulated detectability report to w in the selected
-// mode. A no-op when detection is off.
-func (d *Detection) Emit(w io.Writer) error {
-	if !d.Enabled() {
-		return nil
-	}
-	rep := d.Detect().Snapshot()
-	switch d.Mode {
-	case "top":
-		return rep.WriteTop(w)
-	case "json":
-		return rep.WriteJSON(w)
-	}
-	return nil
-}
-
 // Output groups the report-rendering flags.
 type Output struct {
-	Format  string
-	Metrics bool
+	Format string
 }
 
-// Register adds -format and -metrics.
+// Register adds -format.
 func (o *Output) Register(fs *flag.FlagSet) {
 	fs.StringVar(&o.Format, "format", "text", "output format: text or json")
-	fs.BoolVar(&o.Metrics, "metrics", false, "print run stats to stderr")
 }
 
 // Validate rejects unknown -format values.
@@ -214,9 +104,161 @@ func (o *Output) Validate() error {
 // JSON reports whether -format json was selected.
 func (o *Output) JSON() bool { return o.Format == "json" }
 
-// EmitStats writes run stats to w when -metrics is on.
-func (o *Output) EmitStats(w io.Writer, st *crashresist.RunStats) {
-	if o.Metrics && st != nil {
-		fmt.Fprint(w, st.Format())
+// emitter renders one KIND:MODE artifact from the Emit's observers and the
+// stats of the runs that fed them.
+type emitter struct {
+	kind, mode string
+	write      func(e *Emit, w io.Writer, runs []*crashresist.RunStats) error
+}
+
+// emitters is the -emit table. The first row of a kind is its default mode.
+var emitters = []emitter{
+	{"profile", "top", func(e *Emit, w io.Writer, _ []*crashresist.RunStats) error {
+		return e.Profile.Snapshot().WriteTop(w, 0)
+	}},
+	{"profile", "folded", func(e *Emit, w io.Writer, _ []*crashresist.RunStats) error {
+		return e.Profile.Snapshot().WriteFolded(w)
+	}},
+	{"profile", "json", func(e *Emit, w io.Writer, _ []*crashresist.RunStats) error {
+		return e.Profile.Snapshot().WriteJSON(w)
+	}},
+	{"detect", "top", func(e *Emit, w io.Writer, _ []*crashresist.RunStats) error {
+		return e.Detect.Snapshot().WriteTop(w)
+	}},
+	{"detect", "json", func(e *Emit, w io.Writer, _ []*crashresist.RunStats) error {
+		return e.Detect.Snapshot().WriteJSON(w)
+	}},
+	{"stats", "text", func(_ *Emit, w io.Writer, runs []*crashresist.RunStats) error {
+		for _, st := range runs {
+			if _, err := io.WriteString(w, st.Format()); err != nil {
+				return err
+			}
+		}
+		return nil
+	}},
+	{"trace", "json", func(_ *Emit, w io.Writer, runs []*crashresist.RunStats) error {
+		return crashresist.WriteChromeTrace(w, runs...)
+	}},
+}
+
+// emitChoices lists every KIND:MODE the table accepts.
+func emitChoices() string {
+	names := make([]string, len(emitters))
+	for i, em := range emitters {
+		names[i] = em.kind + ":" + em.mode
 	}
+	return strings.Join(names, ", ")
+}
+
+// Emit is the repeatable -emit KIND[:MODE]=PATH flag. Each use writes one
+// observability artifact to its own file once the run is over, so the
+// report is alone on stdout whatever is emitted. Register it, attach
+// Profile and Detect to the run, then call Write with the runs' stats.
+type Emit struct {
+	// Profile and Detect are the live observers the run charges into;
+	// each is nil unless its kind was requested.
+	Profile *crashresist.Profile
+	Detect  *crashresist.Detect
+	outs    []emitOut
+}
+
+// emitOut is one parsed -emit value.
+type emitOut struct {
+	emitter
+	path string
+}
+
+// Register adds -emit.
+func (e *Emit) Register(fs *flag.FlagSet) {
+	fs.Var(e, "emit", "after the run, write an observability artifact to the regular file PATH, never to stdout; repeatable. "+
+		"KIND[:MODE]=PATH with KIND:MODE one of "+emitChoices()+" (a kind's first mode is its default)")
+}
+
+// String renders the requested outputs in flag syntax.
+func (e *Emit) String() string {
+	if e == nil {
+		return ""
+	}
+	specs := make([]string, len(e.outs))
+	for i, o := range e.outs {
+		specs[i] = o.kind + ":" + o.mode + "=" + o.path
+	}
+	return strings.Join(specs, " ")
+}
+
+// Set parses one KIND[:MODE]=PATH value, creating the observer its kind
+// reads. A value with no PATH, an unknown kind or an unknown mode is
+// rejected, wrapping ErrBadParams, before any work starts.
+func (e *Emit) Set(v string) error {
+	spec, path, _ := strings.Cut(v, "=")
+	if path == "" {
+		return fmt.Errorf("%w: -emit %q names no file (want KIND[:MODE]=PATH)", crashresist.ErrBadParams, v)
+	}
+	kind, mode, _ := strings.Cut(spec, ":")
+	for _, em := range emitters {
+		if em.kind != kind || (mode != "" && em.mode != mode) {
+			continue
+		}
+		switch {
+		case kind == "profile" && e.Profile == nil:
+			e.Profile = crashresist.NewProfile()
+		case kind == "detect" && e.Detect == nil:
+			e.Detect = crashresist.NewDetect()
+		}
+		e.outs = append(e.outs, emitOut{em, path})
+		return nil
+	}
+	return fmt.Errorf("%w: unknown -emit %q (want one of %s)", crashresist.ErrBadParams, spec, emitChoices())
+}
+
+// Write renders every requested artifact, in flag order, each to its own
+// file.
+func (e *Emit) Write(runs []*crashresist.RunStats) error {
+	for _, o := range e.outs {
+		if err := o.writeFile(e, runs); err != nil {
+			return fmt.Errorf("-emit %s:%s: %w", o.kind, o.mode, err)
+		}
+	}
+	return nil
+}
+
+func (o emitOut) writeFile(e *Emit, runs []*crashresist.RunStats) error {
+	f, err := os.Create(o.path)
+	if err != nil {
+		return err
+	}
+	if err := o.write(e, f, runs); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// ErrUsage marks a command-line error that the flag package has already
+// reported, with the usage text, on the command's stderr.
+var ErrUsage = errors.New("usage error")
+
+// Parse parses args into fs (built with flag.ContinueOnError). A bad flag
+// or flag value comes back wrapping ErrUsage; -h comes back as
+// flag.ErrHelp.
+func Parse(fs *flag.FlagSet, args []string) error {
+	err := fs.Parse(args)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", ErrUsage, err)
+}
+
+// ExitCode maps a command's error to its exit status, the same way for
+// every crashresist command: 0 for success and for -h, 2 for a usage
+// error, and otherwise 1 after printing "tool: err" to stderr.
+func ExitCode(stderr io.Writer, tool string, err error) int {
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, ErrUsage):
+		return 2
+	}
+	fmt.Fprintf(stderr, "%s: %v\n", tool, err)
+	return 1
 }

@@ -279,9 +279,9 @@ func (req Request) config() discover.Config {
 // Validate checks the request's declarative fields without building any
 // target: pipeline and scale selectors must be known, a target must be
 // named or attached, and the pipeline must suit the target kind. Run
-// performs the same checks; Validate exists so services can reject a bad
-// request before queueing it. Errors match ErrBadParams or
-// ErrUnknownServer via errors.Is.
+// calls it first; it is exported so services can reject a bad request
+// before queueing it. Errors match ErrBadParams or ErrUnknownServer via
+// errors.Is.
 func (req Request) Validate() error {
 	switch req.Pipeline {
 	case "", PipelineSyscall, PipelineAPI, PipelineSEH:
@@ -326,11 +326,6 @@ func (req Request) Validate() error {
 	return nil
 }
 
-// browserParams resolves the request's Scale.
-func (req Request) browserParams() (BrowserParams, error) {
-	return BrowserParamsForScale(req.Scale)
-}
-
 // Run executes one analysis described by req and returns its result
 // envelope. It is the single entry point behind every pipeline and the
 // execution core of the discovery service's job API. Run checks ctx
@@ -339,8 +334,9 @@ func (req Request) browserParams() (BrowserParams, error) {
 // Resolution rules: an attached Server/Servers/Browser wins over the
 // Target name; an empty Pipeline defaults to syscall for servers and seh
 // for browsers; Target "all" fans the syscall pipeline out over every
-// Table I server. Mismatches (a server target with the seh pipeline, an
-// unknown name) return errors matching ErrBadParams or ErrUnknownServer.
+// Table I server. Run first checks the request with Validate, so a
+// mismatch (a server target with the seh pipeline, an unknown name)
+// returns the same error matching ErrBadParams or ErrUnknownServer.
 //
 // Determinism contract: for a fixed request, the result's reports are
 // byte-identical (Stats aside) at any Workers value, with any cache state,
@@ -349,6 +345,9 @@ func (req Request) browserParams() (BrowserParams, error) {
 // worker count, and — ranked report and every cache-invariant kind —
 // across cache states.
 func Run(ctx context.Context, req Request) (*Result, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
 	if req.IncludeProfile && req.Profile == nil {
 		req.Profile = NewProfile()
 	}
@@ -368,24 +367,13 @@ func Run(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// run resolves and executes the request, leaving profile embedding to Run.
+// run executes a validated request, leaving profile embedding to Run.
 func run(ctx context.Context, req Request) (*Result, error) {
 	cfg := req.config()
-
-	// Scale gates every dispatch path (browser corpus size, generated
-	// fleet size), so reject unknown values before touching any target.
-	switch req.Scale {
-	case "", ScaleSmall, ScalePaper, ScaleLarge, ScaleMega:
-	default:
-		return nil, fmt.Errorf("%w: unknown scale %q (want small, paper, large or mega)", ErrBadParams, req.Scale)
-	}
 
 	// Attachment-mode requests.
 	switch {
 	case req.Servers != nil:
-		if req.Pipeline != "" && req.Pipeline != PipelineSyscall {
-			return nil, fmt.Errorf("%w: pipeline %q cannot analyze server targets", ErrBadParams, req.Pipeline)
-		}
 		reports, err := discover.AnalyzeServers(ctx, cfg, req.Servers)
 		if err != nil {
 			return nil, err
@@ -396,9 +384,6 @@ func run(ctx context.Context, req Request) (*Result, error) {
 		}
 		return &Result{Schema: SchemaV1, Pipeline: PipelineSyscall, Target: target, Servers: reports}, nil
 	case req.Server != nil:
-		if req.Pipeline != "" && req.Pipeline != PipelineSyscall {
-			return nil, fmt.Errorf("%w: pipeline %q cannot analyze server targets", ErrBadParams, req.Pipeline)
-		}
 		rep, err := discover.AnalyzeServer(ctx, cfg, req.Server)
 		if err != nil {
 			return nil, err
@@ -410,12 +395,7 @@ func run(ctx context.Context, req Request) (*Result, error) {
 
 	// Name-mode requests.
 	switch req.Target {
-	case "":
-		return nil, fmt.Errorf("%w: request names no target", ErrBadParams)
 	case "all":
-		if req.Pipeline != "" && req.Pipeline != PipelineSyscall {
-			return nil, fmt.Errorf("%w: target \"all\" runs the syscall pipeline, not %q", ErrBadParams, req.Pipeline)
-		}
 		servers, err := Servers()
 		if err != nil {
 			return nil, err
@@ -426,9 +406,6 @@ func run(ctx context.Context, req Request) (*Result, error) {
 		}
 		return &Result{Schema: SchemaV1, Pipeline: PipelineSyscall, Target: "all", Servers: reports}, nil
 	case "gen":
-		if req.Pipeline != "" && req.Pipeline != PipelineSyscall {
-			return nil, fmt.Errorf("%w: target \"gen\" runs the syscall pipeline, not %q", ErrBadParams, req.Pipeline)
-		}
 		n, err := GenServerCount(req.Scale)
 		if err != nil {
 			return nil, err
@@ -443,7 +420,7 @@ func run(ctx context.Context, req Request) (*Result, error) {
 		}
 		return &Result{Schema: SchemaV1, Pipeline: PipelineSyscall, Target: "gen", Servers: reports}, nil
 	case "ie", "firefox":
-		params, err := req.browserParams()
+		params, err := BrowserParamsForScale(req.Scale)
 		if err != nil {
 			return nil, err
 		}
@@ -458,15 +435,6 @@ func run(ctx context.Context, req Request) (*Result, error) {
 		}
 		return runBrowser(ctx, cfg, req.Pipeline, br, req.Target)
 	default:
-		if req.Pipeline != "" && req.Pipeline != PipelineSyscall {
-			return nil, fmt.Errorf("%w: pipeline %q needs a browser target, got %q", ErrBadParams, req.Pipeline, req.Target)
-		}
-		if idx, ok := targets.ParseGenServerRef(req.Target); ok {
-			if n, nerr := GenServerCount(req.Scale); nerr == nil && idx >= n {
-				return nil, fmt.Errorf("%w: generated server %q out of range at scale %q (fleet size %d)",
-					ErrBadParams, req.Target, req.Scale, n)
-			}
-		}
 		srv, err := Server(req.Target)
 		if err != nil {
 			return nil, err
@@ -479,27 +447,19 @@ func run(ctx context.Context, req Request) (*Result, error) {
 	}
 }
 
-// runBrowser dispatches a browser target to the api or seh pipeline.
+// runBrowser dispatches a browser target to the api or seh (default)
+// pipeline.
 func runBrowser(ctx context.Context, cfg discover.Config, pl string, br *BrowserTarget, target string) (*Result, error) {
-	if pl == "" {
-		pl = PipelineSEH
-	}
-	switch pl {
-	case PipelineAPI:
+	if pl == PipelineAPI {
 		rep, err := discover.AnalyzeAPIs(ctx, cfg, br)
 		if err != nil {
 			return nil, err
 		}
 		return &Result{Schema: SchemaV1, Pipeline: PipelineAPI, Target: target, Funnel: rep}, nil
-	case PipelineSEH:
-		rep, err := discover.AnalyzeSEH(ctx, cfg, br)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Schema: SchemaV1, Pipeline: PipelineSEH, Target: target, SEH: rep}, nil
-	case PipelineSyscall:
-		return nil, fmt.Errorf("%w: the syscall pipeline needs a server target, got browser %q", ErrBadParams, target)
-	default:
-		return nil, fmt.Errorf("%w: unknown pipeline %q (want syscall, api or seh)", ErrBadParams, pl)
 	}
+	rep, err := discover.AnalyzeSEH(ctx, cfg, br)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Schema: SchemaV1, Pipeline: PipelineSEH, Target: target, SEH: rep}, nil
 }

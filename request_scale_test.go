@@ -13,8 +13,21 @@ import (
 // field and the generated-target references it gates. The scale knob is
 // part of the schema-v1 job surface, so unknown values must fail with
 // ErrBadParams (a 400, not a 500, at the service layer) and every
-// accepted value must round-trip.
+// accepted value must round-trip. Every rejected request must fail Run
+// with the same sentinel, attached targets included.
 func TestValidateScale(t *testing.T) {
+	nginx, err := crashresist.Server("nginx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	params, err := crashresist.BrowserParamsForScale(crashresist.ScaleSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ie, err := crashresist.IE(params)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
 		req     crashresist.Request
@@ -41,6 +54,15 @@ func TestValidateScale(t *testing.T) {
 		// "gen-01" is not canonical (GenServerName(1) == "gen-1"), so it
 		// falls through reference parsing to the unknown-server path.
 		{"non-canonical gen ref", crashresist.Request{Target: "gen-01"}, crashresist.ErrUnknownServer},
+
+		{"no target", crashresist.Request{}, crashresist.ErrBadParams},
+		{"unknown pipeline", crashresist.Request{Target: "ie", Pipeline: "bogus"}, crashresist.ErrBadParams},
+		{"server with seh", crashresist.Request{Target: "nginx", Pipeline: crashresist.PipelineSEH}, crashresist.ErrBadParams},
+		{"all with api", crashresist.Request{Target: "all", Pipeline: crashresist.PipelineAPI}, crashresist.ErrBadParams},
+		{"browser with syscall", crashresist.Request{Target: "ie", Pipeline: crashresist.PipelineSyscall}, crashresist.ErrBadParams},
+		{"attached servers with seh", crashresist.Request{Servers: []*crashresist.ServerTarget{nginx}, Pipeline: crashresist.PipelineSEH}, crashresist.ErrBadParams},
+		{"attached server with api", crashresist.Request{Server: nginx, Pipeline: crashresist.PipelineAPI}, crashresist.ErrBadParams},
+		{"attached browser with syscall", crashresist.Request{Browser: ie, Pipeline: crashresist.PipelineSyscall}, crashresist.ErrBadParams},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -53,6 +75,9 @@ func TestValidateScale(t *testing.T) {
 			}
 			if !errors.Is(err, tc.wantErr) {
 				t.Fatalf("Validate() = %v, want %v", err, tc.wantErr)
+			}
+			if _, err := crashresist.Run(context.Background(), tc.req); !errors.Is(err, tc.wantErr) {
+				t.Fatalf("Run() = %v, want %v", err, tc.wantErr)
 			}
 		})
 	}
