@@ -72,10 +72,9 @@ func BenchmarkTableI(b *testing.B) {
 }
 
 // BenchmarkTableIDetectOn reruns E1 with the defense observatory watching
-// every server analysis. Comparing its ns/op against BenchmarkTableI is the
-// observability-cost gate: the streaming detectors and the detectability
-// report must stay within noise of the undefended run (the engine only
-// folds integer counters the pipelines already produce).
+// every server analysis and pins the detectability report's shape. No
+// check compares its ns/op with BenchmarkTableI's; perfbench's
+// defense.overhead_share measures the observatory's CPU cost.
 func BenchmarkTableIDetectOn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		servers, err := Servers()
@@ -220,7 +219,8 @@ func BenchmarkTableIII(b *testing.B) {
 	}
 }
 
-// checkTableIII pins Table III's corpus totals for the parallel variants.
+// checkTableIII pins Table III's corpus totals for the worker-count and
+// warm-cache variants.
 func checkTableIII(b *testing.B, rep *SEHReport) {
 	b.Helper()
 	if rep.TotalModules != 187 || rep.TotalHandlers != 6745 || rep.TotalFilters != 5751 {
@@ -234,23 +234,12 @@ func checkTableIII(b *testing.B, rep *SEHReport) {
 }
 
 // BenchmarkTableIIISequential pins the one-worker baseline for the
-// sequential-versus-parallel comparison (worker pool pinned to 1; the
-// symex cache stays on in both variants).
+// sequential-versus-parallel comparison with BenchmarkTableIII, whose
+// request leaves the pool at GOMAXPROCS workers (the symex cache stays on
+// in both).
 func BenchmarkTableIIISequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rep := benchSEHReport(b, Request{Workers: 1})
-		checkTableIII(b, rep)
-		b.ReportMetric(float64(rep.TotalAVFilters), "accepting-filters")
-	}
-}
-
-// BenchmarkTableIIIParallel fans the per-DLL analysis across GOMAXPROCS
-// workers. Compare against BenchmarkTableIIISequential; the ratio is the
-// parallel speedup on this host (≥2× on ≥4 cores; on a single-core host
-// the two are equal by construction).
-func BenchmarkTableIIIParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep := benchSEHReport(b, Request{Workers: 0})
 		checkTableIII(b, rep)
 		b.ReportMetric(float64(rep.TotalAVFilters), "accepting-filters")
 	}
@@ -333,30 +322,6 @@ func BenchmarkTableIParallel(b *testing.B) {
 			b.Fatalf("usable primitives = %d, want 5 (one per server)", usable)
 		}
 		b.ReportMetric(float64(usable), "usable")
-	}
-}
-
-// BenchmarkAPIFunnelParallel shards the 11,521-function fuzzing battery
-// and the controllability replays across GOMAXPROCS workers.
-func BenchmarkAPIFunnelParallel(b *testing.B) {
-	br, err := IE(PaperBrowserParams())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(context.Background(), Request{Pipeline: PipelineAPI, Browser: br, Seed: 42, Workers: 0})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep := res.Funnel
-		if rep.Total != 20672 || rep.WithPointer != 11521 || rep.CrashResistant != 400 {
-			b.Fatalf("funnel head = %d/%d/%d", rep.Total, rep.WithPointer, rep.CrashResistant)
-		}
-		if rep.OnPath != 25 || rep.JSContext != 12 || rep.Controllable != 0 {
-			b.Fatalf("funnel tail = %d/%d/%d", rep.OnPath, rep.JSContext, rep.Controllable)
-		}
-		b.ReportMetric(float64(rep.CrashResistant), "crash-resistant")
 	}
 }
 

@@ -526,7 +526,7 @@ func (r *pipelineRun) classify(br *targets.Browser, api string, obs argObservati
 		return classifyCost{Clock: env.Proc.Clock, Stats: env.Proc.Stats, HasEnv: true}
 	}
 	te := taint.New()
-	cor := &corruptingFlow{inner: te, as: env.Proc.AS, target: obs.prov, value: InvalidProbeAddr}
+	cor := &corruptingFlow{DataFlow: te, as: env.Proc.AS, target: obs.prov, value: InvalidProbeAddr}
 	env.Proc.Flow = cor
 	cor.corrupt()
 	if err := env.Start(); err != nil {

@@ -487,10 +487,10 @@ func (r *pipelineRun) validate(srv *targets.Server, cand Candidate) (Finding, va
 	// after every subsequent program store to it (covers runtime
 	// initialization), exactly what an attacker's write primitive does.
 	cor := &corruptingFlow{
-		inner:  env.Proc.Flow,
-		as:     env.Proc.AS,
-		target: cand.Provenance,
-		value:  InvalidProbeAddr,
+		DataFlow: env.Proc.Flow,
+		as:       env.Proc.AS,
+		target:   cand.Provenance,
+		value:    InvalidProbeAddr,
 	}
 	env.Proc.Flow = cor
 	cor.corrupt()
@@ -553,16 +553,14 @@ func (o *observationSink) SyscallExit(ev kernel.Event, ret uint64) {
 // corruptingFlow decorates a vm.DataFlow, rewriting the 8 bytes at target
 // with an invalid pointer value after every program store that touches them
 // — the analysis-side emulation of the attacker's arbitrary-write primitive.
+// Every other event goes straight to the embedded flow.
 type corruptingFlow struct {
-	inner    vm.DataFlow
+	vm.DataFlow
 	as       *mem.AddressSpace
 	target   uint64
 	value    uint64
-	writes   int
 	disarmed bool
 }
-
-var _ vm.DataFlow = (*corruptingFlow)(nil)
 
 // disarm stops further corruption (the attacker's probe has completed).
 func (c *corruptingFlow) disarm() { c.disarmed = true }
@@ -575,78 +573,24 @@ func (c *corruptingFlow) corrupt() {
 	for i := 0; i < 8; i++ {
 		buf[i] = byte(c.value >> (8 * i))
 	}
-	if err := c.as.WriteForce(c.target, buf[:]); err == nil {
-		c.writes++
-	}
+	// A slot straddling into an unmapped page is left as it is: the
+	// replay then runs with the pointer intact, as an attacker whose
+	// write faulted would.
+	_ = c.as.WriteForce(c.target, buf[:])
 }
 
 // StoreMem implements vm.DataFlow.
 func (c *corruptingFlow) StoreMem(tid int, src isa.Register, addr uint64, size int) {
-	if c.inner != nil {
-		c.inner.StoreMem(tid, src, addr, size)
-	}
+	c.DataFlow.StoreMem(tid, src, addr, size)
 	if addr < c.target+8 && c.target < addr+uint64(size) {
 		c.corrupt()
-	}
-}
-
-// CopyRegReg implements vm.DataFlow.
-func (c *corruptingFlow) CopyRegReg(tid int, dst, src isa.Register) {
-	if c.inner != nil {
-		c.inner.CopyRegReg(tid, dst, src)
-	}
-}
-
-// SetRegImm implements vm.DataFlow.
-func (c *corruptingFlow) SetRegImm(tid int, dst isa.Register) {
-	if c.inner != nil {
-		c.inner.SetRegImm(tid, dst)
-	}
-}
-
-// CombineReg implements vm.DataFlow.
-func (c *corruptingFlow) CombineReg(tid int, dst, src isa.Register) {
-	if c.inner != nil {
-		c.inner.CombineReg(tid, dst, src)
-	}
-}
-
-// LoadMem implements vm.DataFlow.
-func (c *corruptingFlow) LoadMem(tid int, dst isa.Register, addr uint64, size int) {
-	if c.inner != nil {
-		c.inner.LoadMem(tid, dst, addr, size)
-	}
-}
-
-// ClearMem implements vm.DataFlow.
-func (c *corruptingFlow) ClearMem(addr uint64, size int) {
-	if c.inner != nil {
-		c.inner.ClearMem(addr, size)
 	}
 }
 
 // MarkMem implements vm.DataFlow.
 func (c *corruptingFlow) MarkMem(label uint8, addr uint64, size int) {
-	if c.inner != nil {
-		c.inner.MarkMem(label, addr, size)
-	}
+	c.DataFlow.MarkMem(label, addr, size)
 	if addr < c.target+8 && c.target < addr+uint64(size) {
 		c.corrupt()
 	}
-}
-
-// RegTaint implements vm.DataFlow.
-func (c *corruptingFlow) RegTaint(tid int, r isa.Register) uint64 {
-	if c.inner != nil {
-		return c.inner.RegTaint(tid, r)
-	}
-	return 0
-}
-
-// MemTaint implements vm.DataFlow.
-func (c *corruptingFlow) MemTaint(addr uint64, size int) uint64 {
-	if c.inner != nil {
-		return c.inner.MemTaint(addr, size)
-	}
-	return 0
 }

@@ -6,8 +6,8 @@ import (
 	"crashresist/internal/winapi"
 )
 
-func smallRegistry(t *testing.T) *winapi.Registry {
-	t.Helper()
+func smallRegistry(tb testing.TB) *winapi.Registry {
+	tb.Helper()
 	r := winapi.NewRegistry()
 	r.Register(winapi.Descriptor{Name: "Pure", NArgs: 2, Cat: winapi.CatNoPointer})
 	r.Register(winapi.Descriptor{Name: "Graceful1", NArgs: 2, PtrArgs: []int{0}, Cat: winapi.CatKernelValidated})

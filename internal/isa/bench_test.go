@@ -1,6 +1,11 @@
 package isa
 
-import "testing"
+import (
+	"runtime"
+	"runtime/debug"
+	"slices"
+	"testing"
+)
 
 func benchProgram() []Instruction {
 	return []Instruction{
@@ -14,39 +19,47 @@ func benchProgram() []Instruction {
 	}
 }
 
-func BenchmarkEncode(b *testing.B) {
+func encodeOp(tb testing.TB) func() {
 	prog := benchProgram()
 	buf := make([]byte, 0, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		buf = buf[:0]
 		for _, ins := range prog {
 			var err error
-			buf, err = Encode(buf, ins)
-			if err != nil {
-				b.Fatal(err)
+			if buf, err = Encode(buf, ins); err != nil {
+				tb.Fatal(err)
 			}
 		}
 	}
 }
 
-func BenchmarkDecode(b *testing.B) {
+func decodeOp(tb testing.TB) func() {
 	enc, err := EncodeAll(benchProgram())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		off := 0
-		for off < len(enc) {
+	return func() {
+		for off := 0; off < len(enc); {
 			_, n, err := Decode(enc[off:])
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			off += n
 		}
 	}
 }
+
+func benchOp(b *testing.B, newOp func(testing.TB) func()) {
+	op := newOp(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+func BenchmarkEncode(b *testing.B) { benchOp(b, encodeOp) }
+func BenchmarkDecode(b *testing.B) { benchOp(b, decodeOp) }
 
 func BenchmarkDisassemble(b *testing.B) {
 	enc, err := EncodeAll(benchProgram())
@@ -56,6 +69,28 @@ func BenchmarkDisassemble(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if Disassemble(enc) == "" {
 			b.Fatal("empty disassembly")
+		}
+	}
+}
+
+// TestAllocs fails when an operation allocates more per call than its
+// budget. Budgets are measured counts; a change that lowers a count lowers
+// its budget in the same change.
+func TestAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("counts are not exact under the race detector, which drops sync.Pool items at random")
+	}
+	rows := []struct {
+		name   string
+		op     func(testing.TB) func()
+		budget float64
+	}{
+		{"Encode", encodeOp, 0},
+		{"Decode", decodeOp, 0},
+	}
+	for _, r := range rows {
+		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {
+			t.Errorf("%s: %v allocs/op, budget %v (%s)", r.name, got, r.budget, runtime.Version())
 		}
 	}
 }

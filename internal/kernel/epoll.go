@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"sort"
 
 	"crashresist/internal/mem"
@@ -83,7 +84,9 @@ func (k *Kernel) sysEpollWait(t *vm.Thread, ev Event) {
 		return
 	}
 	eventsPtr, maxEvents := ev.Args[1], ev.Args[2]
-	if maxEvents == 0 {
+	// Linux's EP_MAX_EVENTS bound; it also keeps the byte length of the
+	// events buffer from wrapping past zero.
+	if maxEvents == 0 || maxEvents > math.MaxInt32/EpollEventSize {
 		k.complete(t, ev, errRet(EINVAL))
 		return
 	}

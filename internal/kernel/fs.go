@@ -43,9 +43,11 @@ func (k *Kernel) sysRead(t *vm.Thread, ev Event) {
 			k.complete(t, ev, 0)
 			return
 		}
-		take := int(ev.Args[2])
-		if take > len(contents)-f.pos {
-			take = len(contents) - f.pos
+		// Clamp in uint64: a count past the bytes left, however large,
+		// reads what is left.
+		take := len(contents) - f.pos
+		if ev.Args[2] < uint64(take) {
+			take = int(ev.Args[2])
 		}
 		if err := k.proc.AS.Write(ev.Args[1], contents[f.pos:f.pos+take]); err != nil {
 			k.complete(t, ev, errRet(EFAULT))

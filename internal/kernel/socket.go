@@ -183,9 +183,9 @@ func (k *Kernel) streamRead(t *vm.Thread, ev Event, conn *serverConn, buf, n uin
 		k.retry(t, ev, 0)
 		return
 	}
-	take := int(n)
-	if take > len(conn.in) {
-		take = len(conn.in)
+	take := len(conn.in)
+	if n < uint64(take) {
+		take = int(n)
 	}
 	// Validate the full destination range; partial writes to user memory
 	// never happen (matching copy_to_user all-or-nothing on page faults).

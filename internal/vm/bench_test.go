@@ -1,6 +1,9 @@
 package vm
 
 import (
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 
 	"crashresist/internal/asm"
@@ -8,9 +11,26 @@ import (
 	"crashresist/internal/isa"
 )
 
-// benchLoopProc builds a tight arithmetic+memory loop process.
-func benchLoopProc(b *testing.B) *Process {
-	b.Helper()
+// startBench builds and starts a Windows process from the builder.
+func startBench(tb testing.TB, bb *asm.Builder) *Process {
+	tb.Helper()
+	img, err := bb.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := NewProcess(Config{Platform: PlatformWindows, Seed: 1})
+	if _, err := p.LoadImage(img); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := p.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	return p
+}
+
+// execLoopOp retires one instruction of a tight arithmetic+memory loop:
+// raw interpreter throughput.
+func execLoopOp(tb testing.TB) func() {
 	bb := asm.NewBuilder("bench.exe", bin.KindExecutable)
 	bb.Func("main").Entry("main").
 		LeaData(isa.R2, "cell").
@@ -21,32 +41,16 @@ func benchLoopProc(b *testing.B) *Process {
 		Jmp("loop").
 		EndFunc()
 	bb.BSS("cell", 8)
-	img, err := bb.Build()
-	if err != nil {
-		b.Fatal(err)
+	p := startBench(tb, bb)
+	return func() {
+		if res := p.Run(1); res.Ticks != 1 {
+			tb.Fatalf("loop ran %d ticks, want 1", res.Ticks)
+		}
 	}
-	p := NewProcess(Config{Platform: PlatformWindows, Seed: 1})
-	if _, err := p.LoadImage(img); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := p.Start(); err != nil {
-		b.Fatal(err)
-	}
-	return p
 }
 
-// BenchmarkExecLoop measures raw interpreter throughput (one op per
-// iteration of b.N ticks).
-func BenchmarkExecLoop(b *testing.B) {
-	p := benchLoopProc(b)
-	b.ResetTimer()
-	p.Run(uint64(b.N))
-	b.ReportMetric(float64(p.Stats.Instructions)/float64(b.N), "instr/op")
-}
-
-// BenchmarkSEHRoundTrip measures one guarded fault + filter evaluation +
-// unwind.
-func BenchmarkSEHRoundTrip(b *testing.B) {
+// sehRoundTripOp runs one guarded fault + filter evaluation + unwind.
+func sehRoundTripOp(tb testing.TB) func() {
 	bb := asm.NewBuilder("bench.exe", bin.KindExecutable)
 	bb.Func("main").Entry("main").
 		MovRI(isa.R1, 0xbad0000).
@@ -69,45 +73,72 @@ func BenchmarkSEHRoundTrip(b *testing.B) {
 		Ret().
 		EndFunc()
 	bb.Guard("main", "try", "try_end", "filter", "handler")
-	img, err := bb.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := NewProcess(Config{Platform: PlatformWindows, Seed: 1})
-	if _, err := p.LoadImage(img); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := p.Start(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	start := p.Stats.FaultsHandled
-	for p.Stats.FaultsHandled-start < uint64(b.N) {
-		p.Run(10_000)
-		if !p.Alive() {
-			b.Fatal("process died")
+	p := startBench(tb, bb)
+	return func() {
+		want := p.Stats.FaultsHandled + 1
+		for p.Stats.FaultsHandled < want {
+			p.Run(1)
+			if !p.Alive() {
+				tb.Fatal("process died")
+			}
 		}
 	}
 }
 
-// BenchmarkProcessBoot measures process creation + image load + start.
-func BenchmarkProcessBoot(b *testing.B) {
+// processBootOp is process creation + image load + start.
+func processBootOp(tb testing.TB) func() {
 	bb := asm.NewBuilder("bench.exe", bin.KindExecutable)
 	bb.Func("main").Entry("main").Halt().EndFunc()
 	img, err := bb.Build()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	var seed int64
+	return func() {
+		seed++
+		p := NewProcess(Config{Platform: PlatformWindows, Seed: seed})
+		if _, err := p.LoadImage(img); err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := p.Start(); err != nil {
+			tb.Fatal(err)
+		}
+		p.RunUntilIdle(1000)
+	}
+}
+
+func benchOp(b *testing.B, newOp func(testing.TB) func()) {
+	op := newOp(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := NewProcess(Config{Platform: PlatformWindows, Seed: int64(i)})
-		if _, err := p.LoadImage(img); err != nil {
-			b.Fatal(err)
+		op()
+	}
+}
+
+func BenchmarkExecLoop(b *testing.B)     { benchOp(b, execLoopOp) }
+func BenchmarkSEHRoundTrip(b *testing.B) { benchOp(b, sehRoundTripOp) }
+func BenchmarkProcessBoot(b *testing.B)  { benchOp(b, processBootOp) }
+
+// TestAllocs fails when an operation allocates more per call than its
+// budget. Budgets are measured counts; a change that lowers a count lowers
+// its budget in the same change.
+func TestAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("counts are not exact under the race detector, which drops sync.Pool items at random")
+	}
+	rows := []struct {
+		name   string
+		op     func(testing.TB) func()
+		budget float64
+	}{
+		{"ExecLoop", execLoopOp, 0},
+		{"SEHRoundTrip", sehRoundTripOp, 6},
+		{"ProcessBoot", processBootOp, 37},
+	}
+	for _, r := range rows {
+		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {
+			t.Errorf("%s: %v allocs/op, budget %v (%s)", r.name, got, r.budget, runtime.Version())
 		}
-		if _, err := p.Start(); err != nil {
-			b.Fatal(err)
-		}
-		p.RunUntilIdle(1000)
 	}
 }
