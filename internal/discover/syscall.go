@@ -396,7 +396,7 @@ func (r *pipelineRun) observe(srv *targets.Server) (map[string]bool, []Candidate
 			return
 		}
 		observed[spec.Name] = true
-		for _, pa := range spec.PtrArgs {
+		for _, pa := range spec.PtrArgs() {
 			reg := isa.Register(1 + pa.Index)
 			prov, ok := env.Taint.RegProvenance(ev.Thread.ID, reg)
 			if !ok {

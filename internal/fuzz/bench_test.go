@@ -63,8 +63,8 @@ func TestAllocs(t *testing.T) {
 		op     func(testing.TB) func()
 		budget float64
 	}{
-		{"runProbe", probeOp, 22},
-		{"FuzzOne", fuzzOneOp, 108},
+		{"runProbe", probeOp, 19},
+		{"FuzzOne", fuzzOneOp, 96},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {

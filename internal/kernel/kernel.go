@@ -13,6 +13,7 @@ package kernel
 import (
 	"fmt"
 	"maps"
+	"slices"
 
 	"crashresist/internal/faultinject"
 	"crashresist/internal/mem"
@@ -94,61 +95,85 @@ type PtrArg struct {
 	Access mem.Access
 }
 
+// maxPtrArgs is the most pointer parameters any syscall in the table has.
+const maxPtrArgs = 2
+
 // Spec is the static description of one syscall, consumed by the discovery
 // pipeline to know which calls can report EFAULT and where their pointer
-// arguments sit.
+// arguments sit. A Spec shares nothing mutable: every copy is independent,
+// so no caller can change the kernel's table through one.
 type Spec struct {
 	Num  uint64
 	Name string
-	// PtrArgs lists the pointer parameters the kernel validates.
-	PtrArgs []PtrArg
 	// CanEFAULT reports whether a bad pointer argument makes the call
 	// return -EFAULT (rather than the argument being a non-pointer).
 	CanEFAULT bool
+
+	ptrArgs [maxPtrArgs]PtrArg
+	nPtr    int
 }
 
-// Specs returns the full syscall table. The EFAULT-capable subset matches
-// the 13 rows of the paper's Table I.
+// PtrArgs lists the pointer parameters the kernel validates. The slice
+// aliases s, not the kernel's table.
+func (s *Spec) PtrArgs() []PtrArg { return s.ptrArgs[:s.nPtr] }
+
+// efault builds the spec of a syscall that validates the given pointer
+// parameters and answers a bad one with -EFAULT.
+func efault(num uint64, name string, args ...PtrArg) Spec {
+	s := Spec{Num: num, Name: name, CanEFAULT: true, nPtr: len(args)}
+	copy(s.ptrArgs[:], args)
+	return s
+}
+
+// inPtr is a parameter the kernel reads through; outPtr one it writes
+// through.
+func inPtr(i int) PtrArg  { return PtrArg{Index: i, Access: mem.AccessRead} }
+func outPtr(i int) PtrArg { return PtrArg{Index: i, Access: mem.AccessWrite} }
+
+// table holds each syscall's spec at the index of its number; slot 0 is
+// unused. Only SpecFor and Specs read it, and both hand out copies.
+var table = [...]Spec{
+	SysExit:        {Num: SysExit, Name: "exit"},
+	SysExitThread:  {Num: SysExitThread, Name: "exit_thread"},
+	SysRead:        efault(SysRead, "read", outPtr(1)),
+	SysWrite:       efault(SysWrite, "write", inPtr(1)),
+	SysOpen:        efault(SysOpen, "open", inPtr(0)),
+	SysClose:       {Num: SysClose, Name: "close"},
+	SysSocket:      {Num: SysSocket, Name: "socket"},
+	SysBind:        {Num: SysBind, Name: "bind"},
+	SysListen:      {Num: SysListen, Name: "listen"},
+	SysAccept:      {Num: SysAccept, Name: "accept"},
+	SysConnect:     efault(SysConnect, "connect", inPtr(1)),
+	SysRecv:        efault(SysRecv, "recv", outPtr(1)),
+	SysRecvfrom:    efault(SysRecvfrom, "recvfrom", outPtr(1), outPtr(3)),
+	SysSend:        efault(SysSend, "send", inPtr(1)),
+	SysSendmsg:     efault(SysSendmsg, "sendmsg", inPtr(1)),
+	SysEpollCreate: {Num: SysEpollCreate, Name: "epoll_create"},
+	SysEpollCtl:    efault(SysEpollCtl, "epoll_ctl", inPtr(3)),
+	SysEpollWait:   efault(SysEpollWait, "epoll_wait", outPtr(1)),
+	SysChmod:       efault(SysChmod, "chmod", inPtr(0)),
+	SysMkdir:       efault(SysMkdir, "mkdir", inPtr(0)),
+	SysUnlink:      efault(SysUnlink, "unlink", inPtr(0)),
+	SysSymlink:     efault(SysSymlink, "symlink", inPtr(0), inPtr(1)),
+	SysSigaction:   {Num: SysSigaction, Name: "sigaction"},
+	SysSpawnThread: {Num: SysSpawnThread, Name: "spawn_thread"},
+	SysNanosleep:   {Num: SysNanosleep, Name: "nanosleep"},
+	SysAccess:      efault(SysAccess, "access", inPtr(0)),
+	SysGetpid:      {Num: SysGetpid, Name: "getpid"},
+}
+
+// Specs returns a copy of the full syscall table in syscall-number order.
+// The EFAULT-capable subset matches the 13 rows of the paper's Table I.
 func Specs() []Spec {
-	return []Spec{
-		{Num: SysExit, Name: "exit"},
-		{Num: SysExitThread, Name: "exit_thread"},
-		{Num: SysRead, Name: "read", PtrArgs: []PtrArg{{Index: 1, Access: mem.AccessWrite}}, CanEFAULT: true},
-		{Num: SysWrite, Name: "write", PtrArgs: []PtrArg{{Index: 1, Access: mem.AccessRead}}, CanEFAULT: true},
-		{Num: SysOpen, Name: "open", PtrArgs: []PtrArg{{Index: 0, Access: mem.AccessRead}}, CanEFAULT: true},
-		{Num: SysClose, Name: "close"},
-		{Num: SysSocket, Name: "socket"},
-		{Num: SysBind, Name: "bind"},
-		{Num: SysListen, Name: "listen"},
-		{Num: SysAccept, Name: "accept"},
-		{Num: SysConnect, Name: "connect", PtrArgs: []PtrArg{{Index: 1, Access: mem.AccessRead}}, CanEFAULT: true},
-		{Num: SysRecv, Name: "recv", PtrArgs: []PtrArg{{Index: 1, Access: mem.AccessWrite}}, CanEFAULT: true},
-		{Num: SysRecvfrom, Name: "recvfrom", PtrArgs: []PtrArg{{Index: 1, Access: mem.AccessWrite}, {Index: 3, Access: mem.AccessWrite}}, CanEFAULT: true},
-		{Num: SysSend, Name: "send", PtrArgs: []PtrArg{{Index: 1, Access: mem.AccessRead}}, CanEFAULT: true},
-		{Num: SysSendmsg, Name: "sendmsg", PtrArgs: []PtrArg{{Index: 1, Access: mem.AccessRead}}, CanEFAULT: true},
-		{Num: SysEpollCreate, Name: "epoll_create"},
-		{Num: SysEpollCtl, Name: "epoll_ctl", PtrArgs: []PtrArg{{Index: 3, Access: mem.AccessRead}}, CanEFAULT: true},
-		{Num: SysEpollWait, Name: "epoll_wait", PtrArgs: []PtrArg{{Index: 1, Access: mem.AccessWrite}}, CanEFAULT: true},
-		{Num: SysChmod, Name: "chmod", PtrArgs: []PtrArg{{Index: 0, Access: mem.AccessRead}}, CanEFAULT: true},
-		{Num: SysMkdir, Name: "mkdir", PtrArgs: []PtrArg{{Index: 0, Access: mem.AccessRead}}, CanEFAULT: true},
-		{Num: SysUnlink, Name: "unlink", PtrArgs: []PtrArg{{Index: 0, Access: mem.AccessRead}}, CanEFAULT: true},
-		{Num: SysSymlink, Name: "symlink", PtrArgs: []PtrArg{{Index: 0, Access: mem.AccessRead}, {Index: 1, Access: mem.AccessRead}}, CanEFAULT: true},
-		{Num: SysSigaction, Name: "sigaction"},
-		{Num: SysSpawnThread, Name: "spawn_thread"},
-		{Num: SysNanosleep, Name: "nanosleep"},
-		{Num: SysAccess, Name: "access", PtrArgs: []PtrArg{{Index: 0, Access: mem.AccessRead}}, CanEFAULT: true},
-		{Num: SysGetpid, Name: "getpid"},
-	}
+	return slices.Clone(table[1:])
 }
 
 // SpecFor returns the spec for a syscall number.
 func SpecFor(num uint64) (Spec, bool) {
-	for _, s := range Specs() {
-		if s.Num == num {
-			return s, true
-		}
+	if num == 0 || num >= uint64(len(table)) {
+		return Spec{}, false
 	}
-	return Spec{}, false
+	return table[num], true
 }
 
 // Event is the record handed to a syscall observer at invocation time.
@@ -170,11 +195,6 @@ type Observer interface {
 	SyscallExit(ev Event, ret uint64)
 }
 
-// ArgRewriter may mutate syscall arguments at entry; the discovery
-// pipeline's validation monitor uses this to invalidate pointer arguments,
-// mirroring the paper's libdft monitor commands.
-type ArgRewriter func(t *vm.Thread, num uint64, args *[5]uint64)
-
 // Kernel implements vm.SyscallHandler for one process.
 type Kernel struct {
 	proc *vm.Process
@@ -188,7 +208,6 @@ type Kernel struct {
 	fs map[string][]byte
 
 	observer Observer
-	rewrite  ArgRewriter
 	plan     *faultinject.Plan
 
 	counts Counts
@@ -256,9 +275,6 @@ func (k *Kernel) SetObserver(o Observer) { k.observer = o }
 // to real pointer validation.
 func (k *Kernel) SetFaultPlan(p *faultinject.Plan) { k.plan = p }
 
-// SetArgRewriter installs an argument rewriter.
-func (k *Kernel) SetArgRewriter(f ArgRewriter) { k.rewrite = f }
-
 // AddFile installs a file in the in-memory filesystem.
 func (k *Kernel) AddFile(path string, contents []byte) {
 	k.fs[path] = append([]byte(nil), contents...)
@@ -278,9 +294,6 @@ func (k *Kernel) Syscall(p *vm.Process, t *vm.Thread) {
 	var args [5]uint64
 	for i := 0; i < 5; i++ {
 		args[i] = t.Regs[1+i]
-	}
-	if k.rewrite != nil {
-		k.rewrite(t, num, &args)
 	}
 	k.counts.Dispatched++
 	spec, _ := SpecFor(num)

@@ -2,11 +2,13 @@ package kernel
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"crashresist/internal/asm"
 	"crashresist/internal/bin"
 	"crashresist/internal/isa"
+	"crashresist/internal/mem"
 	"crashresist/internal/vm"
 )
 
@@ -478,31 +480,6 @@ func TestObserverSeesSyscalls(t *testing.T) {
 	}
 }
 
-func TestArgRewriterInvalidatesPointer(t *testing.T) {
-	p, k := buildLinuxProc(t, func(b *asm.Builder) {
-		b.Func("main").Entry("main")
-		b.LeaData(isa.R1, "path") // valid pointer
-		emitSyscall(b, SysAccess)
-		b.MovRR(isa.R1, isa.R0)
-		emitSyscall(b, SysExit)
-		b.EndFunc()
-		b.Data("path", []byte("/x\x00"))
-	})
-	k.AddFile("/x", nil)
-	k.SetArgRewriter(func(_ *vm.Thread, num uint64, args *[5]uint64) {
-		if num == SysAccess {
-			args[0] = 0xdead0000
-		}
-	})
-	if _, err := p.Start(); err != nil {
-		t.Fatal(err)
-	}
-	p.RunUntilIdle(1_000_000)
-	if int64(p.ExitCode) != -EFAULT {
-		t.Errorf("rewritten access ret = %d, want -EFAULT", int64(p.ExitCode))
-	}
-}
-
 func TestSpecsTableIComplete(t *testing.T) {
 	// The EFAULT-capable subset must cover the 13 syscalls of Table I.
 	want := []string{
@@ -524,11 +501,58 @@ func TestSpecsTableIComplete(t *testing.T) {
 
 func TestSpecFor(t *testing.T) {
 	s, ok := SpecFor(SysRead)
-	if !ok || s.Name != "read" || len(s.PtrArgs) != 1 {
+	if !ok || s.Name != "read" || len(s.PtrArgs()) != 1 {
 		t.Errorf("SpecFor(read) = %+v %v", s, ok)
 	}
-	if _, ok := SpecFor(9999); ok {
-		t.Error("SpecFor(9999) should miss")
+	for _, num := range []uint64{0, uint64(len(table)), 9999} {
+		if _, ok := SpecFor(num); ok {
+			t.Errorf("SpecFor(%d) should miss", num)
+		}
+	}
+	for i, s := range table {
+		if s.Num != uint64(i) {
+			t.Errorf("table[%d] holds syscall %d (%q)", i, s.Num, s.Name)
+		}
+		if i == 0 {
+			continue
+		}
+		if got, ok := SpecFor(uint64(i)); !ok || got != s {
+			t.Errorf("SpecFor(%d) = %+v, %v; want %+v", i, got, ok, s)
+		}
+	}
+}
+
+// TestSpecsAreCopies writes through everything a SpecFor or Specs result
+// reaches. The next lookups must not see any of it: the table is shared by
+// every kernel in the process.
+func TestSpecsAreCopies(t *testing.T) {
+	show := func(s Spec) string {
+		return fmt.Sprintf("%d %q %v %v", s.Num, s.Name, s.CanEFAULT, s.PtrArgs())
+	}
+	scribble := func(s *Spec) {
+		args := s.PtrArgs()
+		for i := range args {
+			args[i] = PtrArg{Index: 9, Access: mem.AccessExec}
+		}
+		s.Num, s.Name, s.CanEFAULT = 0, "scribbled", !s.CanEFAULT
+	}
+	var want []string
+	for _, s := range Specs() {
+		want = append(want, show(s))
+	}
+	specs := Specs()
+	for i := range specs {
+		one, _ := SpecFor(specs[i].Num)
+		scribble(&one)
+		scribble(&specs[i])
+	}
+	for i, s := range Specs() {
+		if got := show(s); got != want[i] {
+			t.Errorf("Specs()[%d] = %s after writes through earlier results; want %s", i, got, want[i])
+		}
+		if one, _ := SpecFor(s.Num); show(one) != want[i] {
+			t.Errorf("SpecFor(%d) = %s after writes through earlier results; want %s", s.Num, show(one), want[i])
+		}
 	}
 }
 

@@ -2,6 +2,10 @@
 // processes: 4 KiB pages, per-page R/W/X permissions, precise fault reporting,
 // and a seeded ASLR allocator.
 //
+// A page's bytes are allocated on its first write; until then it reads and
+// fetches as zeros, so a mapping nobody touches (most of a thread stack)
+// costs only its header.
+//
 // Faults are ordinary error values (*Fault) rather than panics, so the VM,
 // the simulated kernel and analysis tooling can all distinguish "the access
 // hit unmapped memory" from "the access hit mapped memory with the wrong
@@ -13,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // PageSize is the granularity of mappings and permissions.
@@ -102,9 +107,30 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("%s fault: %s at %#x", kind, f.Access, f.Addr)
 }
 
+// page is one mapped page. data is nil until the first write.
 type page struct {
-	data [PageSize]byte
+	data *[PageSize]byte
 	perm Perm
+}
+
+// zeroPage backs reads of never-written pages; nothing writes it.
+var zeroPage [PageSize]byte
+
+// bytes returns the page's contents for reading.
+func (p *page) bytes() *[PageSize]byte {
+	if p.data == nil {
+		return &zeroPage
+	}
+	return p.data
+}
+
+// writable returns the page's contents for writing, allocating them on the
+// first write.
+func (p *page) writable() *[PageSize]byte {
+	if p.data == nil {
+		p.data = new([PageSize]byte)
+	}
+	return p.data
 }
 
 // AddressSpace is a sparse 64-bit paged address space. It is not safe for
@@ -120,7 +146,8 @@ func NewAddressSpace() *AddressSpace {
 
 // Map creates pages covering [addr, addr+length) with the given permission.
 // addr and length must be page aligned and the range must not overlap an
-// existing mapping.
+// existing mapping. The new pages read as zeros; their headers share one
+// allocation.
 func (as *AddressSpace) Map(addr, length uint64, perm Perm) error {
 	if addr%PageSize != 0 || length%PageSize != 0 {
 		return fmt.Errorf("map %#x+%#x: not page aligned", addr, length)
@@ -134,8 +161,10 @@ func (as *AddressSpace) Map(addr, length uint64, perm Perm) error {
 			return fmt.Errorf("map %#x+%#x: overlaps existing page %#x", addr, length, (first+i)*PageSize)
 		}
 	}
-	for i := uint64(0); i < n; i++ {
-		as.pages[first+i] = &page{perm: perm}
+	slab := make([]page, n)
+	for i := range slab {
+		slab[i].perm = perm
+		as.pages[first+uint64(i)] = &slab[i]
 	}
 	return nil
 }
@@ -191,6 +220,13 @@ func (as *AddressSpace) PermAt(addr uint64) (Perm, bool) {
 // permission needed for the given access, without transferring data. A nil
 // return guarantees Read/Write on the same range cannot fault.
 func (as *AddressSpace) Check(addr, length uint64, access Access) error {
+	return as.check(addr, length, access, false)
+}
+
+// check faults at the first byte of [addr, addr+length) that is unmapped or,
+// unless anyPerm, whose page lacks the access's permission. A range that
+// wraps past the top of the address space faults at addr.
+func (as *AddressSpace) check(addr, length uint64, access Access, anyPerm bool) error {
 	if length == 0 {
 		return nil
 	}
@@ -204,7 +240,7 @@ func (as *AddressSpace) Check(addr, length uint64, access Access) error {
 		if !ok {
 			return &Fault{Addr: maxU64(pg*PageSize, addr), Access: access, Unmapped: true}
 		}
-		if p.perm&need == 0 {
+		if !anyPerm && p.perm&need == 0 {
 			return &Fault{Addr: maxU64(pg*PageSize, addr), Access: access}
 		}
 	}
@@ -244,15 +280,8 @@ func (as *AddressSpace) Write(addr uint64, data []byte) error {
 // still requiring the pages to be mapped. Loaders and attacker corruption
 // primitives use this.
 func (as *AddressSpace) WriteForce(addr uint64, data []byte) error {
-	length := uint64(len(data))
-	if length == 0 {
-		return nil
-	}
-	end := addr + length - 1
-	for pg := addr / PageSize; pg <= end/PageSize; pg++ {
-		if _, ok := as.pages[pg]; !ok {
-			return &Fault{Addr: pg * PageSize, Access: AccessWrite, Unmapped: true}
-		}
+	if err := as.check(addr, uint64(len(data)), AccessWrite, true); err != nil {
+		return err
 	}
 	as.copyIn(addr, data)
 	return nil
@@ -305,7 +334,7 @@ func (as *AddressSpace) FetchExec(addr uint64, max int, buf []byte) ([]byte, err
 		if int(take) > max-len(buf) {
 			take = uint64(max - len(buf))
 		}
-		buf = append(buf, p.data[off:off+take]...)
+		buf = append(buf, p.bytes()[off:off+take]...)
 		addr += take
 	}
 	return buf, nil
@@ -358,7 +387,7 @@ func (as *AddressSpace) copyOut(addr uint64, buf []byte) {
 	for len(buf) > 0 {
 		p := as.pages[addr/PageSize]
 		off := addr % PageSize
-		n := copy(buf, p.data[off:])
+		n := copy(buf, p.bytes()[off:])
 		buf = buf[n:]
 		addr += uint64(n)
 	}
@@ -368,7 +397,7 @@ func (as *AddressSpace) copyIn(addr uint64, data []byte) {
 	for len(data) > 0 {
 		p := as.pages[addr/PageSize]
 		off := addr % PageSize
-		n := copy(p.data[off:], data)
+		n := copy(p.writable()[off:], data)
 		data = data[n:]
 		addr += uint64(n)
 	}
@@ -383,9 +412,16 @@ func maxU64(a, b uint64) uint64 {
 
 // Allocator hands out randomized page-aligned base addresses inside a fixed
 // arena, modelling ASLR. It is deterministic for a given seed, so every
-// experiment in this repository is reproducible.
+// experiment in this repository is reproducible: its draws are exactly those
+// of rand.New(rand.NewSource(seed)).Int63n.
 type Allocator struct {
-	rng  *rand.Rand
+	// memo holds the seed's first draws, or is nil when the seed memo had
+	// no room for the seed; next counts the draws taken. Past the memo,
+	// rng continues the same stream.
+	memo *[memoDraws]int64
+	next int
+	rng  rand.Source
+	seed int64
 	as   *AddressSpace
 	low  uint64
 	high uint64
@@ -394,12 +430,11 @@ type Allocator struct {
 // NewAllocator creates an allocator placing mappings inside [low, high) of
 // the given address space. low and high must be page aligned.
 func NewAllocator(as *AddressSpace, low, high uint64, seed int64) *Allocator {
-	return &Allocator{
-		rng:  rand.New(rand.NewSource(seed)),
-		as:   as,
-		low:  low,
-		high: high,
+	a := &Allocator{memo: memoFor(seed), seed: seed, as: as, low: low, high: high}
+	if a.memo == nil {
+		a.rng = rand.NewSource(seed)
 	}
+	return a
 }
 
 // Alloc maps length bytes (rounded up to pages) at a randomized address and
@@ -415,12 +450,82 @@ func (a *Allocator) Alloc(length uint64, perm Perm) (uint64, error) {
 	}
 	const maxTries = 4096
 	for try := 0; try < maxTries; try++ {
-		base := a.low + uint64(a.rng.Int63n(int64(span)))*PageSize
+		base := a.low + uint64(a.int63n(int64(span)))*PageSize
 		if err := a.as.Map(base, length, perm); err == nil {
 			return base, nil
 		}
 	}
 	return 0, fmt.Errorf("alloc %#x: no free slot after retries", length)
+}
+
+// int63n is math/rand's (*Rand).Int63n over int63, so it consumes the
+// stream and returns values exactly as rand.New(rand.NewSource(seed)) does.
+func (a *Allocator) int63n(n int64) int64 {
+	if n&(n-1) == 0 {
+		return a.int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := a.int63()
+	for v > max {
+		v = a.int63()
+	}
+	return v % n
+}
+
+// int63 returns the seed's next stream value: from the memo while it
+// lasts, then from a real source advanced past the memo.
+func (a *Allocator) int63() int64 {
+	if a.rng == nil {
+		if a.next < memoDraws {
+			a.next++
+			return a.memo[a.next-1]
+		}
+		a.rng = rand.NewSource(a.seed)
+		for range memoDraws {
+			a.rng.Int63()
+		}
+	}
+	return a.rng.Int63()
+}
+
+const (
+	// memoDraws is how many leading stream values the memo keeps per
+	// seed. The paper runs' fuzz probes and server boots draw at most 6;
+	// a browse draws 191 and continues past the memo.
+	memoDraws = 64
+	// memoSeeds bounds the memo: the first memoSeeds distinct seeds are
+	// kept, later ones seed a source of their own.
+	memoSeeds = 64
+)
+
+// seedMemo maps a seed to the first memoDraws values of its math/rand
+// stream. Seeding a source costs about 10 µs and 5.4 KB, and every fuzz
+// probe boots a process with the run's one seed. An entry is a pure
+// function of its seed and never changes once published, so a hit and a
+// miss yield the same layout.
+var seedMemo struct {
+	sync.Mutex
+	draws map[int64]*[memoDraws]int64
+}
+
+// memoFor returns the seed's memo entry, computing and publishing it when
+// there is room, or nil when the memo is full.
+func memoFor(seed int64) *[memoDraws]int64 {
+	seedMemo.Lock()
+	defer seedMemo.Unlock()
+	if d, ok := seedMemo.draws[seed]; ok || len(seedMemo.draws) >= memoSeeds {
+		return d
+	}
+	d := new([memoDraws]int64)
+	src := rand.NewSource(seed)
+	for i := range d {
+		d[i] = src.Int63()
+	}
+	if seedMemo.draws == nil {
+		seedMemo.draws = make(map[int64]*[memoDraws]int64, memoSeeds)
+	}
+	seedMemo.draws[seed] = d
+	return d
 }
 
 // RoundUp rounds n up to a multiple of PageSize.

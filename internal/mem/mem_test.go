@@ -3,6 +3,9 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -312,6 +315,145 @@ func allocN(t *testing.T, seed int64, n int) []uint64 {
 		out = append(out, base)
 	}
 	return out
+}
+
+// refBases is the reference for Allocator: it places each length with
+// math/rand itself, redrawing while the slot overlaps an earlier one.
+func refBases(seed int64, low, high uint64, lengths []uint64) []uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	var out []uint64
+	for _, length := range lengths {
+		span := int64((high - low - length) / PageSize)
+	draw:
+		for {
+			base := low + uint64(rng.Int63n(span))*PageSize
+			for j, prev := range out {
+				if base < prev+lengths[j] && prev < base+length {
+					continue draw
+				}
+			}
+			out = append(out, base)
+			break
+		}
+	}
+	return out
+}
+
+// allocBases places lengths with an Allocator on a fresh address space.
+func allocBases(seed int64, low, high uint64, lengths []uint64) ([]uint64, error) {
+	a := NewAllocator(NewAddressSpace(), low, high, seed)
+	var out []uint64
+	for _, length := range lengths {
+		base, err := a.Alloc(length, PermRW)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, base)
+	}
+	return out, nil
+}
+
+// allocCase is one arena and a run of allocations longer than the memo.
+type allocCase struct {
+	name      string
+	low, high uint64
+	lengths   []uint64
+}
+
+func allocCases() []allocCase {
+	n := 2*memoDraws + 7
+	mixed := make([]uint64, n)
+	pages := make([]uint64, n)
+	for i := range mixed {
+		mixed[i] = uint64(1+i%3) * PageSize
+		pages[i] = PageSize
+	}
+	return []allocCase{
+		// vm's arena: collisions practically never happen.
+		{"wide", 0x100000000, 0x80000000000, mixed},
+		// 600 pages, 270 of them allocated by the end: collisions
+		// force redraws.
+		{"crowded", 0x10000, 0x10000 + 600*PageSize, mixed},
+		// A span of 256 slots takes Int63n's power-of-two branch.
+		{"pow2", 0x10000, 0x10000 + 257*PageSize, pages},
+	}
+}
+
+func checkAllocMatchesRef(t *testing.T, seed int64) {
+	t.Helper()
+	for _, c := range allocCases() {
+		got, err := allocBases(seed, c.low, c.high, c.lengths)
+		if err != nil {
+			t.Fatalf("seed %d %s: %v", seed, c.name, err)
+		}
+		if want := refBases(seed, c.low, c.high, c.lengths); !slices.Equal(got, want) {
+			t.Errorf("seed %d %s: bases differ from math/rand's\n got %#x\nwant %#x", seed, c.name, got, want)
+		}
+	}
+}
+
+// TestAllocatorMatchesMathRand runs more allocations than the seed memo
+// holds, for memoized seeds and for seeds past the memo's bound: every base
+// must be the one rand.New(rand.NewSource(seed)).Int63n gives.
+func TestAllocatorMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 1<<40 + 3} {
+		checkAllocMatchesRef(t, seed)
+		if memoFor(seed) == nil {
+			t.Logf("seed %d: memo already full, checked the unmemoized path", seed)
+		}
+	}
+	// Fill the memo, then check seeds it cannot hold.
+	for i := int64(0); i < memoSeeds; i++ {
+		memoFor(1<<50 + i)
+	}
+	for _, seed := range []int64{1<<51 + 1, -(1 << 51)} {
+		if memoFor(seed) != nil {
+			t.Fatalf("seed %d memoized past the bound of %d seeds", seed, memoSeeds)
+		}
+		checkAllocMatchesRef(t, seed)
+	}
+}
+
+// TestInt63nMatchesMathRand checks the copied Int63n on bounds whose
+// rejection loop redraws about half the time, so the stream runs past the
+// memo within a few calls.
+func TestInt63nMatchesMathRand(t *testing.T) {
+	for _, seed := range []int64{0, 1, -7, 1<<40 + 3, 1<<51 + 2} {
+		for _, n := range []int64{1<<62 + 1, 1 << 40, 3, 1<<31 - 1} {
+			a := NewAllocator(NewAddressSpace(), 0, PageSize, seed)
+			ref := rand.New(rand.NewSource(seed))
+			for i := 0; i < 3*memoDraws; i++ {
+				if got, want := a.int63n(n), ref.Int63n(n); got != want {
+					t.Fatalf("seed %d n %d draw %d: got %d, want %d", seed, n, i, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNewAllocatorConcurrent creates allocators from many goroutines, on
+// seeds they share and seeds of their own, while the memo fills. Run it
+// with -race.
+func TestNewAllocatorConcurrent(t *testing.T) {
+	c := allocCases()[1] // crowded: redraws, and every run passes the memo
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, seed := range []int64{99, 100, 1<<52 + int64(g)} {
+				got, err := allocBases(seed, c.low, c.high, c.lengths)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want := refBases(seed, c.low, c.high, c.lengths); !slices.Equal(got, want) {
+					t.Errorf("goroutine %d seed %d: bases differ from math/rand's", g, seed)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestAllocatorExhaustion(t *testing.T) {
