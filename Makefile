@@ -31,6 +31,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzRateDetector -fuzztime=30s ./internal/defense
 	$(GO) test -fuzz=FuzzSyscallDispatch -fuzztime=30s ./internal/kernel
 	$(GO) test -fuzz=FuzzAddressSpace -fuzztime=30s ./internal/mem
+	$(GO) test -fuzz=FuzzInterpreter -fuzztime=30s ./internal/vm
 
 # chaos runs the full paper-scale fault-injection sweep under the race
 # detector; tier-1 (`make test`/`make race`) only runs the trimmed sweep.

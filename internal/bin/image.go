@@ -17,12 +17,18 @@
 // Image offsets are "flat": text occupies [0, len(Text)), data starts at
 // DataStart(), BSS at BSSStart(). A loaded module's virtual address for flat
 // offset o is simply base+o.
+//
+// Text is position independent and relocations lie in data, so text decodes
+// the same at every load base. An image decodes its text once, on its first
+// load, and every process that loads it shares the predecoded table.
 package bin
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
+	"crashresist/internal/isa"
 	"crashresist/internal/mem"
 )
 
@@ -107,7 +113,8 @@ type Symbol struct {
 	Size   uint32
 }
 
-// Image is a CRX binary image.
+// Image is a CRX binary image. An image must not change once it has been
+// loaded: its first load derives state from its text.
 type Image struct {
 	Name    string
 	Kind    Kind
@@ -120,6 +127,54 @@ type Image struct {
 	Symbols []Symbol
 	Relocs  []Reloc
 	Scopes  []ScopeEntry
+
+	// code is the predecoded text, set on the first load (or the first
+	// WithImports) and shared from then on by every load and by copies
+	// WithImports makes. It is derived from Text, so it is neither
+	// marshalled nor part of any digest. codeMu guards the field.
+	code *predecoded
+}
+
+// predecoded is an image's predecoded text, one table per text page.
+type predecoded struct {
+	once  sync.Once
+	pages []isa.Table
+}
+
+// codeMu guards every Image's code field. Concurrent pipelines load the
+// same images, so the field is set under a lock and the table is built
+// once, outside it.
+var codeMu sync.Mutex
+
+// sharedCode returns img's predecoded text, creating the empty holder on
+// first use.
+func (img *Image) sharedCode() *predecoded {
+	codeMu.Lock()
+	defer codeMu.Unlock()
+	if img.code == nil {
+		img.code = new(predecoded)
+	}
+	return img.code
+}
+
+// textPages returns the predecoded tables of img's text pages, building them
+// on the first call for img or any image sharing its table. The tables are
+// a pure function of Text, so whichever process builds them, every load
+// executes the same instructions.
+func (img *Image) textPages() []isa.Table {
+	c := img.sharedCode()
+	c.once.Do(func() { c.pages = isa.SweepPages(img.Text, mem.PageSize) })
+	return c.pages
+}
+
+// WithImports returns a copy of img that imports imps instead of img's
+// imports. The copy shares every section and the predecoded text with img,
+// so images that differ only in what they import decode their text once.
+func (img *Image) WithImports(imps []Import) *Image {
+	img.sharedCode()
+	cp := *img
+	cp.Imports = imps
+	return &cp
 }
 
 // DataStart returns the flat offset where the data section begins.
@@ -252,6 +307,8 @@ type ImportResolver func(imp Import) (uint64, error)
 
 // Load validates img, maps its sections at the allocator-chosen base, applies
 // relocations and resolves imports. Text is mapped r-x, data and BSS rw-.
+// Each text page carries its part of the image's predecoded table until the
+// process first writes to it.
 func Load(as *mem.AddressSpace, alloc *mem.Allocator, img *Image, resolve ImportResolver) (*Module, error) {
 	if err := img.Validate(); err != nil {
 		return nil, fmt.Errorf("load: %w", err)
@@ -278,11 +335,15 @@ func Load(as *mem.AddressSpace, alloc *mem.Allocator, img *Image, resolve Import
 			return nil, fmt.Errorf("load %s reloc: %w", img.Name, err)
 		}
 	}
-	// Seal text as r-x after writing.
+	// Seal text as r-x after writing, then attach its predecoded table:
+	// the pages now hold exactly the bytes it was built from.
 	textSpan := mem.RoundUp(uint64(len(img.Text)))
 	if textSpan > 0 {
 		if err := as.Protect(base, textSpan, mem.PermRX); err != nil {
 			return nil, fmt.Errorf("load %s protect: %w", img.Name, err)
+		}
+		if err := as.AttachCode(base, img.textPages()); err != nil {
+			return nil, fmt.Errorf("load %s code: %w", img.Name, err)
 		}
 	}
 

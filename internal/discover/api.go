@@ -154,14 +154,11 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 		return nil, err
 	}
 
-	// Stage 1: generate the API corpus and select the pointer-taking
-	// descriptors in registry order.
+	// Stage 1: select the pointer-taking descriptors of the browser's API
+	// corpus in registry order. The fuzzer calls the corpus without the
+	// natives an environment layers over it.
 	span := r.col.StartStage("corpus", 0)
-	reg, err := winapi.GenerateCorpus(br.Params.API)
-	if err != nil {
-		span.End()
-		return nil, err
-	}
+	reg := br.APIs()
 	fz := fuzz.New(reg, r.Seed)
 	fz.FaultPlan = r.FaultPlan
 	var ptrAPIs []*winapi.Descriptor
@@ -177,7 +174,7 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 	span = r.col.StartStage("fuzz", len(ptrAPIs))
 	span.NameJobs(func(i int) string { return "fuzz/" + ptrAPIs[i].Name })
 	fctx, cancel := stageCtx(ctx, r.StageTimeout)
-	err = runIndexed(fctx, r.Workers, len(ptrAPIs), span, func(i int) error {
+	err := runIndexed(fctx, r.Workers, len(ptrAPIs), span, func(i int) error {
 		api := ptrAPIs[i].Name
 		return r.runJob(fctx, "fuzz", api, i, func(int) error {
 			var (

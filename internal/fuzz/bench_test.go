@@ -25,8 +25,8 @@ func probeOp(tb testing.TB) func() {
 	}
 }
 
-// fuzzOneOp runs the whole battery, harness build included, on the same
-// function.
+// fuzzOneOp runs the whole battery, the function's harness image included,
+// on the same function.
 func fuzzOneOp(tb testing.TB) func() {
 	r := smallRegistry(tb)
 	d, _ := r.Lookup("Graceful1")
@@ -64,7 +64,7 @@ func TestAllocs(t *testing.T) {
 		budget float64
 	}{
 		{"runProbe", probeOp, 19},
-		{"FuzzOne", fuzzOneOp, 96},
+		{"FuzzOne", fuzzOneOp, 81},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {

@@ -13,6 +13,7 @@ package fuzz
 
 import (
 	"fmt"
+	"sync"
 
 	"crashresist/internal/asm"
 	"crashresist/internal/bin"
@@ -180,15 +181,25 @@ func (f *Fuzzer) runProbe(img *bin.Image, d *winapi.Descriptor, ptr uint64) (Out
 	}
 }
 
-// harnessImage builds the one-shot caller: the five argument registers are
-// seeded by Start, the import is the function under test, and the return
-// value becomes the exit code.
-func harnessImage(d *winapi.Descriptor) (*bin.Image, error) {
+// harness is the one-shot caller every probe runs: the five argument
+// registers are seeded by Start, import slot 0 is the function under test,
+// and the return value becomes the exit code. It is assembled once; every
+// function's harness image shares its text and predecoded table.
+var harness = sync.OnceValues(func() (*bin.Image, error) {
 	b := asm.NewBuilder("fuzz-harness.exe", bin.KindExecutable)
 	// R0 holds the API return value at HALT, becoming the exit code.
 	b.Func("main").Entry("main").
-		CallImport("", d.Name).
+		CallImport("", "function-under-test").
 		Halt().
 		EndFunc()
 	return b.Build()
+})
+
+// harnessImage returns the harness importing d as its one import.
+func harnessImage(d *winapi.Descriptor) (*bin.Image, error) {
+	img, err := harness()
+	if err != nil {
+		return nil, err
+	}
+	return img.WithImports([]bin.Import{{Symbol: d.Name}}), nil
 }

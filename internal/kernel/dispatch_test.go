@@ -100,6 +100,17 @@ func accessEFAULTOp(tb testing.TB) func() {
 	}
 }
 
+// epollWaitEFAULTOp is the Cherokee validation replay's loop: epoll_wait
+// with its events pointer corrupted to unmapped memory.
+func epollWaitEFAULTOp(tb testing.TB) func() {
+	f := newDispatchFixture(tb)
+	return func() {
+		if got := f.call(SysEpollWait, [5]uint64{fixtureEpollFD, unmappedAddr, 1, 0}); int64(got) != -EFAULT {
+			tb.Fatalf("epoll_wait(unmapped) = %d, want -EFAULT", int64(got))
+		}
+	}
+}
+
 func specForOp(tb testing.TB) func() {
 	return func() {
 		if _, ok := SpecFor(SysRead); !ok {
@@ -124,6 +135,9 @@ func BenchmarkSyscallGetpid(b *testing.B) { benchOp(b, getpidOp) }
 // memory, answered with -EFAULT.
 func BenchmarkSyscallEFAULT(b *testing.B) { benchOp(b, accessEFAULTOp) }
 
+// BenchmarkEpollWaitEFAULT is the Cherokee replay's failing epoll_wait.
+func BenchmarkEpollWaitEFAULT(b *testing.B) { benchOp(b, epollWaitEFAULTOp) }
+
 // BenchmarkSpecFor is the table lookup every dispatch and every taint
 // observation makes.
 func BenchmarkSpecFor(b *testing.B) { benchOp(b, specForOp) }
@@ -141,8 +155,8 @@ func TestAllocs(t *testing.T) {
 		budget float64
 	}{
 		{"Syscall/getpid", getpidOp, 0},
-		// The *mem.Fault the path check returns.
-		{"Syscall/access-EFAULT", accessEFAULTOp, 1},
+		{"Syscall/access-EFAULT", accessEFAULTOp, 0},
+		{"Syscall/epoll_wait-EFAULT", epollWaitEFAULTOp, 0},
 		{"SpecFor/read", specForOp, 0},
 	}
 	for _, r := range rows {

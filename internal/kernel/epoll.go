@@ -50,16 +50,14 @@ func (k *Kernel) sysEpollCtl(t *vm.Thread, ev Event) {
 		k.complete(t, ev, 0)
 		return
 	case EpollCtlAdd, EpollCtlMod:
-		events, err := k.proc.AS.ReadUint(ev.Args[3], 4)
-		if err != nil {
+		evp := ev.Args[3]
+		if !k.proc.AS.Accessible(evp, 4, mem.AccessRead) || !k.proc.AS.Accessible(evp+8, 8, mem.AccessRead) {
 			k.complete(t, ev, errRet(EFAULT))
 			return
 		}
-		data, err := k.proc.AS.ReadUint(ev.Args[3]+8, 8)
-		if err != nil {
-			k.complete(t, ev, errRet(EFAULT))
-			return
-		}
+		// Both ranges were just checked, so neither read fails.
+		events, _ := k.proc.AS.ReadUint(evp, 4)
+		data, _ := k.proc.AS.ReadUint(evp+8, 8)
 		if _, exists := k.fds[fd]; !exists {
 			k.complete(t, ev, errRet(EBADF))
 			return
@@ -90,7 +88,7 @@ func (k *Kernel) sysEpollWait(t *vm.Thread, ev Event) {
 		k.complete(t, ev, errRet(EINVAL))
 		return
 	}
-	if err := k.proc.AS.Check(eventsPtr, maxEvents*EpollEventSize, mem.AccessWrite); err != nil {
+	if !k.proc.AS.Accessible(eventsPtr, maxEvents*EpollEventSize, mem.AccessWrite) {
 		k.complete(t, ev, errRet(EFAULT))
 		return
 	}

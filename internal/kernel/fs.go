@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"crashresist/internal/mem"
 	"crashresist/internal/vm"
 )
 
@@ -49,10 +50,11 @@ func (k *Kernel) sysRead(t *vm.Thread, ev Event) {
 		if ev.Args[2] < uint64(take) {
 			take = int(ev.Args[2])
 		}
-		if err := k.proc.AS.Write(ev.Args[1], contents[f.pos:f.pos+take]); err != nil {
+		if !k.proc.AS.Accessible(ev.Args[1], uint64(take), mem.AccessWrite) {
 			k.complete(t, ev, errRet(EFAULT))
 			return
 		}
+		_ = k.proc.AS.Write(ev.Args[1], contents[f.pos:f.pos+take]) // checked above
 		f.pos += take
 		k.complete(t, ev, uint64(take))
 	default:
@@ -66,11 +68,11 @@ func (k *Kernel) sysWrite(t *vm.Thread, ev Event) {
 	case *serverConn:
 		k.streamWrite(t, ev, f, ev.Args[1], ev.Args[2])
 	case *fsFile:
-		data, err := k.proc.AS.Read(ev.Args[1], ev.Args[2])
-		if err != nil {
+		if !k.proc.AS.Accessible(ev.Args[1], ev.Args[2], mem.AccessRead) {
 			k.complete(t, ev, errRet(EFAULT))
 			return
 		}
+		data, _ := k.proc.AS.Read(ev.Args[1], ev.Args[2]) // checked above
 		contents := k.fs[f.path]
 		for len(contents) < f.pos {
 			contents = append(contents, 0)

@@ -501,10 +501,10 @@ func (k *Kernel) installFD(f fileLike) int {
 func (k *Kernel) readPath(addr uint64) (string, bool) {
 	var out []byte
 	for i := 0; i < 256; i++ {
-		b, err := k.proc.AS.ReadUint(addr+uint64(i), 1)
-		if err != nil {
+		if !k.proc.AS.Accessible(addr+uint64(i), 1, mem.AccessRead) {
 			return "", false
 		}
+		b, _ := k.proc.AS.ReadUint(addr+uint64(i), 1) // checked above
 		if b == 0 {
 			return string(out), true
 		}

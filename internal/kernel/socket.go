@@ -100,7 +100,7 @@ func (k *Kernel) sysConnect(t *vm.Thread, ev Event) {
 		k.complete(t, ev, errRet(EBADF))
 		return
 	}
-	if _, err := k.proc.AS.ReadUint(ev.Args[1], 8); err != nil {
+	if !k.proc.AS.Accessible(ev.Args[1], 8, mem.AccessRead) {
 		k.complete(t, ev, errRet(EFAULT))
 		return
 	}
@@ -116,7 +116,7 @@ func (k *Kernel) sysRecv(t *vm.Thread, ev Event) {
 	buf, n := ev.Args[1], ev.Args[2]
 	// recvfrom also validates its (optional) source-address out-pointer.
 	if ev.Num == SysRecvfrom && ev.Args[3] != 0 {
-		if err := k.proc.AS.Check(ev.Args[3], 8, mem.AccessWrite); err != nil {
+		if !k.proc.AS.Accessible(ev.Args[3], 8, mem.AccessWrite) {
 			k.complete(t, ev, errRet(EFAULT))
 			return
 		}
@@ -142,16 +142,13 @@ func (k *Kernel) sysSendmsg(t *vm.Thread, ev Event) {
 		return
 	}
 	hdr := ev.Args[1]
-	buf, err := k.proc.AS.ReadUint(hdr, 8)
-	if err != nil {
+	if !k.proc.AS.Accessible(hdr, 8, mem.AccessRead) || !k.proc.AS.Accessible(hdr+8, 8, mem.AccessRead) {
 		k.complete(t, ev, errRet(EFAULT))
 		return
 	}
-	n, err := k.proc.AS.ReadUint(hdr+8, 8)
-	if err != nil {
-		k.complete(t, ev, errRet(EFAULT))
-		return
-	}
+	// Both ranges were just checked, so neither read fails.
+	buf, _ := k.proc.AS.ReadUint(hdr, 8)
+	n, _ := k.proc.AS.ReadUint(hdr+8, 8)
 	k.streamWrite(t, ev, conn, buf, n)
 }
 
@@ -164,7 +161,7 @@ func (k *Kernel) streamRead(t *vm.Thread, ev Event, conn *serverConn, buf, n uin
 		k.complete(t, ev, 0)
 		return
 	}
-	if err := k.proc.AS.Check(buf, 1, mem.AccessWrite); err != nil {
+	if !k.proc.AS.Accessible(buf, 1, mem.AccessWrite) {
 		k.complete(t, ev, errRet(EFAULT))
 		return
 	}
@@ -189,7 +186,7 @@ func (k *Kernel) streamRead(t *vm.Thread, ev Event, conn *serverConn, buf, n uin
 	}
 	// Validate the full destination range; partial writes to user memory
 	// never happen (matching copy_to_user all-or-nothing on page faults).
-	if err := k.proc.AS.Check(buf, uint64(take), mem.AccessWrite); err != nil {
+	if !k.proc.AS.Accessible(buf, uint64(take), mem.AccessWrite) {
 		k.complete(t, ev, errRet(EFAULT))
 		return
 	}
@@ -212,11 +209,11 @@ func (k *Kernel) streamWrite(t *vm.Thread, ev Event, conn *serverConn, buf, n ui
 		k.complete(t, ev, errRet(EBADF))
 		return
 	}
-	data, err := k.proc.AS.Read(buf, n)
-	if err != nil {
+	if !k.proc.AS.Accessible(buf, n, mem.AccessRead) {
 		k.complete(t, ev, errRet(EFAULT))
 		return
 	}
+	data, _ := k.proc.AS.Read(buf, n) // checked above
 	conn.out = append(conn.out, data...)
 	k.complete(t, ev, n)
 }

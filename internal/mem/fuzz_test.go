@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"crashresist/internal/isa"
 )
 
 // The fuzzed window: fuzzPages pages at fuzzBase. Data accesses also reach
@@ -195,13 +197,44 @@ func sameFault(err error, want *Fault) bool {
 	return want != nil && *f == *want
 }
 
+// checkAccessible fails t unless Accessible agrees with Check on the range
+// for every access kind.
+func checkAccessible(t *testing.T, step int, as *AddressSpace, addr, length uint64) {
+	t.Helper()
+	for _, access := range []Access{AccessRead, AccessWrite, AccessExec} {
+		if got, want := as.Accessible(addr, length, access), as.Check(addr, length, access) == nil; got != want {
+			t.Fatalf("step %d Accessible(%#x, %d, %v) = %v, Check says %v", step, addr, length, access, got, want)
+		}
+	}
+}
+
+// attachSwept attaches to the mapped pages of a page range the tables a
+// sweep of their current bytes gives, as bin.Load does for text.
+func attachSwept(as *AddressSpace, addr, length uint64) error {
+	var code []byte
+	for a := addr; a < addr+length; a += PageSize {
+		p, ok := as.pages[a/PageSize]
+		if !ok {
+			break
+		}
+		code = append(code, p.bytes()[:]...)
+	}
+	return as.AttachCode(addr, isa.SweepPages(code, PageSize))
+}
+
 // FuzzAddressSpace decodes its input into Map, Unmap, Protect, Write,
 // WriteForce, Read, ReadUint and FetchExec calls over a few pages and makes
 // each on an AddressSpace and on flatSpace. Returned bytes and *Fault values
 // must be equal after every call, and every page's permission and bytes
 // after the last one. Ranges straddle page boundaries and unmap-then-remap
 // reuses addresses, so pages whose bytes were never allocated meet pages
-// that were.
+// that were. Accessible must agree with Check on every decoded range.
+//
+// A Protect with bit 6 of its opcode set then attaches predecoded tables of
+// the range's current bytes (AttachCode). Every FetchExec that Decoded
+// answers must decode to the same instruction Decoded returns, so a table
+// that outlives a write to its page, or is served from a page without
+// execute permission, fails.
 //
 // An op is an opcode byte (low three bits: the call; bit 7: a data access
 // in the last page of the address space) and its operands: a page byte, a
@@ -219,6 +252,7 @@ func FuzzAddressSpace(f *testing.F) {
 			switch op % 8 {
 			case 0:
 				addr, length := r.pageRange()
+				checkAccessible(t, step, as, addr, length)
 				perm := Perm(r.byte() % 8)
 				err, want := as.Map(addr, length, perm), ref.mapRange(addr, length, perm)
 				if (err == nil) != (want == nil) {
@@ -226,12 +260,14 @@ func FuzzAddressSpace(f *testing.F) {
 				}
 			case 1:
 				addr, length := r.pageRange()
+				checkAccessible(t, step, as, addr, length)
 				err, want := as.Unmap(addr, length), ref.unmap(addr, length)
 				if (err == nil) != (want == nil) {
 					t.Fatalf("step %d Unmap(%#x, %#x) = %v, reference %v", step, addr, length, err, want)
 				}
 			case 2:
 				addr, length := r.pageRange()
+				checkAccessible(t, step, as, addr, length)
 				perm := Perm(r.byte() % 8)
 				err, want := as.Protect(addr, length, perm), ref.protect(addr, length, perm)
 				same := (err == nil) == (want == nil)
@@ -241,8 +277,14 @@ func FuzzAddressSpace(f *testing.F) {
 				if !same {
 					t.Fatalf("step %d Protect(%#x, %#x, %v) = %v, reference %v", step, addr, length, perm, err, want)
 				}
+				if op&0x40 != 0 && err == nil && length%PageSize == 0 {
+					if err := attachSwept(as, addr, length); err != nil {
+						t.Fatalf("step %d AttachCode(%#x) after Protect: %v", step, addr, err)
+					}
+				}
 			case 3, 4:
 				addr, data := r.addr(top), r.data()
+				checkAccessible(t, step, as, addr, uint64(len(data)))
 				name, write, need := "Write", as.Write, PermWrite
 				if op%8 == 4 {
 					name, write, need = "WriteForce", as.WriteForce, 0
@@ -253,6 +295,7 @@ func FuzzAddressSpace(f *testing.F) {
 				}
 			case 5:
 				addr, length := r.addr(top), r.u16()%(2*PageSize+1)
+				checkAccessible(t, step, as, addr, length)
 				got, err := as.Read(addr, length)
 				want, wantFault := ref.read(addr, length)
 				if !sameFault(err, wantFault) || !bytes.Equal(got, want) {
@@ -260,6 +303,7 @@ func FuzzAddressSpace(f *testing.F) {
 				}
 			case 6:
 				addr, size := r.addr(top), []int{1, 2, 4, 8}[r.byte()%4]
+				checkAccessible(t, step, as, addr, uint64(size))
 				got, err := as.ReadUint(addr, size)
 				raw, wantFault := ref.read(addr, uint64(size))
 				var want uint64
@@ -271,10 +315,19 @@ func FuzzAddressSpace(f *testing.F) {
 				}
 			case 7:
 				addr, max := r.addr(top), int(r.byte())-8
+				if max > 0 {
+					checkAccessible(t, step, as, addr, uint64(max))
+				}
 				got, err := as.FetchExec(addr, max, nil)
 				want, wantFault := ref.fetchExec(addr, max)
 				if !sameFault(err, wantFault) || !bytes.Equal(got, want) {
 					t.Fatalf("step %d FetchExec(%#x, %d) = %x, %v; reference %x, %v", step, addr, max, got, err, want, wantFault)
+				}
+				if ins, ok := as.Decoded(addr); ok {
+					code, _ := as.FetchExec(addr, 10, nil)
+					if dec, _, err := isa.Decode(code); err != nil || dec != ins {
+						t.Fatalf("step %d Decoded(%#x) = %v; its bytes %x decode to %v, %v", step, addr, ins, code, dec, err)
+					}
 				}
 			}
 		}

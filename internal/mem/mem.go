@@ -6,6 +6,11 @@
 // fetches as zeros, so a mapping nobody touches (most of a thread stack)
 // costs only its header.
 //
+// A page may also carry a predecoded table of the instructions its bytes
+// hold (AttachCode), which the interpreter reads instead of fetching and
+// decoding. The next write to the page drops the table, and Decoded serves
+// it only while the page is executable.
+//
 // Faults are ordinary error values (*Fault) rather than panics, so the VM,
 // the simulated kernel and analysis tooling can all distinguish "the access
 // hit unmapped memory" from "the access hit mapped memory with the wrong
@@ -18,6 +23,8 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+
+	"crashresist/internal/isa"
 )
 
 // PageSize is the granularity of mappings and permissions.
@@ -107,9 +114,12 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("%s fault: %s at %#x", kind, f.Access, f.Addr)
 }
 
-// page is one mapped page. data is nil until the first write.
+// page is one mapped page. data is nil until the first write. code, when
+// set, is the predecoded table of the bytes the page held when it was
+// attached; every write drops it.
 type page struct {
 	data *[PageSize]byte
+	code *isa.Table
 	perm Perm
 }
 
@@ -137,6 +147,12 @@ func (p *page) writable() *[PageSize]byte {
 // concurrent use; the VM serializes all accesses.
 type AddressSpace struct {
 	pages map[uint64]*page // keyed by addr >> 12
+	// codePage caches the page Decoded found last, whose number is
+	// codePN, since consecutive instructions mostly share a page. Unmap
+	// clears it; every other change to a page is made to the cached
+	// page itself.
+	codePage *page
+	codePN   uint64
 }
 
 // NewAddressSpace returns an empty address space.
@@ -179,6 +195,7 @@ func (as *AddressSpace) Unmap(addr, length uint64) error {
 	for i := uint64(0); i < n; i++ {
 		delete(as.pages, first+i)
 	}
+	as.codePage = nil
 	return nil
 }
 
@@ -223,28 +240,46 @@ func (as *AddressSpace) Check(addr, length uint64, access Access) error {
 	return as.check(addr, length, access, false)
 }
 
+// Accessible reports whether Check(addr, length, access) would return nil,
+// without building the fault. A caller that only needs to know whether an
+// access would fail (the kernel's -EFAULT paths) uses it, so a bad pointer
+// costs no allocation.
+func (as *AddressSpace) Accessible(addr, length uint64, access Access) bool {
+	_, _, bad := as.firstBad(addr, length, access, false)
+	return !bad
+}
+
 // check faults at the first byte of [addr, addr+length) that is unmapped or,
-// unless anyPerm, whose page lacks the access's permission. A range that
-// wraps past the top of the address space faults at addr.
+// unless anyPerm, whose page lacks the access's permission.
 func (as *AddressSpace) check(addr, length uint64, access Access, anyPerm bool) error {
+	if at, unmapped, bad := as.firstBad(addr, length, access, anyPerm); bad {
+		return &Fault{Addr: at, Access: access, Unmapped: unmapped}
+	}
+	return nil
+}
+
+// firstBad finds the first byte of [addr, addr+length) that is unmapped or,
+// unless anyPerm, whose page lacks the access's permission. A range that
+// wraps past the top of the address space is unmapped at addr.
+func (as *AddressSpace) firstBad(addr, length uint64, access Access, anyPerm bool) (at uint64, unmapped, bad bool) {
 	if length == 0 {
-		return nil
+		return 0, false, false
 	}
 	need := access.perm()
 	end := addr + length - 1
 	if end < addr { // wrap-around
-		return &Fault{Addr: addr, Access: access, Unmapped: true}
+		return addr, true, true
 	}
 	for pg := addr / PageSize; pg <= end/PageSize; pg++ {
 		p, ok := as.pages[pg]
 		if !ok {
-			return &Fault{Addr: maxU64(pg*PageSize, addr), Access: access, Unmapped: true}
+			return maxU64(pg*PageSize, addr), true, true
 		}
 		if !anyPerm && p.perm&need == 0 {
-			return &Fault{Addr: maxU64(pg*PageSize, addr), Access: access}
+			return maxU64(pg*PageSize, addr), false, true
 		}
 	}
-	return nil
+	return 0, false, false
 }
 
 // Read copies length bytes starting at addr into a fresh slice, checking
@@ -340,6 +375,46 @@ func (as *AddressSpace) FetchExec(addr uint64, max int, buf []byte) ([]byte, err
 	return buf, nil
 }
 
+// AttachCode gives the pages from addr on one predecoded table each: code[i]
+// must describe the bytes page addr+i*PageSize holds now. A page keeps its
+// table until its next write or until it is unmapped. addr must be page
+// aligned and every page mapped.
+func (as *AddressSpace) AttachCode(addr uint64, code []isa.Table) error {
+	if addr%PageSize != 0 {
+		return fmt.Errorf("attach code %#x: not page aligned", addr)
+	}
+	first := addr / PageSize
+	for i := range code {
+		if _, ok := as.pages[first+uint64(i)]; !ok {
+			return &Fault{Addr: (first + uint64(i)) * PageSize, Access: AccessExec, Unmapped: true}
+		}
+	}
+	for i := range code {
+		as.pages[first+uint64(i)].code = &code[i]
+	}
+	return nil
+}
+
+// Decoded returns the predecoded instruction starting at addr when addr's
+// page is executable and still carries the table AttachCode gave it, and the
+// table holds an instruction there. A hit decodes exactly as FetchExec's
+// bytes would. A miss is not a fault: the caller fetches and decodes the
+// bytes itself, which is also how it learns of a fault.
+func (as *AddressSpace) Decoded(addr uint64) (isa.Instruction, bool) {
+	pn, p := addr/PageSize, as.codePage
+	if p == nil || pn != as.codePN {
+		var ok bool
+		if p, ok = as.pages[pn]; !ok {
+			return isa.Instruction{}, false
+		}
+		as.codePage, as.codePN = p, pn
+	}
+	if p.code == nil || p.perm&PermExec == 0 {
+		return isa.Instruction{}, false
+	}
+	return p.code.At(addr % PageSize)
+}
+
 // Regions returns the mapped regions as sorted (addr, length, perm) triples,
 // coalescing adjacent pages with identical permissions.
 func (as *AddressSpace) Regions() []Region {
@@ -396,6 +471,7 @@ func (as *AddressSpace) copyOut(addr uint64, buf []byte) {
 func (as *AddressSpace) copyIn(addr uint64, data []byte) {
 	for len(data) > 0 {
 		p := as.pages[addr/PageSize]
+		p.code = nil
 		off := addr % PageSize
 		n := copy(p.writable()[off:], data)
 		data = data[n:]

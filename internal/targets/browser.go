@@ -93,6 +93,9 @@ type Browser struct {
 
 	images []*bin.Image
 	exe    *bin.Image
+	// apis is the generated API corpus. It is read-only once the
+	// browser is built: every environment layers its natives over it.
+	apis *winapi.Registry
 
 	digestOnce sync.Once
 	digest     []byte
@@ -122,6 +125,11 @@ func (br *Browser) ContentDigest() ([]byte, error) {
 	})
 	return br.digest, br.digestErr
 }
+
+// APIs returns the browser's generated API corpus, without the natives an
+// environment adds. It is shared and read-only: extend it (Extend) rather
+// than registering into it.
+func (br *Browser) APIs() *winapi.Registry { return br.apis }
 
 // BrowserEnv is one instantiated browser process.
 type BrowserEnv struct {
@@ -180,6 +188,7 @@ func buildBrowser(name string, params BrowserParams) (*Browser, error) {
 		JSAPIs:   jsAPIs,
 		PathAPIs: pathAPIs,
 		images:   images,
+		apis:     apiReg,
 	}
 
 	if name == "firefox" {
@@ -488,14 +497,11 @@ func emitValidAPICall(b *asm.Builder, reg *winapi.Registry, api string) {
 }
 
 // NewEnv instantiates the browser: a Windows-model process with the API
-// registry (corpus plus browser natives), all DLLs and the executable
-// loaded, main started and idling.
+// registry (the browser's corpus with this environment's natives layered
+// over it), all DLLs and the executable loaded, main started and idling.
 func (br *Browser) NewEnv(seed int64) (*BrowserEnv, error) {
 	p := vm.NewProcess(vm.Config{Platform: vm.PlatformWindows, Seed: seed})
-	reg, err := winapi.GenerateCorpus(br.Params.API)
-	if err != nil {
-		return nil, err
-	}
+	reg := br.apis.Extend()
 	env := &BrowserEnv{Proc: p, Reg: reg, Browser: br}
 	registerBrowserNatives(reg, env)
 	p.API = reg

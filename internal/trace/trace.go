@@ -67,11 +67,13 @@ type Recorder struct {
 	apis        map[uint32]*APIStats
 	contextMods map[string]bool
 
-	// Guarded-region coverage.
-	coverage  bool
-	covIndex  []covModule
-	scopeHits map[ScopeKey]uint64
-	lastMod   int // cache for PC locality
+	// Guarded-region coverage: each executed PC's covering scopes are
+	// found once, then the PC only counts executions. pcs maps a PC to
+	// its counter, or to nil when no scope covers it.
+	coverage bool
+	covIndex []covModule
+	pcs      map[uint64]*pcCoverage
+	lastMod  int // cache for PC locality
 
 	// Exception log.
 	recordExceptions bool
@@ -84,6 +86,12 @@ type covModule struct {
 	order []int
 }
 
+// pcCoverage counts a covered PC's executions.
+type pcCoverage struct {
+	scopes []ScopeKey
+	count  uint64
+}
+
 var _ vm.Tracer = (*Recorder)(nil)
 
 // NewRecorder creates an inactive recorder.
@@ -91,7 +99,7 @@ func NewRecorder() *Recorder {
 	return &Recorder{
 		apis:        make(map[uint32]*APIStats),
 		contextMods: make(map[string]bool),
-		scopeHits:   make(map[ScopeKey]uint64),
+		pcs:         make(map[uint64]*pcCoverage),
 	}
 }
 
@@ -120,13 +128,27 @@ func (r *Recorder) AddContextModule(name string) { r.contextMods[name] = true }
 // APIs returns harvested API stats keyed by API id.
 func (r *Recorder) APIs() map[uint32]*APIStats { return r.apis }
 
-// ScopeHits returns execution counts per scope-table entry.
-func (r *Recorder) ScopeHits() map[ScopeKey]uint64 { return r.scopeHits }
+// ScopeHits returns execution counts per scope-table entry: each entry
+// counts the instructions executed inside its guarded range. The map is a
+// fresh snapshot.
+func (r *Recorder) ScopeHits() map[ScopeKey]uint64 {
+	hits := make(map[ScopeKey]uint64)
+	for _, c := range r.pcs {
+		if c == nil {
+			continue
+		}
+		for _, k := range c.scopes {
+			hits[k] += c.count
+		}
+	}
+	return hits
+}
 
 // HitScopes returns the keys of scope entries seen on the execution path.
 func (r *Recorder) HitScopes() []ScopeKey {
-	out := make([]ScopeKey, 0, len(r.scopeHits))
-	for k := range r.scopeHits {
+	hits := r.ScopeHits()
+	out := make([]ScopeKey, 0, len(hits))
+	for k := range hits {
 		out = append(out, k)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -153,7 +175,14 @@ func (r *Recorder) OnInstruction(t *vm.Thread, pc uint64, _ isa.Instruction) {
 	if !r.coverage {
 		return
 	}
-	r.recordCoverage(pc)
+	c, seen := r.pcs[pc]
+	if !seen {
+		c = r.coverPC(pc)
+		r.pcs[pc] = c
+	}
+	if c != nil {
+		c.count++
+	}
 }
 
 // OnCall implements vm.Tracer.
@@ -257,10 +286,11 @@ func (r *Recorder) buildCoverageIndex() {
 	}
 }
 
-// recordCoverage attributes an executed PC to covering scope entries.
-func (r *Recorder) recordCoverage(pc uint64) {
+// coverPC finds the scope entries covering a PC, returning its new counter,
+// or nil when no entry covers it.
+func (r *Recorder) coverPC(pc uint64) *pcCoverage {
 	if len(r.covIndex) == 0 {
-		return
+		return nil
 	}
 	// Check the cached module first (strong PC locality).
 	mi := -1
@@ -276,7 +306,7 @@ func (r *Recorder) recordCoverage(pc uint64) {
 		}
 	}
 	if mi < 0 {
-		return
+		return nil
 	}
 	cm := &r.covIndex[mi]
 	scopes := cm.mod.Image.Scopes
@@ -287,6 +317,7 @@ func (r *Recorder) recordCoverage(pc uint64) {
 	hi := sort.Search(len(cm.order), func(i int) bool {
 		return scopes[cm.order[i]].Begin > off
 	})
+	var keys []ScopeKey
 	for i := hi - 1; i >= 0; i-- {
 		s := scopes[cm.order[i]]
 		if s.End <= off {
@@ -298,8 +329,12 @@ func (r *Recorder) recordCoverage(pc uint64) {
 			}
 			continue
 		}
-		r.scopeHits[ScopeKey{Module: cm.mod.Image.Name, Index: cm.order[i]}]++
+		keys = append(keys, ScopeKey{Module: cm.mod.Image.Name, Index: cm.order[i]})
 	}
+	if keys == nil {
+		return nil
+	}
+	return &pcCoverage{scopes: keys}
 }
 
 // RatePerSecond computes the peak exception rate over a sliding window of

@@ -46,21 +46,16 @@ func (p *Process) handleMagicPC(t *Thread) bool {
 // raised, if any, without dispatching it. The PC is left at the faulting
 // instruction on exception, and advanced on success.
 func (p *Process) execOne(t *Thread) *Exception {
-	var fetch [10]byte
-	code, err := p.AS.FetchExec(t.PC, len(fetch), fetch[:0])
-	if err != nil {
-		return p.memFault(t.PC, err)
-	}
-	ins, size, err := isa.Decode(code)
-	if err != nil {
-		return &Exception{Code: ExcIllegalInstruction, PC: t.PC}
+	ins, exc := p.fetch(t.PC)
+	if exc != nil {
+		return exc
 	}
 	if p.Tracer != nil {
 		p.Tracer.OnInstruction(t, t.PC, ins)
 	}
 
 	pc := t.PC
-	next := pc + uint64(size)
+	next := pc + uint64(ins.Size())
 	flow := p.Flow
 
 	advance := func() {
@@ -245,6 +240,29 @@ func (p *Process) execOne(t *Thread) *Exception {
 		return &Exception{Code: ExcIllegalInstruction, PC: pc}
 	}
 	return nil
+}
+
+// fetch returns the instruction at pc: from the page's predecoded table
+// when it has one there, otherwise by fetching and decoding the bytes, which
+// is also the reference path and the only one that faults. The table misses
+// on pages written since load, on instructions that straddle a page or
+// start mid-instruction, and on code outside any image.
+func (p *Process) fetch(pc uint64) (isa.Instruction, *Exception) {
+	if !p.referenceFetch {
+		if ins, ok := p.AS.Decoded(pc); ok {
+			return ins, nil
+		}
+	}
+	var buf [10]byte
+	code, err := p.AS.FetchExec(pc, len(buf), buf[:0])
+	if err != nil {
+		return isa.Instruction{}, p.memFault(pc, err)
+	}
+	ins, _, err := isa.Decode(code)
+	if err != nil {
+		return isa.Instruction{}, &Exception{Code: ExcIllegalInstruction, PC: pc}
+	}
+	return ins, nil
 }
 
 // doCall pushes the return address and transfers to target.

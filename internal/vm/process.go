@@ -70,6 +70,10 @@ type Process struct {
 	ExitCode uint64
 	Crash    *CrashInfo
 
+	// referenceFetch makes every instruction take the fetch-and-decode
+	// path, ignoring predecoded tables; the differential tests set it.
+	referenceFetch bool
+
 	modules    []*bin.Module
 	modsByName map[string]*bin.Module
 	threads    []*Thread

@@ -92,7 +92,10 @@ func (d *Descriptor) HasPointerArg() bool { return len(d.PtrArgs) > 0 }
 type NativeFunc func(p *vm.Process, t *vm.Thread) *vm.Exception
 
 // Registry maps API ids/names to descriptors and implements vm.APIHandler.
+// A registry may be layered over a read-only base (Extend): it answers for
+// the base's functions and numbers its own after them.
 type Registry struct {
+	base    *Registry
 	byID    map[uint32]*Descriptor
 	byName  map[string]*Descriptor
 	natives map[uint32]NativeFunc
@@ -109,6 +112,26 @@ func NewRegistry() *Registry {
 		natives: make(map[uint32]NativeFunc),
 		nextID:  1,
 	}
+}
+
+// Extend returns an empty registry layered over r. The layer answers every
+// query for r's functions as r does, and numbers the functions registered in
+// it after r's, so it numbers, names and orders everything exactly as
+// registering the same functions into r would. r must not change
+// afterwards; any number of layers may share it across goroutines.
+func (r *Registry) Extend() *Registry {
+	l := NewRegistry()
+	l.base = r
+	l.nextID = r.nextID
+	return l
+}
+
+// layer returns the registry layer that numbered id.
+func (r *Registry) layer(id uint32) *Registry {
+	for r.base != nil && id < r.base.nextID {
+		r = r.base
+	}
+	return r
 }
 
 // RegisterNative adds an API backed by a custom implementation. The
@@ -130,23 +153,28 @@ func (r *Registry) Register(d Descriptor) *Descriptor {
 	return nd
 }
 
-// Lookup returns a descriptor by name.
+// Lookup returns a descriptor by name. A name registered in a layer shadows
+// the same name in its base, as a later registration does.
 func (r *Registry) Lookup(name string) (*Descriptor, bool) {
-	d, ok := r.byName[name]
-	return d, ok
+	for ; r != nil; r = r.base {
+		if d, ok := r.byName[name]; ok {
+			return d, true
+		}
+	}
+	return nil, false
 }
 
 // ByID returns a descriptor by id.
 func (r *Registry) ByID(id uint32) (*Descriptor, bool) {
-	d, ok := r.byID[id]
+	d, ok := r.layer(id).byID[id]
 	return d, ok
 }
 
 // All returns every descriptor in id order.
 func (r *Registry) All() []*Descriptor {
-	out := make([]*Descriptor, 0, len(r.byID))
+	out := make([]*Descriptor, 0, r.Len())
 	for id := uint32(1); id < r.nextID; id++ {
-		if d, ok := r.byID[id]; ok {
+		if d, ok := r.ByID(id); ok {
 			out = append(out, d)
 		}
 	}
@@ -154,11 +182,17 @@ func (r *Registry) All() []*Descriptor {
 }
 
 // Len returns the number of registered functions.
-func (r *Registry) Len() int { return len(r.byID) }
+func (r *Registry) Len() int {
+	n := 0
+	for ; r != nil; r = r.base {
+		n += len(r.byID)
+	}
+	return n
+}
 
 // Resolve implements vm.APIHandler.
 func (r *Registry) Resolve(symbol string) (uint32, error) {
-	d, ok := r.byName[symbol]
+	d, ok := r.Lookup(symbol)
 	if !ok {
 		return 0, fmt.Errorf("winapi: unknown API %q", symbol)
 	}
@@ -167,12 +201,13 @@ func (r *Registry) Resolve(symbol string) (uint32, error) {
 
 // Call implements vm.APIHandler: runs the API's category behaviour.
 func (r *Registry) Call(p *vm.Process, t *vm.Thread, id uint32) *vm.Exception {
-	d, ok := r.byID[id]
+	l := r.layer(id)
+	d, ok := l.byID[id]
 	if !ok {
 		t.SetReg(0, ErrInvalidParameter)
 		return nil
 	}
-	if fn, isNative := r.natives[id]; isNative {
+	if fn, isNative := l.natives[id]; isNative {
 		return fn(p, t)
 	}
 	switch d.Cat {
