@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -196,6 +197,142 @@ func TestChaosCountersSurface(t *testing.T) {
 		t.Error("no faults injected across the chaos sweep; plan wiring broken")
 	}
 	t.Logf("chaos sweep: %d faults injected, %d jobs degraded (%d records)", injected, degraded, records)
+}
+
+// chaosBookkeepingSeed degrades a validation job of nginx and a symex job
+// of the small IE corpus, so the bookkeeping sweep meets degraded jobs of
+// pool stages at every scale.
+const chaosBookkeepingSeed = 46
+
+// TestChaosStageBookkeeping checks that every record of a run names a job
+// alike, clean and under each chaos seed, at 1 and 4 workers:
+//
+//   - every stage's progress events equal its StageStats.Jobs;
+//   - when no job span was dropped, every pool stage records one job span
+//     per job, named <stage>/<unit>, and each report row's unit (a
+//     finding's syscall/arg, a classified API, a module row) has one;
+//   - every Degraded record of a pool stage names an existing job span
+//     <Stage>/<Key>.
+func TestChaosStageBookkeeping(t *testing.T) {
+	srv, err := Server("nginx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := IE(chaosBrowserScale(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []struct {
+		name string
+		req  Request
+	}{
+		{"nginx", Request{Server: srv}},
+		{"ie-api", Request{Pipeline: PipelineAPI, Browser: br}},
+		{"ie-seh", Request{Pipeline: PipelineSEH, Browser: br}},
+	}
+	degraded := make(map[string]bool) // pool stage → a job degraded
+	for _, run := range runs {
+		for _, seed := range append([]int64{0, chaosBookkeepingSeed}, chaosSeedSet()...) {
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("%s/chaos-%d/workers-%d", run.name, seed, workers)
+				progress := make(map[string]int)
+				req := run.req
+				req.Seed, req.Workers, req.ChaosSeed = 42, workers, seed
+				// Run serializes the callback.
+				req.Progress = func(ev StageEvent) {
+					if ev.Kind == StageProgress {
+						progress[ev.Stage]++
+					}
+				}
+				res, err := Run(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				stats := res.RunStats()
+				if len(stats) != 1 || stats[0] == nil {
+					t.Fatalf("%s: %d RunStats, want 1", name, len(stats))
+				}
+				st := stats[0]
+				spans := make(map[string]TraceSpan, len(st.Spans))
+				for _, sp := range st.Spans {
+					spans[sp.ID] = sp
+				}
+				jobs := make(map[string][]string) // stage → its job span names
+				for _, sp := range st.Spans {
+					if sp.Kind == "job" {
+						stage := spans[spans[sp.Parent].Parent].Name
+						jobs[stage] = append(jobs[stage], sp.Name)
+					}
+				}
+				named := make(map[string]bool)
+				pool := make(map[string]bool)
+				for _, stage := range st.Stages {
+					if progress[stage.Name] != stage.Jobs {
+						t.Errorf("%s: stage %s: %d progress events for %d jobs", name, stage.Name, progress[stage.Name], stage.Jobs)
+					}
+					if stage.ShardTasks == nil {
+						continue // not run on the pool
+					}
+					pool[stage.Name] = true
+					if st.SpansDropped > 0 {
+						continue
+					}
+					if len(jobs[stage.Name]) != stage.Jobs {
+						t.Errorf("%s: stage %s: %d job spans for %d jobs", name, stage.Name, len(jobs[stage.Name]), stage.Jobs)
+					}
+					for _, job := range jobs[stage.Name] {
+						if !strings.HasPrefix(job, stage.Name+"/") || named[job] {
+							t.Errorf("%s: stage %s: job span %q is not one <stage>/<unit>", name, stage.Name, job)
+						}
+						named[job] = true
+					}
+				}
+				if st.SpansDropped == 0 {
+					for _, job := range rowJobs(res) {
+						if !named[job] {
+							t.Errorf("%s: report row's job %s has no job span", name, job)
+						}
+					}
+				}
+				for _, d := range res.DegradedJobs() {
+					if !pool[d.Stage] {
+						continue // a single-unit stage: no job spans
+					}
+					degraded[d.Stage] = true
+					if st.SpansDropped == 0 && !named[d.Stage+"/"+d.Key] {
+						t.Errorf("%s: degraded %s job %q names no job span", name, d.Stage, d.Key)
+					}
+				}
+			}
+		}
+	}
+	for _, stage := range []string{"validate", "symex"} {
+		if !degraded[stage] {
+			t.Errorf("no chaos seed degraded a %s job", stage)
+		}
+	}
+}
+
+// rowJobs names the job behind each report row: validate/<syscall>/<arg>
+// per finding, classify/<api> per classification, symex/<module> per
+// module row.
+func rowJobs(res *Result) []string {
+	var out []string
+	switch {
+	case res.Syscall != nil:
+		for _, f := range res.Syscall.Findings {
+			out = append(out, fmt.Sprintf("validate/%s/%d", f.Syscall, f.ArgIndex))
+		}
+	case res.Funnel != nil:
+		for _, c := range res.Funnel.Classifications {
+			out = append(out, "classify/"+c.API)
+		}
+	case res.SEH != nil:
+		for _, m := range res.SEH.Modules {
+			out = append(out, "symex/"+m.Module)
+		}
+	}
+	return out
 }
 
 // TestStageTimeout checks Request.StageTimeout: an already-expired budget

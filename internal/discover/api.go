@@ -171,43 +171,22 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 
 	// Stage 2-3: black-box fuzzing of the corpus, sharded per descriptor.
 	results := make([]fuzz.FuncResult, len(ptrAPIs))
-	span = r.col.StartStage("fuzz", len(ptrAPIs))
-	span.NameJobs(func(i int) string { return "fuzz/" + ptrAPIs[i].Name })
-	fctx, cancel := stageCtx(ctx, r.StageTimeout)
-	err := runIndexed(fctx, r.Workers, len(ptrAPIs), span, func(i int) error {
-		api := ptrAPIs[i].Name
-		return r.runJob(fctx, "fuzz", api, i, func(int) error {
-			var (
-				key cas.Key
-				ent apiFuzzEntry
-				hit bool
-			)
-			cached := r.Cache != nil && apiParams != nil
-			if cached {
-				key = fuzzDescKey(apiParams, r.Seed, ptrAPIs[i])
-				ent, hit = lookup[apiFuzzEntry](r, casFamilyFuzz, key, "fuzz", api)
+	err := fanOut(ctx, r, "fuzz", len(ptrAPIs), func(i int) string { return ptrAPIs[i].Name }, nil,
+		func(_ struct{}, i int, api string, _ int) (charge, error) {
+			ent, err := cachedUnit(r, casFamilyFuzz, "fuzz", api,
+				func() (cas.Key, bool) { return fuzzDescKey(apiParams, r.Seed, ptrAPIs[i]), apiParams != nil },
+				func() (apiFuzzEntry, bool, error) {
+					res, err := fz.FuzzOne(ptrAPIs[i])
+					return res, true, err
+				})
+			if err != nil {
+				return charge{}, fmt.Errorf("fuzz %s: %w", api, err)
 			}
-			if !hit {
-				var err error
-				if ent, err = fz.FuzzOne(ptrAPIs[i]); err != nil {
-					return fmt.Errorf("fuzz %s: %w", api, err)
-				}
-				if cached {
-					r.store(casFamilyFuzz, key, ent, "fuzz", api)
-				}
-			}
+			results[i] = ent
 			// The harness processes' summed instruction count is the job's
 			// deterministic cost.
-			r.charge(charge{
-				stage: "fuzz", unit: api, span: span, sample: ent.Stats.Instructions,
-				vm: ent.Stats, probes: ent.Probes, sight: r.fuzzSighting(ent),
-			})
-			results[i] = ent
-			return nil
+			return charge{sample: ent.Stats.Instructions, vm: ent.Stats, probes: ent.Probes, sight: r.fuzzSighting(ent)}, nil
 		})
-	})
-	cancel()
-	span.End()
 	if err != nil {
 		return nil, fmt.Errorf("fuzz corpus: %w", err)
 	}
@@ -253,16 +232,12 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 	// A degraded harvest behaves like a browse that called nothing: the
 	// funnel narrows to zero past the fuzzing stage.
 	if obs == nil {
-		obs = &browseObservation{
-			called: make(map[string]bool),
-			fromJS: make(map[string]bool),
-			args:   make(map[string]argObservation),
-		}
+		obs = &browseObservation{}
 	}
-	for name := range obs.called {
+	for name, fromJS := range obs.called {
 		if resistant[name] {
 			report.OnPathAPIs = append(report.OnPathAPIs, name)
-			if obs.fromJS[name] {
+			if fromJS {
 				report.JSContextAPIs = append(report.JSContextAPIs, name)
 			}
 		}
@@ -275,45 +250,25 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 	// Stage 6: pointer-argument controllability for the JS-context set,
 	// one corrupted-replay environment per API.
 	classifications := make([]APIClassification, len(report.JSContextAPIs))
-	span = r.col.StartStage("classify", len(report.JSContextAPIs))
-	span.NameJobs(func(i int) string { return "classify/" + report.JSContextAPIs[i] })
-	cctx, cancel2 := stageCtx(ctx, r.StageTimeout)
-	err = runIndexed(cctx, r.Workers, len(report.JSContextAPIs), span, func(i int) error {
-		api := report.JSContextAPIs[i]
-		return r.runJob(cctx, "classify", api, i, func(int) error {
-			var (
-				key         cas.Key
-				ent         classifyEntry
-				cached, hit bool
-			)
-			if r.Cache != nil {
-				if digest, derr := br.ContentDigest(); derr == nil {
-					key, cached = classifyKey(digest, r.Seed, api, obs.args[api]), true
-					ent, hit = lookup[classifyEntry](r, casFamilyClassify, key, "classify", api)
-				}
+	err = fanOut(ctx, r, "classify", len(report.JSContextAPIs), func(i int) string { return report.JSContextAPIs[i] }, nil,
+		func(_ struct{}, i int, api string, _ int) (charge, error) {
+			ent, err := cachedUnit(r, casFamilyClassify, "classify", api,
+				func() (cas.Key, bool) {
+					digest, err := br.ContentDigest()
+					return classifyKey(digest, r.Seed, api, obs.args[api]), err == nil
+				},
+				func() (classifyEntry, bool, error) {
+					cls, cost, err := r.classify(br, api, obs.args[api])
+					return classifyEntry{Cls: cls, Cost: cost}, true, err
+				})
+			if err != nil {
+				return charge{}, fmt.Errorf("classify %s: %w", api, err)
 			}
-			if !hit {
-				cls, cost, err := r.classify(br, api, obs.args[api])
-				if err != nil {
-					return fmt.Errorf("classify %s: %w", api, err)
-				}
-				ent = classifyEntry{Cls: cls, Cost: cost}
-				if cached {
-					r.store(casFamilyClassify, key, ent, "classify", api)
-				}
-			}
+			classifications[i] = ent.Cls
 			// The replay's virtual clock is the job's deterministic cost;
 			// statically-excluded APIs ran no replay and record zero.
-			r.charge(charge{
-				stage: "classify", unit: api, span: span, sample: ent.Cost.Clock,
-				clock: ent.Cost.Clock, vm: ent.Cost.Stats,
-			})
-			classifications[i] = ent.Cls
-			return nil
+			return charge{sample: ent.Cost.Clock, clock: ent.Cost.Clock, vm: ent.Cost.Stats}, nil
 		})
-	})
-	cancel2()
-	span.End()
 	if err != nil {
 		return nil, err
 	}
@@ -368,20 +323,21 @@ type argObservation struct {
 }
 
 type browseObservation struct {
+	// called maps each API the browse called to whether any call's stack
+	// passed through the scripting engine.
 	called map[string]bool
-	fromJS map[string]bool
 	args   map[string]argObservation
 }
 
-// apiArgTracer extends the generic recorder with pointer-argument capture
-// at API call sites.
+// apiArgTracer extends the generic recorder, which harvests the called
+// APIs and their calling context, with the capture of each API's first
+// pointer argument at its first call.
 type apiArgTracer struct {
 	*trace.Recorder
 
 	reg   *winapi.Registry
 	taint *taint.Engine
-	proc  *vm.Process
-	obs   *browseObservation
+	args  map[string]argObservation
 }
 
 // OnAPICall records the first observation of each API's first pointer arg.
@@ -391,31 +347,18 @@ func (a *apiArgTracer) OnAPICall(t *vm.Thread, callPC uint64, id uint32) {
 	if !ok {
 		return
 	}
-	a.obs.called[d.Name] = true
-	if a.stackInJS(t) {
-		a.obs.fromJS[d.Name] = true
-	}
-	if _, seen := a.obs.args[d.Name]; seen || len(d.PtrArgs) == 0 {
+	if _, seen := a.args[d.Name]; seen || len(d.PtrArgs) == 0 {
 		return
 	}
 	reg := isa.Register(1 + d.PtrArgs[0])
 	val := t.Reg(reg)
 	prov, provOK := a.taint.RegProvenance(t.ID, reg)
-	a.obs.args[d.Name] = argObservation{
+	a.args[d.Name] = argObservation{
 		value:   val,
 		provOK:  provOK,
 		prov:    prov,
 		onStack: t.OnStack(val) || (provOK && t.OnStack(prov)),
 	}
-}
-
-func (a *apiArgTracer) stackInJS(t *vm.Thread) bool {
-	for _, f := range t.Frames() {
-		if m, ok := a.proc.FindModule(f.FuncEntry); ok && m.Image.Name == "jscript9.dll" {
-			return true
-		}
-	}
-	return false
 }
 
 // fuzzSighting is one API's fuzzing battery as the detector sees it, for
@@ -471,12 +414,7 @@ func (r *pipelineRun) observeBrowse(br *targets.Browser, span *metrics.Stage) (*
 		rec.EnableExceptionLog()
 	}
 
-	obs := &browseObservation{
-		called: make(map[string]bool),
-		fromJS: make(map[string]bool),
-		args:   make(map[string]argObservation),
-	}
-	tracer := &apiArgTracer{Recorder: rec, reg: env.Reg, taint: te, proc: env.Proc, obs: obs}
+	tracer := &apiArgTracer{Recorder: rec, reg: env.Reg, taint: te, args: make(map[string]argObservation)}
 	rec.Attach(env.Proc)
 	env.Proc.Tracer = tracer
 
@@ -490,6 +428,12 @@ func (r *pipelineRun) observeBrowse(br *targets.Browser, span *metrics.Stage) (*
 	})
 	if browseErr != nil {
 		return nil, browseErr
+	}
+	obs := &browseObservation{called: make(map[string]bool), args: tracer.args}
+	for id, st := range rec.APIs() {
+		if d, ok := env.Reg.ByID(id); ok {
+			obs.called[d.Name] = st.FromContext
+		}
 	}
 	return obs, nil
 }

@@ -7,9 +7,12 @@ package discover
 // Entries store the result *and* its deterministic costs (virtual clock,
 // VM/kernel counters, symbolic steps), so a warm hit makes the same charge
 // (ledger.go) as the cold compute: reports stay byte-identical, and every
-// observer agrees whether a unit was computed or served from disk.
+// observer agrees whether a unit was computed or served from disk. Every
+// cached stage goes through cachedUnit, the one lookup-compute-store
+// protocol, and each family has one entry type: the value cachedUnit
+// returns, whether computed or read.
 //
-// Three key families:
+// Four key families:
 //
 //	seh-symex         marshaled DLL image bytes → filter verdicts +
 //	                  Table III tallies. Persisted only when every filter
@@ -49,73 +52,67 @@ const (
 	casFamilyValidate = "syscall-validate"
 )
 
-// lookup is Cache.Get decoding into a fresh E, plus one charge for the
-// lookup: a hit with the entry bytes read, or a miss, and a bad entry,
-// attributed to stage and unit. An entry read on a warm hit has the same
-// encoded size as the cold run's store of it, so per-unit cache byte
-// charges agree between cold and warm runs. Only jobs that consult the
-// cache call it, so uncached jobs never pay for a heap-allocated decode
-// target.
-func lookup[E any](r *pipelineRun, family string, key cas.Key, stage, unit string) (E, bool) {
-	var e E
-	res := r.Cache.Get(family, key, &e)
-	c := charge{stage: stage, unit: unit}
-	if res.Hit {
-		c.cacheHits, c.cacheBytes = 1, res.Bytes
-	} else {
-		c.cacheMisses = 1
+// cachedUnit returns one unit's entry from the cache or by computing it:
+// the one cache protocol of every cached stage. Without a cache, or when
+// key cannot key the unit, it only computes. Otherwise it makes one charge
+// for the lookup (a hit with the entry bytes read, or a miss, and a bad
+// entry), computes on a miss, and stores the entry when compute reports it
+// storable, with one charge for the bytes written. An entry read on a warm
+// hit has the same encoded size as the cold run's store of it, so per-unit
+// cache byte charges agree between cold and warm runs. The decode target
+// lives in the cached branch alone, so an uncached unit allocates nothing
+// here.
+func cachedUnit[E any](r *pipelineRun, family, stage, unit string, key func() (cas.Key, bool), compute func() (E, bool, error)) (E, error) {
+	var k cas.Key
+	cached := r.Cache != nil
+	if cached {
+		k, cached = key()
 	}
-	if res.Bad {
-		c.cacheBad = 1
+	if cached {
+		var e E
+		res := r.Cache.Get(family, k, &e)
+		c := charge{stage: stage, unit: unit}
+		if res.Hit {
+			c.cacheHits, c.cacheBytes = 1, res.Bytes
+		} else {
+			c.cacheMisses = 1
+		}
+		if res.Bad {
+			c.cacheBad = 1
+		}
+		r.charge(c)
+		if res.Hit {
+			return e, nil
+		}
 	}
-	r.charge(c)
-	return e, res.Hit
-}
-
-// store is Cache.Put plus one charge for the entry bytes written.
-func (r *pipelineRun) store(family string, key cas.Key, v any, stage, unit string) {
-	if res := r.Cache.Put(family, key, v); res.Stored {
+	e, storable, err := compute()
+	if err != nil || !cached || !storable {
+		return e, err
+	}
+	if res := r.Cache.Put(family, k, e); res.Stored {
 		r.charge(charge{stage: stage, unit: unit, cacheBytes: res.Bytes})
 	}
+	return e, nil
 }
 
-// sehSymexEntry is the persisted form of one module's filter classification.
-// ClassSteps carries the per-filter-class step breakdown the cost profiler
+// sehSymexEntry is one module's filter classification: a symex job's
+// result, its persisted form and the cross-ref stage's input. ClassSteps
+// carries the per-filter-class step breakdown the cost profiler
 // attributes, so warm hits charge identical stacks to the cold compute.
 type sehSymexEntry struct {
 	Verdicts       map[uint32]sym.Verdict `json:"verdicts,omitempty"`
 	AVFilters      int                    `json:"av_filters,omitempty"`
 	UnknownFilters int                    `json:"unknown_filters,omitempty"`
-	Steps          uint64                 `json:"steps,omitempty"`
-	ClassSteps     map[string]uint64      `json:"class_steps,omitempty"`
-}
-
-// result rehydrates the in-memory stage result. A replayed module counts as
-// pure by construction — only all-pure modules are persisted.
-func (e sehSymexEntry) result() sehSymexResult {
-	v := e.Verdicts
-	if v == nil {
-		v = make(map[uint32]sym.Verdict)
-	}
-	return sehSymexResult{
-		verdicts:       v,
-		avFilters:      e.AVFilters,
-		unknownFilters: e.UnknownFilters,
-		steps:          e.Steps,
-		classSteps:     e.ClassSteps,
-		pure:           true,
-	}
-}
-
-// sehEntryOf is the inverse of result.
-func sehEntryOf(sx sehSymexResult) sehSymexEntry {
-	return sehSymexEntry{
-		Verdicts:       sx.verdicts,
-		AVFilters:      sx.avFilters,
-		UnknownFilters: sx.unknownFilters,
-		Steps:          sx.steps,
-		ClassSteps:     sx.classSteps,
-	}
+	// Steps sums the symbolic steps across the module's filter analyses:
+	// the module job's deterministic cost. The shared filter cache replays
+	// stored Reports including their Steps, so the sum is identical no
+	// matter which worker paid for the cache miss.
+	Steps      uint64            `json:"steps,omitempty"`
+	ClassSteps map[string]uint64 `json:"class_steps,omitempty"`
+	// impure marks a module with a filter analysis that was not a function
+	// of the body bytes alone; such a module is never persisted. The flag
+	// is not encoded, so a decoded entry counts as pure.
+	impure bool
 }
 
 // sehModuleKey keys a module's symex results by its full marshaled image —

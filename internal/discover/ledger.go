@@ -6,7 +6,10 @@ package discover
 // each hand their deterministic costs to the run in one charge, and
 // pipelineRun.charge folds that charge into every observer at once: the
 // run's counters and fault-event series, the stage's latency histogram,
-// the cost profile and the run's detection observer.
+// the cost profile and the run's detection observer. A pool job's body
+// only returns its charge: fanOut attributes it to the job's stage, unit
+// and stage span, cachedUnit charges the job's cache traffic and runJob
+// its failed attempts, all under the same unit name.
 //
 // Every fold is a commutative addition of a per-unit value, so all
 // observers are identical at any worker count. A cache hit charges the

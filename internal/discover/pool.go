@@ -2,12 +2,19 @@ package discover
 
 // Bounded worker pool shared by the three discovery pipelines.
 //
-// All fan-out in this package goes through runIndexed / runSharded so that
-// parallel runs stay byte-identical to sequential ones: jobs are numbered,
-// every worker writes its result into the slot owned by its job index, and
-// the caller merges the index-addressed slice in order afterwards. Nothing
-// is ever appended under a lock, so scheduling order cannot leak into
-// report contents.
+// Every fanned-out stage (validate, fuzz, classify, symex) runs through
+// fanOut, which owns the stage from start to end: the stage span and its
+// job names, the stage timeout, the pool, runJob's retry and degradation,
+// and the charge of each job's costs. A job is named once, by its unit
+// string: the span tree's <stage>/<unit>, the pool.job fault key,
+// Degraded.Key and the ledger's unit all read that one name.
+//
+// The pool itself, runIndexed / runSharded, keeps parallel runs
+// byte-identical to sequential ones: jobs are numbered, every worker
+// writes its result into the slot owned by its job index, and the caller
+// merges the index-addressed slice in order afterwards. Nothing is ever
+// appended under a lock, so scheduling order cannot leak into report
+// contents.
 //
 // Both runners take a context and an optional metrics stage span. Workers
 // stop claiming jobs once the context is cancelled or a job has failed;
@@ -23,6 +30,42 @@ import (
 
 	"crashresist/internal/metrics"
 )
+
+// fanOut runs one fanned-out stage of n jobs. Job i is named unit(i).
+// newLane, when set, builds one state per pool lane (symex's private
+// executors); stateless stages pass nil. job returns the costs of one
+// attempt, and fanOut charges them to the stage, the unit and the stage's
+// latency histogram. A failed attempt's costs are dropped: runJob charges
+// the failure and retries or degrades the job.
+func fanOut[S any](ctx context.Context, r *pipelineRun, stage string, n int, unit func(i int) string,
+	newLane func() (S, error), job func(lane S, i int, unit string, attempt int) (charge, error)) error {
+	span := r.col.StartStage(stage, n)
+	defer span.End()
+	span.NameJobs(func(i int) string { return stage + "/" + unit(i) })
+	if r.StageTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.StageTimeout)
+		defer cancel()
+	}
+	if newLane == nil {
+		newLane = func() (S, error) {
+			var lane S
+			return lane, nil
+		}
+	}
+	return runSharded(ctx, r.Workers, n, span, newLane, func(lane S, i int) error {
+		u := unit(i)
+		return r.runJob(ctx, stage, u, i, func(attempt int) error {
+			c, err := job(lane, i, u, attempt)
+			if err != nil {
+				return err
+			}
+			c.stage, c.unit, c.span = stage, u, span
+			r.charge(c)
+			return nil
+		})
+	})
+}
 
 // poolWorkers resolves a worker-count setting: values <= 0 select
 // GOMAXPROCS, everything else is used as-is.

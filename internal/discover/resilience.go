@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"crashresist/internal/faultinject"
 )
@@ -38,8 +37,9 @@ var ErrDegraded = errors.New("pipeline degraded")
 type Degraded struct {
 	// Stage names the pipeline stage the job belonged to.
 	Stage string `json:"stage"`
-	// Key identifies the job within the stage (syscall/arg, API name,
-	// module name, ...).
+	// Key is the job's unit name within the stage (syscall/arg index, API
+	// name, module name, ...). A job of a fanned-out stage records its span
+	// as <Stage>/<Key>.
 	Key string `json:"key"`
 	// Job is the job's index in the stage's work list.
 	Job int `json:"job"`
@@ -165,14 +165,4 @@ func (r *resilience) take() []Degraded {
 		out[i] = rec.d
 	}
 	return out
-}
-
-// stageCtx derives the context a pool stage runs under: the analyzer's
-// per-stage timeout when one is set, the parent context otherwise. The
-// cancel func must always be called.
-func stageCtx(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
-	if timeout <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeout(ctx, timeout)
 }

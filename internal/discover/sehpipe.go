@@ -89,25 +89,6 @@ func (r *SEHReport) Row(module string) (ModuleSEH, bool) {
 	return ModuleSEH{}, false
 }
 
-// sehSymexResult is one DLL's filter-classification output, produced by a
-// worker and consumed by the sequential cross-ref stage.
-type sehSymexResult struct {
-	verdicts       map[uint32]sym.Verdict
-	avFilters      int
-	unknownFilters int
-	// steps sums the symbolic steps across the module's filter analyses —
-	// the module job's deterministic cost. The shared cache replays stored
-	// Reports including their Steps, so the sum is identical no matter
-	// which worker paid for the cache miss.
-	steps uint64
-	// classSteps breaks steps down by filter class (the verdict's
-	// ProfileClass) for cost attribution; see charge.classSteps.
-	classSteps map[string]uint64
-	// pure reports that every filter analysis in the module was pure —
-	// the license for persisting the result beyond the process.
-	pure bool
-}
-
 // AnalyzeSEH runs the exception-handler pipeline against a browser:
 // scope-table extraction, symbolic execution of each unique filter, an
 // instrumented browse for coverage, and the cross-reference of the two,
@@ -216,12 +197,9 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 	// Stage 3: symbolic execution of each unique filter, fanned out per
 	// DLL with private worker environments and a shared memoizing cache.
 	cache := sym.NewCache()
-	symex := make([]sehSymexResult, len(libs))
-	symexOK := make([]bool, len(libs))
-	span = r.col.StartStage("symex", len(work))
-	span.NameJobs(func(w int) string { return "symex/" + libs[work[w]] })
-	sctx, cancel := stageCtx(ctx, r.StageTimeout)
-	err = runSharded(sctx, r.Workers, len(work), span,
+	symex := make([]sehSymexEntry, len(work))
+	symexOK := make([]bool, len(work))
+	err = fanOut(ctx, r, "symex", len(work), func(w int) string { return libs[work[w]] },
 		func() (*sym.Executor, error) {
 			wenv, err := br.NewEnv(r.Seed)
 			if err != nil {
@@ -232,48 +210,24 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 			exec.FaultPlan = r.FaultPlan
 			return exec, nil
 		},
-		func(exec *sym.Executor, w int) error {
-			i := work[w]
-			return r.runJob(sctx, "symex", libs[i], i, func(attempt int) error {
-				exec.FaultAttempt = attempt
-				mod, ok := exec.Proc().Module(libs[i])
-				if !ok {
-					return fmt.Errorf("module %s missing from worker environment", libs[i])
-				}
-				var (
-					key         cas.Key
-					ent         sehSymexEntry
-					cached, hit bool
-					sx          sehSymexResult
-				)
-				if r.Cache != nil {
-					key, cached = sehModuleKey(mod.Image)
-				}
-				if cached {
-					ent, hit = lookup[sehSymexEntry](r, casFamilySEH, key, "symex", libs[i])
-				}
-				if hit {
-					sx = ent.result()
-				} else {
-					var err error
-					if sx, err = classifyModuleFilters(exec, mod, invs[i]); err != nil {
-						return err
-					}
-					if cached && sx.pure {
-						r.store(casFamilySEH, key, sehEntryOf(sx), "symex", libs[i])
-					}
-				}
-				r.charge(charge{
-					stage: "symex", unit: libs[i], span: span, sample: sx.steps,
-					classSteps: sx.classSteps,
+		func(exec *sym.Executor, w int, lib string, attempt int) (charge, error) {
+			exec.FaultAttempt = attempt
+			mod, ok := exec.Proc().Module(lib)
+			if !ok {
+				return charge{}, fmt.Errorf("module %s missing from worker environment", lib)
+			}
+			sx, err := cachedUnit(r, casFamilySEH, "symex", lib,
+				func() (cas.Key, bool) { return sehModuleKey(mod.Image) },
+				func() (sehSymexEntry, bool, error) {
+					ent, err := classifyModuleFilters(exec, mod, invs[work[w]])
+					return ent, !ent.impure, err
 				})
-				symex[i] = sx
-				symexOK[i] = true
-				return nil
-			})
+			if err != nil {
+				return charge{}, err
+			}
+			symex[w], symexOK[w] = sx, true
+			return charge{sample: sx.Steps, classSteps: sx.ClassSteps}, nil
 		})
-	cancel()
-	span.End()
 	if err != nil {
 		return nil, err
 	}
@@ -286,11 +240,12 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 	// Stage 4: cross-reference accepting handlers with browse coverage,
 	// sequentially in module load order.
 	span = r.col.StartStage("cross-ref", len(work))
-	for _, i := range work {
-		if !symexOK[i] {
+	for w, i := range work {
+		span.JobDone()
+		if !symexOK[w] {
 			continue // degraded module: no row, recorded in Degraded
 		}
-		row, cands, triggers := crossRefModuleSEH(libs[i], invs[i], symex[i], hits)
+		row, cands, triggers := crossRefModuleSEH(libs[i], invs[i], symex[w], hits)
 		report.Modules = append(report.Modules, row)
 		report.Candidates = append(report.Candidates, cands...)
 		report.TriggerEvents += triggers
@@ -302,7 +257,6 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 		report.TotalAVFilters += row.AVFilters
 		report.TotalAVHandlers += row.AVHandlers
 		report.TotalOnPath += row.OnPath
-		span.JobDone()
 	}
 	span.End()
 
@@ -317,11 +271,11 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 	// Evidence chains, one per candidate, in candidate order (so provenance
 	// ordering follows the sorted rows, not module load order).
 	invByModule := make(map[string]seh.ModuleInventory, len(work))
-	sxByModule := make(map[string]sehSymexResult, len(work))
-	for _, i := range work {
-		if symexOK[i] {
+	sxByModule := make(map[string]sehSymexEntry, len(work))
+	for w, i := range work {
+		if symexOK[w] {
 			invByModule[libs[i]] = invs[i]
-			sxByModule[libs[i]] = symex[i]
+			sxByModule[libs[i]] = symex[w]
 		}
 	}
 	for _, c := range report.Candidates {
@@ -346,7 +300,7 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 			symexStep = step("symex", "catch_all",
 				"catch-all scope entry: no filter, every exception class is accepted")
 		} else {
-			verdict := sxByModule[c.Module].verdicts[handler.Entry.Filter]
+			verdict := sxByModule[c.Module].Verdicts[handler.Entry.Filter]
 			symexStep = step("symex", verdict.Token(),
 				"filter at offset %#x classified %s by symbolic execution against the AV code",
 				handler.Entry.Filter, verdict)
@@ -373,27 +327,27 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 // process, so module jobs are independent. With a fault plan attached to
 // the executor an analysis may fail with an injected error, aborting the
 // module so the whole unit can retry or degrade atomically.
-func classifyModuleFilters(exec *sym.Executor, mod *bin.Module, inv seh.ModuleInventory) (sehSymexResult, error) {
-	res := sehSymexResult{verdicts: make(map[uint32]sym.Verdict, len(inv.Filters)), pure: true}
+func classifyModuleFilters(exec *sym.Executor, mod *bin.Module, inv seh.ModuleInventory) (sehSymexEntry, error) {
+	res := sehSymexEntry{Verdicts: make(map[uint32]sym.Verdict, len(inv.Filters))}
 	if len(inv.Filters) > 0 {
-		res.classSteps = make(map[string]uint64, 3)
+		res.ClassSteps = make(map[string]uint64, 3)
 	}
 	for _, f := range inv.Filters {
 		rep, err := exec.TryAnalyzeFilterIn(mod, f)
 		if err != nil {
-			return sehSymexResult{}, err
+			return sehSymexEntry{}, err
 		}
 		if !exec.LastAnalysisPure() {
-			res.pure = false
+			res.impure = true
 		}
-		res.steps += uint64(rep.Steps)
-		res.classSteps[rep.Verdict.ProfileClass()] += uint64(rep.Steps)
-		res.verdicts[f] = rep.Verdict
+		res.Steps += uint64(rep.Steps)
+		res.ClassSteps[rep.Verdict.ProfileClass()] += uint64(rep.Steps)
+		res.Verdicts[f] = rep.Verdict
 		switch rep.Verdict {
 		case sym.VerdictAccepts:
-			res.avFilters++
+			res.AVFilters++
 		case sym.VerdictUnknown:
-			res.unknownFilters++
+			res.UnknownFilters++
 		}
 	}
 	return res, nil
@@ -401,13 +355,13 @@ func classifyModuleFilters(exec *sym.Executor, mod *bin.Module, inv seh.ModuleIn
 
 // crossRefModuleSEH builds one module's table row from its inventory,
 // filter verdicts and the browse coverage map.
-func crossRefModuleSEH(module string, inv seh.ModuleInventory, sx sehSymexResult, hits map[trace.ScopeKey]uint64) (ModuleSEH, []SEHCandidate, uint64) {
+func crossRefModuleSEH(module string, inv seh.ModuleInventory, sx sehSymexEntry, hits map[trace.ScopeKey]uint64) (ModuleSEH, []SEHCandidate, uint64) {
 	row := ModuleSEH{
 		Module:         module,
 		Handlers:       len(inv.Handlers),
 		Filters:        len(inv.Filters),
-		AVFilters:      sx.avFilters,
-		UnknownFilters: sx.unknownFilters,
+		AVFilters:      sx.AVFilters,
+		UnknownFilters: sx.UnknownFilters,
 	}
 	var (
 		cands    []SEHCandidate
@@ -418,7 +372,7 @@ func crossRefModuleSEH(module string, inv seh.ModuleInventory, sx sehSymexResult
 		if h.IsCatchAll() {
 			row.CatchAll++
 			accepting = true
-		} else if sx.verdicts[h.Entry.Filter] == sym.VerdictAccepts {
+		} else if sx.Verdicts[h.Entry.Filter] == sym.VerdictAccepts {
 			accepting = true
 		}
 		if !accepting {

@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"crashresist/internal/bin"
 	"crashresist/internal/cas"
@@ -279,59 +280,38 @@ func AnalyzeServer(ctx context.Context, cfg Config, srv *targets.Server) (*Sysca
 	}
 
 	findings := make([]Finding, len(candidates))
-	span := r.col.StartStage("validate", len(candidates))
-	span.NameJobs(func(i int) string {
-		return fmt.Sprintf("validate/%s/arg%d", candidates[i].Syscall, candidates[i].ArgIndex)
-	})
-	vctx, cancel := stageCtx(ctx, r.StageTimeout)
-	err = runIndexed(vctx, r.Workers, len(candidates), span, func(i int) error {
+	err = fanOut(ctx, r, "validate", len(candidates), func(i int) string {
+		return candidates[i].Syscall + "/" + strconv.Itoa(candidates[i].ArgIndex)
+	}, nil, func(_ struct{}, i int, unit string, _ int) (charge, error) {
 		cand := candidates[i]
-		jobKey := fmt.Sprintf("%s/%d", cand.Syscall, cand.ArgIndex)
-		return r.runJob(vctx, "validate", jobKey, i, func(int) error {
-			var (
-				key cas.Key
-				ent validateEntry
-				hit bool
-			)
-			cached := r.Cache != nil
-			if cached {
-				key = validateKey(srvImage, srv.Name, r.Seed, cand)
-				ent, hit = lookup[validateEntry](r, casFamilyValidate, key, "validate", jobKey)
-			}
-			if !hit {
+		ent, err := cachedUnit(r, casFamilyValidate, "validate", unit,
+			func() (cas.Key, bool) { return validateKey(srvImage, srv.Name, r.Seed, cand), true },
+			func() (validateEntry, bool, error) {
 				finding, cost, err := r.validate(srv, cand)
-				if err != nil {
-					return fmt.Errorf("validate %s/%s: %w", srv.Name, cand.Syscall, err)
-				}
-				ent = validateEntry{Finding: finding, Cost: cost}
-				if cached {
-					r.store(casFamilyValidate, key, ent, "validate", jobKey)
-				}
-			}
-			// The replay's virtual clock is the job's deterministic cost.
-			// Its corrupted invocations that returned -EFAULT are the
-			// primitive's probes, and the kernel's bucket series both the
-			// row profile and part of the run-level stream.
-			cost := ent.Cost
-			buckets := cost.Kernel.EFAULTBuckets
-			r.charge(charge{
-				stage: "validate", unit: jobKey, span: span, sample: cost.Clock,
-				clock: cost.Clock, vm: cost.Stats, kern: cost.Kernel,
-				sight: sighting{
-					primitive: fmt.Sprintf("%s/arg%d", cand.Syscall, cand.ArgIndex),
-					probes:    max(cost.Kernel.EFAULTReturns, 1),
-					faults:    cost.Kernel.EFAULTReturns,
-					ticks:     cost.Clock,
-					series:    buckets,
-					stream:    buckets,
-				},
+				return validateEntry{Finding: finding, Cost: cost}, true, err
 			})
-			findings[i] = ent.Finding
-			return nil
-		})
+		if err != nil {
+			return charge{}, fmt.Errorf("validate %s/%s: %w", srv.Name, cand.Syscall, err)
+		}
+		findings[i] = ent.Finding
+		// The replay's virtual clock is the job's deterministic cost. Its
+		// corrupted invocations that returned -EFAULT are the primitive's
+		// probes, and the kernel's bucket series both the row profile and
+		// part of the run-level stream.
+		cost := ent.Cost
+		buckets := cost.Kernel.EFAULTBuckets
+		return charge{
+			sample: cost.Clock, clock: cost.Clock, vm: cost.Stats, kern: cost.Kernel,
+			sight: sighting{
+				primitive: fmt.Sprintf("%s/arg%d", cand.Syscall, cand.ArgIndex),
+				probes:    max(cost.Kernel.EFAULTReturns, 1),
+				faults:    cost.Kernel.EFAULTReturns,
+				ticks:     cost.Clock,
+				series:    buckets,
+				stream:    buckets,
+			},
+		}, nil
 	})
-	cancel()
-	span.End()
 	if err != nil {
 		return nil, err
 	}

@@ -155,9 +155,25 @@ func (g *Registry) Runs() []*RunStats {
 	return g.recent.Items()
 }
 
-// promLabelPair renders the {pipeline,target} label set.
+// labelEscaper applies the text format's label-value escapes.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// QuoteLabel renders v as a quoted label value of the Prometheus text
+// format. The format escapes only backslash, double quote and line feed,
+// so every other byte is written as is; Go's %q would write escapes such
+// as \t or \u00a0 that make a scrape unparseable.
+func QuoteLabel(v string) string {
+	return `"` + labelEscaper.Replace(v) + `"`
+}
+
+// String renders the {pipeline,target} label set.
 func (l promLabels) String() string {
-	return fmt.Sprintf(`pipeline=%q,target=%q`, l.pipeline, l.target)
+	return "pipeline=" + QuoteLabel(l.pipeline) + ",target=" + QuoteLabel(l.target)
+}
+
+// String renders the {pipeline,target,stage} label set.
+func (l promStageLabels) String() string {
+	return promLabels{l.pipeline, l.target}.String() + ",stage=" + QuoteLabel(l.stage)
 }
 
 // WritePrometheus renders the registry in Prometheus text exposition format
@@ -283,12 +299,12 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 		b.WriteString("# HELP crashresist_stage_latency_ticks Per-job virtual-cost distribution by stage (deterministic ticks).\n")
 		b.WriteString("# TYPE crashresist_stage_latency_ticks summary\n")
 		for _, h := range hists {
-			labels := fmt.Sprintf(`pipeline=%q,target=%q,stage=%q`, h.labels.pipeline, h.labels.target, h.labels.stage)
+			labels := h.labels.String()
 			for _, q := range []struct {
 				q string
 				v uint64
 			}{{"0.5", h.h.P50}, {"0.95", h.h.P95}, {"0.99", h.h.P99}} {
-				fmt.Fprintf(&b, "crashresist_stage_latency_ticks{%s,quantile=%q} %d\n", labels, q.q, q.v)
+				fmt.Fprintf(&b, "crashresist_stage_latency_ticks{%s,quantile=%s} %d\n", labels, QuoteLabel(q.q), q.v)
 			}
 			fmt.Fprintf(&b, "crashresist_stage_latency_ticks_sum{%s} %d\n", labels, h.h.Sum)
 			fmt.Fprintf(&b, "crashresist_stage_latency_ticks_count{%s} %d\n", labels, h.h.Count)
@@ -296,11 +312,11 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 		b.WriteString("# HELP crashresist_stage_latency_ticks_bucket Cumulative per-job virtual-cost buckets by stage.\n")
 		b.WriteString("# TYPE crashresist_stage_latency_ticks_bucket counter\n")
 		for _, h := range hists {
-			labels := fmt.Sprintf(`pipeline=%q,target=%q,stage=%q`, h.labels.pipeline, h.labels.target, h.labels.stage)
+			labels := h.labels.String()
 			var cum uint64
 			for _, bk := range h.h.Buckets {
 				cum += bk.N
-				fmt.Fprintf(&b, "crashresist_stage_latency_ticks_bucket{%s,le=%q} %d\n", labels, fmt.Sprintf("%d", bk.Hi), cum)
+				fmt.Fprintf(&b, "crashresist_stage_latency_ticks_bucket{%s,le=\"%d\"} %d\n", labels, bk.Hi, cum)
 			}
 			fmt.Fprintf(&b, "crashresist_stage_latency_ticks_bucket{%s,le=\"+Inf\"} %d\n", labels, cum)
 		}
@@ -341,8 +357,8 @@ func (g *Registry) writeDetectFamilies(b *strings.Builder) {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fmt.Fprintf(b, "crashresist_detections_total{pipeline=%q,target=%q,detector=%q} %d\n",
-				sec.Pipeline, sec.Target, name, trips[name])
+			fmt.Fprintf(b, "crashresist_detections_total{%s,detector=%s} %d\n",
+				promLabels{sec.Pipeline, sec.Target}, QuoteLabel(name), trips[name])
 		}
 	}
 	headerDone := false
@@ -365,7 +381,7 @@ func (g *Registry) writeDetectFamilies(b *strings.Builder) {
 			headerDone = true
 		}
 		sort.Slice(margins, func(i, j int) bool { return margins[i] < margins[j] })
-		labels := fmt.Sprintf(`pipeline=%q,target=%q`, sec.Pipeline, sec.Target)
+		labels := promLabels{sec.Pipeline, sec.Target}.String()
 		fmt.Fprintf(b, "crashresist_stealth_margin_probes_per_sec{%s,quantile=\"0\"} %d\n", labels, margins[0])
 		fmt.Fprintf(b, "crashresist_stealth_margin_probes_per_sec{%s,quantile=\"0.5\"} %d\n", labels, margins[len(margins)/2])
 		fmt.Fprintf(b, "crashresist_stealth_margin_probes_per_sec{%s,quantile=\"1\"} %d\n", labels, margins[len(margins)-1])

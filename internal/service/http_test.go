@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -239,6 +240,48 @@ func TestHTTPLifecycle(t *testing.T) {
 		`crashresist_jobs_completed_total{tenant="acme"} 1`,
 		`crashresist_job_run_seconds_count{tenant="acme"} 1`,
 		"crashresist_jobs_queued 0",
+	} {
+		if !strings.Contains(scrape, want) {
+			t.Errorf("scrape missing %q", want)
+		}
+	}
+}
+
+// promSample is one sample line of the Prometheus text format: a metric
+// name, optional label pairs whose values escape only backslash, double
+// quote and line feed, and a value.
+var promSample = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*` +
+	`(\{[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*"(?:,[a-zA-Z_][a-zA-Z0-9_]*="(?:[^"\\\n]|\\[\\"n])*")*\})? \S+$`)
+
+// TestMetricsEscapeTenantLabels submits jobs whose tenants hold a tab, a
+// no-break space, a double quote, a backslash and a line feed, and checks
+// that every sample line of the scrape still parses.
+func TestMetricsEscapeTenantLabels(t *testing.T) {
+	_, ts := startServer(t, Config{Budget: 2, MaxQueue: 8, Retain: 8})
+	for _, tenant := range []string{`a\tb\u00a0c`, `q\"s\\l\nn`} {
+		v := postJob(t, ts, `{"tenant":"`+tenant+`","target":"nginx","seed":42}`)
+		if fin := waitDone(t, ts, v.ID); fin.State != StateDone {
+			t.Fatalf("tenant %q: state %s (%s)", v.Tenant, fin.State, fin.Error)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var buf bytes.Buffer
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	scrape := buf.String()
+	for _, line := range strings.Split(strings.TrimSuffix(scrape, "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") && !promSample.MatchString(line) {
+			t.Errorf("sample line breaks the text format: %q", line)
+		}
+	}
+	for _, want := range []string{
+		"crashresist_jobs_submitted_total{tenant=\"a\tb\u00a0c\"} 1\n",
+		`crashresist_jobs_submitted_total{tenant="q\"s\\l\nn"} 1` + "\n",
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("scrape missing %q", want)

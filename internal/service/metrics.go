@@ -171,20 +171,20 @@ func (s *Service) writePrometheus(w io.Writer) {
 	fmt.Fprintf(w, "# HELP crashresist_jobs_queued Jobs waiting for dispatch.\n# TYPE crashresist_jobs_queued gauge\ncrashresist_jobs_queued %d\n", queued)
 	for _, t := range tnames {
 		if g := perTenant[t]; g.queued > 0 {
-			fmt.Fprintf(w, "crashresist_jobs_queued{tenant=%q} %d\n", t, g.queued)
+			fmt.Fprintf(w, "crashresist_jobs_queued{tenant=%s} %d\n", metrics.QuoteLabel(t), g.queued)
 		}
 	}
 	fmt.Fprintf(w, "# HELP crashresist_jobs_running Jobs currently holding worker tokens.\n# TYPE crashresist_jobs_running gauge\ncrashresist_jobs_running %d\n", running)
 	for _, t := range tnames {
 		if g := perTenant[t]; g.running > 0 {
-			fmt.Fprintf(w, "crashresist_jobs_running{tenant=%q} %d\n", t, g.running)
+			fmt.Fprintf(w, "crashresist_jobs_running{tenant=%s} %d\n", metrics.QuoteLabel(t), g.running)
 		}
 	}
 	fmt.Fprintf(w, "# HELP crashresist_worker_tokens_free Worker-budget tokens not held by running jobs.\n# TYPE crashresist_worker_tokens_free gauge\ncrashresist_worker_tokens_free %d\n", tokens)
 	fmt.Fprintf(w, "# HELP crashresist_worker_tokens_held Worker-budget tokens held by a tenant's running jobs.\n# TYPE crashresist_worker_tokens_held gauge\n")
 	for _, t := range tnames {
 		if g := perTenant[t]; g.tokens > 0 {
-			fmt.Fprintf(w, "crashresist_worker_tokens_held{tenant=%q} %d\n", t, g.tokens)
+			fmt.Fprintf(w, "crashresist_worker_tokens_held{tenant=%s} %d\n", metrics.QuoteLabel(t), g.tokens)
 		}
 	}
 
@@ -209,7 +209,7 @@ func (s *Service) writePrometheus(w io.Writer) {
 	for _, c := range counters {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name)
 		for _, name := range names {
-			fmt.Fprintf(w, "%s{tenant=%q} %d\n", c.name, name, c.get(s.met.tenants[name]))
+			fmt.Fprintf(w, "%s{tenant=%s} %d\n", c.name, metrics.QuoteLabel(name), c.get(s.met.tenants[name]))
 		}
 	}
 
@@ -236,14 +236,15 @@ func (s *Service) writePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s summary\n", sm.name, sm.help, sm.name)
 		for _, name := range names {
 			t := s.met.tenants[name]
+			tenant := metrics.QuoteLabel(name)
 			items := sm.ring(t).Items()
 			for _, q := range []float64{0.5, 0.9, 0.99} {
 				if v, ok := quantile(items, q); ok {
-					fmt.Fprintf(w, "%s{tenant=%q,quantile=%q} %g\n", sm.name, name, fmt.Sprintf("%g", q), v)
+					fmt.Fprintf(w, "%s{tenant=%s,quantile=\"%g\"} %g\n", sm.name, tenant, q, v)
 				}
 			}
-			fmt.Fprintf(w, "%s_sum{tenant=%q} %g\n", sm.name, name, sm.sum(t))
-			fmt.Fprintf(w, "%s_count{tenant=%q} %d\n", sm.name, name, sm.count(t))
+			fmt.Fprintf(w, "%s_sum{tenant=%s} %g\n", sm.name, tenant, sm.sum(t))
+			fmt.Fprintf(w, "%s_count{tenant=%s} %d\n", sm.name, tenant, sm.count(t))
 		}
 	}
 }
