@@ -34,9 +34,11 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzInterpreter -fuzztime=30s ./internal/vm
 
 # chaos runs the full paper-scale fault-injection sweep under the race
-# detector; tier-1 (`make test`/`make race`) only runs the trimmed sweep.
+# detector, and the forked classify's chaos differential in
+# internal/discover; tier-1 (`make test`/`make race`) only runs the trimmed
+# sweep.
 chaos:
-	CHAOS_SCALE=paper $(GO) test -race -run 'TestChaos|TestStageTimeout' -v .
+	CHAOS_SCALE=paper $(GO) test -race -run 'TestChaos|TestStageTimeout' -v . ./internal/discover
 
 # scale runs the full large-scale property harness (paper corpus + 1,870
 # generated DLLs, 60-server generated fleet) under the race detector;

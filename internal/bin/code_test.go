@@ -10,7 +10,9 @@ import (
 
 // TestLoadAttachesPredecodedText checks that a load serves the text's
 // instructions from the image's table at every load base, that two loads
-// share one table, and that a write to a text page drops its table there.
+// share one table, and that a write to a text page drops its table there
+// and copies the page, leaving the other load and the image's shared text
+// as they were.
 func TestLoadAttachesPredecodedText(t *testing.T) {
 	img := testImage(t)
 	as := mem.NewAddressSpace()
@@ -51,6 +53,16 @@ func TestLoadAttachesPredecodedText(t *testing.T) {
 	if _, ok := as.Decoded(bases[1]); !ok {
 		t.Error("a write to one load's text dropped the other load's table")
 	}
+	text, _ := img.textPages()
+	for i, base := range bases {
+		got, err := as.Read(base+19, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := img.Text[19]; i == 1 && got[0] != want || text[0][19] != want {
+			t.Errorf("load %d reads %#x at offset 19, shared text %#x; want the image's %#x", i, got[0], text[0][19], want)
+		}
+	}
 }
 
 // TestWithImportsSharesText checks that a WithImports copy imports only its
@@ -66,7 +78,9 @@ func TestWithImportsSharesText(t *testing.T) {
 	if &cp.Text[0] != &img.Text[0] || cp.code != img.code || cp.code == nil {
 		t.Fatal("the copy does not share the original's text and predecoded holder")
 	}
-	if &cp.textPages()[0] != &img.textPages()[0] {
+	cpText, cpCode := cp.textPages()
+	imgText, imgCode := img.textPages()
+	if &cpCode[0] != &imgCode[0] || &cpText[0] != &imgText[0] {
 		t.Fatal("the copy built a table of its own")
 	}
 	before, err := Marshal(cp)

@@ -20,7 +20,8 @@
 //
 // Text is position independent and relocations lie in data, so text decodes
 // the same at every load base. An image decodes its text once, on its first
-// load, and every process that loads it shares the predecoded table.
+// load, and every process that loads it shares the predecoded table and the
+// text pages' bytes, which it copies only on a write.
 package bin
 
 import (
@@ -128,16 +129,19 @@ type Image struct {
 	Relocs  []Reloc
 	Scopes  []ScopeEntry
 
-	// code is the predecoded text, set on the first load (or the first
-	// WithImports) and shared from then on by every load and by copies
-	// WithImports makes. It is derived from Text, so it is neither
-	// marshalled nor part of any digest. codeMu guards the field.
+	// code is the text's pages and predecoded tables, set on the first
+	// load (or the first WithImports) and shared from then on by every
+	// load and by copies WithImports makes. It is derived from Text, so
+	// it is neither marshalled nor part of any digest. codeMu guards the
+	// field.
 	code *predecoded
 }
 
-// predecoded is an image's predecoded text, one table per text page.
+// predecoded is an image's text as loads map it: its bytes split into
+// zero-padded pages, and one predecoded table per page.
 type predecoded struct {
 	once  sync.Once
+	text  [][mem.PageSize]byte
 	pages []isa.Table
 }
 
@@ -157,14 +161,21 @@ func (img *Image) sharedCode() *predecoded {
 	return img.code
 }
 
-// textPages returns the predecoded tables of img's text pages, building them
-// on the first call for img or any image sharing its table. The tables are
-// a pure function of Text, so whichever process builds them, every load
-// executes the same instructions.
-func (img *Image) textPages() []isa.Table {
+// textPages returns img's text pages and their predecoded tables, building
+// them on the first call for img or any image sharing them. Both are a pure
+// function of Text, so whichever process builds them, every load maps the
+// same bytes and executes the same instructions. Nothing writes the pages:
+// a load maps them as views (mem.AddressSpace.AttachText).
+func (img *Image) textPages() ([][mem.PageSize]byte, []isa.Table) {
 	c := img.sharedCode()
-	c.once.Do(func() { c.pages = isa.SweepPages(img.Text, mem.PageSize) })
-	return c.pages
+	c.once.Do(func() {
+		c.text = make([][mem.PageSize]byte, mem.RoundUp(uint64(len(img.Text)))/mem.PageSize)
+		for i := range c.text {
+			copy(c.text[i][:], img.Text[i*mem.PageSize:])
+		}
+		c.pages = isa.SweepPages(img.Text, mem.PageSize)
+	})
+	return c.text, c.pages
 }
 
 // WithImports returns a copy of img that imports imps instead of img's
@@ -307,8 +318,8 @@ type ImportResolver func(imp Import) (uint64, error)
 
 // Load validates img, maps its sections at the allocator-chosen base, applies
 // relocations and resolves imports. Text is mapped r-x, data and BSS rw-.
-// Each text page carries its part of the image's predecoded table until the
-// process first writes to it.
+// Each text page is a view of the image's shared text page and carries its
+// predecoded table, until the process first writes to it.
 func Load(as *mem.AddressSpace, alloc *mem.Allocator, img *Image, resolve ImportResolver) (*Module, error) {
 	if err := img.Validate(); err != nil {
 		return nil, fmt.Errorf("load: %w", err)
@@ -316,9 +327,6 @@ func Load(as *mem.AddressSpace, alloc *mem.Allocator, img *Image, resolve Import
 	base, err := alloc.Alloc(img.Span(), mem.PermRW)
 	if err != nil {
 		return nil, fmt.Errorf("load %s: %w", img.Name, err)
-	}
-	if err := as.WriteForce(base, img.Text); err != nil {
-		return nil, fmt.Errorf("load %s text: %w", img.Name, err)
 	}
 	if len(img.Data) > 0 {
 		if err := as.WriteForce(base+uint64(img.DataStart()), img.Data); err != nil {
@@ -335,15 +343,14 @@ func Load(as *mem.AddressSpace, alloc *mem.Allocator, img *Image, resolve Import
 			return nil, fmt.Errorf("load %s reloc: %w", img.Name, err)
 		}
 	}
-	// Seal text as r-x after writing, then attach its predecoded table:
-	// the pages now hold exactly the bytes it was built from.
-	textSpan := mem.RoundUp(uint64(len(img.Text)))
-	if textSpan > 0 {
-		if err := as.Protect(base, textSpan, mem.PermRX); err != nil {
-			return nil, fmt.Errorf("load %s protect: %w", img.Name, err)
+	// Map text as views of the image's shared pages, with their
+	// predecoded tables, and seal it r-x.
+	if text, code := img.textPages(); len(text) > 0 {
+		if err := as.AttachText(base, text, code); err != nil {
+			return nil, fmt.Errorf("load %s text: %w", img.Name, err)
 		}
-		if err := as.AttachCode(base, img.textPages()); err != nil {
-			return nil, fmt.Errorf("load %s code: %w", img.Name, err)
+		if err := as.Protect(base, uint64(len(text))*mem.PageSize, mem.PermRX); err != nil {
+			return nil, fmt.Errorf("load %s protect: %w", img.Name, err)
 		}
 	}
 

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"crashresist/internal/cas"
 	"crashresist/internal/defense"
 	"crashresist/internal/fuzz"
 	"crashresist/internal/isa"
+	"crashresist/internal/mem"
 	"crashresist/internal/metrics"
 	"crashresist/internal/taint"
 	"crashresist/internal/targets"
@@ -248,7 +250,15 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 	report.JSContext = len(report.JSContextAPIs)
 
 	// Stage 6: pointer-argument controllability for the JS-context set,
-	// one corrupted-replay environment per API.
+	// one corrupted browse per API with a stored pointer. The first job
+	// that misses the cache runs the watch browse the others fork from.
+	var slots []uint64
+	for _, api := range report.JSContextAPIs {
+		if arg := obs.args[api]; !arg.onStack && arg.provOK {
+			slots = append(slots, arg.prov)
+		}
+	}
+	watch := sync.OnceValue(func() *classifyWatch { return r.watchBrowse(br, slots) })
 	classifications := make([]APIClassification, len(report.JSContextAPIs))
 	err = fanOut(ctx, r, "classify", len(report.JSContextAPIs), func(i int) string { return report.JSContextAPIs[i] }, nil,
 		func(_ struct{}, i int, api string, _ int) (charge, error) {
@@ -258,15 +268,16 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 					return classifyKey(digest, r.Seed, api, obs.args[api]), err == nil
 				},
 				func() (classifyEntry, bool, error) {
-					cls, cost, err := r.classify(br, api, obs.args[api])
+					cls, cost, _, err := r.classify(br, api, obs.args[api], watch)
 					return classifyEntry{Cls: cls, Cost: cost}, true, err
 				})
 			if err != nil {
 				return charge{}, fmt.Errorf("classify %s: %w", api, err)
 			}
 			classifications[i] = ent.Cls
-			// The replay's virtual clock is the job's deterministic cost;
-			// statically-excluded APIs ran no replay and record zero.
+			// The corrupted browse's virtual clock, prefix included, is the
+			// job's deterministic cost; statically-excluded APIs ran no
+			// browse and record zero.
 			return charge{sample: ent.Cost.Clock, clock: ent.Cost.Clock, vm: ent.Cost.Stats}, nil
 		})
 	if err != nil {
@@ -439,43 +450,68 @@ func (r *pipelineRun) observeBrowse(br *targets.Browser, span *metrics.Stage) (*
 }
 
 // classify decides an API's exclusion reason from its observed argument and
-// (when a corruptible pointer exists) a corrupted replay. The returned cost
-// carries the replay's deterministic counters; the caller observes them, so
-// a cache hit can replay the identical observations.
-func (r *pipelineRun) classify(br *targets.Browser, api string, obs argObservation) (APIClassification, classifyCost, error) {
-	cls := APIClassification{API: api}
+// (when a corruptible pointer exists) a corrupted browse. The returned cost
+// carries the corrupted browse's deterministic counters; the caller observes
+// them, so a cache hit can replay the identical observations.
+//
+// The corrupted browse forks the watch browse's snapshot of the Run slice
+// holding the slot's first read, corrupts the slot there and finishes the
+// browse; forked reports whether it did. A slot the watch cannot vouch for
+// (see classifyWatch.snapshotFor), or a run with fullReplay set, takes the
+// full replay instead: it rebuilds the environment (same seed, same
+// layout), corrupts the slot and browses from the start. Both give the same
+// verdict, clock and Stats.
+func (r *pipelineRun) classify(br *targets.Browser, api string, obs argObservation, watch func() *classifyWatch) (cls APIClassification, cost classifyCost, forked bool, err error) {
+	cls = APIClassification{API: api}
 	switch {
 	case obs.onStack:
 		cls.Reason = ReasonStackTransient
 		cls.Detail = fmt.Sprintf("pointer %#x lives on a thread stack", obs.value)
-		return cls, classifyCost{}, nil
+		return cls, classifyCost{}, false, nil
 	case !obs.provOK:
 		cls.Reason = ReasonVolatile
 		cls.Detail = fmt.Sprintf("pointer %#x has no stored reference", obs.value)
-		return cls, classifyCost{}, nil
+		return cls, classifyCost{}, false, nil
 	}
 	cls.Provenance = obs.prov
 
-	// Corrupted replay: rebuild the environment (same seed, same
-	// layout), corrupt the stored pointer, re-browse.
+	if !r.fullReplay {
+		if snap := watch().snapshotFor(obs.prov); snap != nil {
+			env, err := snap.Fork()
+			if err != nil {
+				return cls, classifyCost{}, false, err
+			}
+			corruptSlot(env, obs.prov)
+			browseVerdict(&cls, env, env.ResumeBrowse())
+			return cls, costOf(env), true, nil
+		}
+	}
+
 	env, err := br.NewEnv(r.Seed)
 	if err != nil {
-		return cls, classifyCost{}, err
+		return cls, classifyCost{}, false, err
 	}
 	env.Proc.FaultPlan = r.FaultPlan
-	cost := func() classifyCost {
-		return classifyCost{Clock: env.Proc.Clock, Stats: env.Proc.Stats, HasEnv: true}
-	}
-	te := taint.New()
-	cor := &corruptingFlow{DataFlow: te, as: env.Proc.AS, target: obs.prov, value: InvalidProbeAddr}
-	env.Proc.Flow = cor
-	cor.corrupt()
+	corruptSlot(env, obs.prov)
 	if err := env.Start(); err != nil {
 		cls.Reason = ReasonDerefOutside
 		cls.Detail = fmt.Sprintf("corrupted startup crash: %v", env.Proc.Crash)
-		return cls, cost(), nil
+		return cls, costOf(env), false, nil
 	}
-	browseErr := env.Browse()
+	browseVerdict(&cls, env, env.Browse())
+	return cls, costOf(env), false, nil
+}
+
+// corruptSlot corrupts the pointer slot at prov now and after every later
+// program store to it.
+func corruptSlot(env *targets.BrowserEnv, prov uint64) {
+	cor := &corruptingFlow{as: env.Proc.AS, target: prov, value: InvalidProbeAddr}
+	env.Proc.Flow = cor
+	cor.corrupt()
+}
+
+// browseVerdict classifies a corrupted browse by how it ended.
+func browseVerdict(cls *APIClassification, env *targets.BrowserEnv, browseErr error) {
 	switch {
 	case env.Proc.State == vm.ProcCrashed:
 		cls.Reason = ReasonDerefOutside
@@ -487,5 +523,103 @@ func (r *pipelineRun) classify(br *targets.Browser, api string, obs argObservati
 		cls.Reason = ReasonControllable
 		cls.Detail = "corrupted call returned gracefully; probe primitive usable"
 	}
-	return cls, cost(), nil
+}
+
+// costOf is a corrupted browse's deterministic cost.
+func costOf(env *targets.BrowserEnv) classifyCost {
+	return classifyCost{Clock: env.Proc.Clock, Stats: env.Proc.Stats, HasEnv: true}
+}
+
+// classifyWatch is what the classify stage's watch browse saw: one clean
+// browse, without taint, that watched every classify slot and kept a
+// snapshot of the start of each Run slice of its browse.
+type classifyWatch struct {
+	snaps []*targets.BrowseSnapshot
+	slots map[uint64]*slotWatch
+}
+
+// slotWatch is what the watch browse saw of one 8-byte pointer slot.
+type slotWatch struct {
+	// mapped: all 8 bytes were mapped when the environment was built.
+	mapped bool
+	// read: the slot was read (a VM load, an API stub's read, a kernel
+	// copy or an instruction fetch), first in Run slice slice, or in
+	// Start when slice is -1.
+	read  bool
+	slice int
+	// touched: something wrote, mapped or unmapped the slot's bytes
+	// before its first read.
+	touched bool
+}
+
+// snapshotFor returns the snapshot a classify of the slot at addr forks, or
+// nil when it must run the full replay. A fork equals the replay only when
+// the slot's 8 bytes were mapped when the environment was built, nothing
+// wrote, unmapped or remapped them before their first read, and that read
+// fell in the browse rather than in Start: until its first slice, the
+// replay then ran exactly as the clean browse did, but for bytes nothing
+// read.
+func (w *classifyWatch) snapshotFor(addr uint64) *targets.BrowseSnapshot {
+	if w == nil {
+		return nil
+	}
+	s := w.slots[addr]
+	if s == nil || !s.mapped || !s.read || s.touched || s.slice < 0 || s.slice >= len(w.snaps) {
+		return nil
+	}
+	return w.snaps[s.slice]
+}
+
+// watchBrowse runs the classify stage's watch browse over the slots at
+// addrs: one clean browse without taint, under the run's fault plan. It is
+// host work alone: it charges nothing, opens no span and sends no progress
+// event. A browse that fails partway keeps what it saw before; a slot it
+// never saw read falls back to the full replay, and so does every slot when
+// the environment cannot be built.
+func (r *pipelineRun) watchBrowse(br *targets.Browser, addrs []uint64) *classifyWatch {
+	if r.watches != nil {
+		r.watches.Add(1)
+	}
+	env, err := br.NewEnv(r.Seed)
+	if err != nil {
+		return nil
+	}
+	env.Proc.FaultPlan = r.FaultPlan
+	as := env.Proc.AS
+	w := &classifyWatch{slots: make(map[uint64]*slotWatch, len(addrs))}
+	slice := -1
+	// onPage lists the slots holding bytes of each watched page.
+	onPage := make(map[uint64][]uint64)
+	seen := func(ev mem.WatchEvent, addr, length uint64) {
+		for _, slot := range onPage[addr/mem.PageSize] {
+			s := w.slots[slot]
+			if s.read || s.touched || addr >= slot+8 || slot >= addr+length {
+				continue
+			}
+			if ev == mem.WatchRead || ev == mem.WatchFetch {
+				s.read, s.slice = true, slice
+			} else {
+				s.touched = true
+			}
+		}
+	}
+	for _, a := range addrs {
+		if _, dup := w.slots[a]; dup {
+			continue
+		}
+		w.slots[a] = &slotWatch{mapped: a+7 > a && as.Mapped(a) && as.Mapped(a+7)}
+		onPage[a/mem.PageSize] = append(onPage[a/mem.PageSize], a)
+		if (a+7)/mem.PageSize != a/mem.PageSize {
+			onPage[(a+7)/mem.PageSize] = append(onPage[(a+7)/mem.PageSize], a)
+		}
+		as.Watch(a, 8, seen)
+	}
+	if env.Start() != nil {
+		return w
+	}
+	_ = env.BrowseSnapshots(func(i int, snap *targets.BrowseSnapshot) {
+		slice = i
+		w.snaps = append(w.snaps, snap)
+	})
+	return w
 }

@@ -2,6 +2,7 @@ package discover
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"crashresist/internal/cas"
@@ -52,6 +53,13 @@ type Config struct {
 	// its own section in, when it finishes. The section rides RunStats,
 	// never report rows.
 	Detect *defense.Detect
+
+	// fullReplay makes every classify rebuild the browser and browse from
+	// the start instead of forking the watch browse: the reference path
+	// the differential tests set. watches, when set, counts the run's
+	// watch browses for the tests that bound them.
+	fullReplay bool
+	watches    *atomic.Int64
 }
 
 // pipelineRun is one pipeline run: its Config, its collector, its

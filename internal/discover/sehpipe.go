@@ -175,6 +175,7 @@ func AnalyzeSEH(ctx context.Context, cfg Config, br *targets.Browser) (*SEHRepor
 	// analyzed but contribute no row and no symex work.
 	invs := make([]seh.ModuleInventory, len(libs))
 	span = r.col.StartStage("extract", len(libs))
+	span.NameJobs(func(i int) string { return "extract/" + libs[i] })
 	var work []int // indices into libs with at least one handler
 	err = runIndexed(ctx, 1, len(libs), span, func(i int) error {
 		mod, ok := env.Proc.Module(libs[i])

@@ -2,10 +2,40 @@ package discover
 
 import (
 	"context"
+	"regexp"
 	"testing"
 
+	"crashresist/internal/metrics"
 	"crashresist/internal/targets"
 )
+
+// TestSEHJobSpansNamed checks that every job span of a small IE SEH run
+// carries its unit's name, as extract/<module> and symex/<module>, rather
+// than the default <stage>/job-<i>.
+func TestSEHJobSpansNamed(t *testing.T) {
+	br, err := targets.IE(targets.SmallBrowserParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := AnalyzeSEH(context.Background(), Config{Seed: 42, Workers: 2}, br)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unnamed := regexp.MustCompile(`/job-[0-9]+$`)
+	stages := map[string]int{}
+	for _, s := range rep.Stats.Spans {
+		if s.Kind != metrics.SpanJob {
+			continue
+		}
+		if unnamed.MatchString(s.Name) {
+			t.Errorf("job span %q carries the default name", s.Name)
+		}
+		stages[regexp.MustCompile(`/.*`).ReplaceAllString(s.Name, "")]++
+	}
+	if stages["extract"] == 0 || stages["symex"] == 0 {
+		t.Errorf("job spans per stage = %v, want extract and symex jobs", stages)
+	}
+}
 
 func TestSEHPipelineIE(t *testing.T) {
 	params := targets.SmallBrowserParams()

@@ -466,12 +466,9 @@ func (r *pipelineRun) validate(srv *targets.Server, cand Candidate) (Finding, va
 	// Corrupt the stored pointer now (covers load-time relocations) and
 	// after every subsequent program store to it (covers runtime
 	// initialization), exactly what an attacker's write primitive does.
-	cor := &corruptingFlow{
-		DataFlow: env.Proc.Flow,
-		as:       env.Proc.AS,
-		target:   cand.Provenance,
-		value:    InvalidProbeAddr,
-	}
+	// The corruptor replaces the server's taint engine: a replay carries
+	// no taint.
+	cor := &corruptingFlow{as: env.Proc.AS, target: cand.Provenance, value: InvalidProbeAddr}
 	env.Proc.Flow = cor
 	cor.corrupt()
 
@@ -530,17 +527,21 @@ func (o *observationSink) SyscallExit(ev kernel.Event, ret uint64) {
 	}
 }
 
-// corruptingFlow decorates a vm.DataFlow, rewriting the 8 bytes at target
-// with an invalid pointer value after every program store that touches them
-// — the analysis-side emulation of the attacker's arbitrary-write primitive.
-// Every other event goes straight to the embedded flow.
+// corruptingFlow is the analysis-side emulation of the attacker's
+// arbitrary-write primitive: the data flow of a corrupted replay. It
+// rewrites the 8 bytes at target with an invalid pointer value after every
+// program store (StoreMem) and every socket input copy (MarkMem) that
+// touches them. A call's return-address push, an API stub's struct write
+// (both ClearMem) and every other kernel write leave them as written.
+// Every other event is a no-op: a replay carries no taint.
 type corruptingFlow struct {
-	vm.DataFlow
 	as       *mem.AddressSpace
 	target   uint64
 	value    uint64
 	disarmed bool
 }
+
+var _ vm.DataFlow = (*corruptingFlow)(nil)
 
 // disarm stops further corruption (the attacker's probe has completed).
 func (c *corruptingFlow) disarm() { c.disarmed = true }
@@ -559,18 +560,45 @@ func (c *corruptingFlow) corrupt() {
 	_ = c.as.WriteForce(c.target, buf[:])
 }
 
-// StoreMem implements vm.DataFlow.
-func (c *corruptingFlow) StoreMem(tid int, src isa.Register, addr uint64, size int) {
-	c.DataFlow.StoreMem(tid, src, addr, size)
-	if addr < c.target+8 && c.target < addr+uint64(size) {
+// touches reports whether [addr, addr+size) overlaps the slot.
+func (c *corruptingFlow) touches(addr uint64, size int) bool {
+	return addr < c.target+8 && c.target < addr+uint64(size)
+}
+
+// StoreMem implements vm.DataFlow: a program store to the slot re-corrupts
+// it.
+func (c *corruptingFlow) StoreMem(_ int, _ isa.Register, addr uint64, size int) {
+	if c.touches(addr, size) {
 		c.corrupt()
 	}
 }
 
-// MarkMem implements vm.DataFlow.
-func (c *corruptingFlow) MarkMem(label uint8, addr uint64, size int) {
-	c.DataFlow.MarkMem(label, addr, size)
-	if addr < c.target+8 && c.target < addr+uint64(size) {
+// MarkMem implements vm.DataFlow: socket input copied over the slot
+// re-corrupts it.
+func (c *corruptingFlow) MarkMem(_ uint8, addr uint64, size int) {
+	if c.touches(addr, size) {
 		c.corrupt()
 	}
 }
+
+// CopyRegReg implements vm.DataFlow as a no-op.
+func (*corruptingFlow) CopyRegReg(int, isa.Register, isa.Register) {}
+
+// SetRegImm implements vm.DataFlow as a no-op.
+func (*corruptingFlow) SetRegImm(int, isa.Register) {}
+
+// CombineReg implements vm.DataFlow as a no-op.
+func (*corruptingFlow) CombineReg(int, isa.Register, isa.Register) {}
+
+// LoadMem implements vm.DataFlow as a no-op.
+func (*corruptingFlow) LoadMem(int, isa.Register, uint64, int) {}
+
+// ClearMem implements vm.DataFlow as a no-op: a constant store over the
+// slot does not re-corrupt it.
+func (*corruptingFlow) ClearMem(uint64, int) {}
+
+// RegTaint implements vm.DataFlow: a replay tracks no taint.
+func (*corruptingFlow) RegTaint(int, isa.Register) uint64 { return 0 }
+
+// MemTaint implements vm.DataFlow: a replay tracks no taint.
+func (*corruptingFlow) MemTaint(uint64, int) uint64 { return 0 }

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// probeOp runs one harness process against a kernel-validated function with
-// an unmapped pointer: the unit of work the API funnel repeats 46,084 times.
+// probeOp boots a harness process for one probe of a kernel-validated
+// function with an unmapped pointer: the reference path of forkProbeOp.
 func probeOp(tb testing.TB) func() {
 	r := smallRegistry(tb)
 	d, _ := r.Lookup("Graceful1")
@@ -19,6 +19,27 @@ func probeOp(tb testing.TB) func() {
 	f := New(r, 5)
 	return func() {
 		outcome, _, _, err := f.runProbe(img, d, InvalidPointers[1])
+		if err != nil || outcome != OutcomeGraceful {
+			tb.Fatalf("probe = %v, %v; want graceful", outcome, err)
+		}
+	}
+}
+
+// forkProbeOp runs the same probe in a fork of a booted harness: the unit
+// of work the API funnel repeats 46,084 times.
+func forkProbeOp(tb testing.TB) func() {
+	r := smallRegistry(tb)
+	d, _ := r.Lookup("Graceful1")
+	img, err := harnessImage(d)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	boot, err := New(r, 5).boot(img, [5]uint64{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		outcome, _, _, err := forkProbe(boot, d, InvalidPointers[1])
 		if err != nil || outcome != OutcomeGraceful {
 			tb.Fatalf("probe = %v, %v; want graceful", outcome, err)
 		}
@@ -48,8 +69,9 @@ func benchOp(b *testing.B, newOp func(testing.TB) func()) {
 	}
 }
 
-func BenchmarkProbe(b *testing.B)   { benchOp(b, probeOp) }
-func BenchmarkFuzzOne(b *testing.B) { benchOp(b, fuzzOneOp) }
+func BenchmarkProbe(b *testing.B)     { benchOp(b, probeOp) }
+func BenchmarkForkProbe(b *testing.B) { benchOp(b, forkProbeOp) }
+func BenchmarkFuzzOne(b *testing.B)   { benchOp(b, fuzzOneOp) }
 
 // TestAllocs fails when an operation allocates more per call than its
 // budget. Budgets are measured counts; a change that lowers a count lowers
@@ -63,8 +85,9 @@ func TestAllocs(t *testing.T) {
 		op     func(testing.TB) func()
 		budget float64
 	}{
-		{"runProbe", probeOp, 19},
-		{"FuzzOne", fuzzOneOp, 81},
+		{"runProbe", probeOp, 18},
+		{"forkProbe", forkProbeOp, 14},
+		{"FuzzOne", fuzzOneOp, 78},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {

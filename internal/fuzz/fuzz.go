@@ -6,9 +6,11 @@
 //
 // The fuzzer knows only each function's documented signature (argument
 // count and which arguments are pointers — the MSDN-derived information the
-// paper used); it never consults the generator's behaviour category. Each
-// probe runs in a fresh single-shot harness process so a crash cannot
-// poison subsequent probes.
+// paper used); it never consults the generator's behaviour category. The
+// fuzzer boots one single-shot harness process per function, and each probe
+// runs in its own fork of it (vm.Process.Fork). A fork's writes stay
+// private to it, so a crash still cannot poison subsequent probes, and a
+// probe costs exactly what a freshly booted harness would.
 package fuzz
 
 import (
@@ -18,6 +20,7 @@ import (
 	"crashresist/internal/asm"
 	"crashresist/internal/bin"
 	"crashresist/internal/faultinject"
+	"crashresist/internal/isa"
 	"crashresist/internal/vm"
 	"crashresist/internal/winapi"
 )
@@ -94,6 +97,10 @@ type Fuzzer struct {
 	// injected VM faults. Probes stay deterministic: injection is keyed by
 	// the harness's virtual clock, which restarts from zero per probe.
 	FaultPlan *faultinject.Plan
+
+	// freshProbes boots a harness for every probe instead of forking
+	// one per function: the reference path the differential tests set.
+	freshProbes bool
 }
 
 // New creates a fuzzer over the registry. The seed feeds harness-process
@@ -122,15 +129,29 @@ func (f *Fuzzer) FuzzAll() (Summary, error) {
 	return sum, nil
 }
 
-// FuzzOne runs the invalid-pointer battery against one function.
+// FuzzOne runs the invalid-pointer battery against one function: it boots
+// the function's harness once and runs each probe in a fork of it.
 func (f *Fuzzer) FuzzOne(d *winapi.Descriptor) (FuncResult, error) {
 	img, err := harnessImage(d)
 	if err != nil {
 		return FuncResult{}, err
 	}
+	var boot *vm.Process
+	if !f.freshProbes {
+		if boot, err = f.boot(img, [5]uint64{}); err != nil {
+			return FuncResult{}, err
+		}
+	}
 	res := FuncResult{Name: d.Name, ID: d.ID, CrashResistant: true}
 	for _, ptr := range InvalidPointers {
-		outcome, ret, stats, err := f.runProbe(img, d, ptr)
+		var outcome Outcome
+		var ret uint64
+		var stats vm.Stats
+		if f.freshProbes {
+			outcome, ret, stats, err = f.runProbe(img, d, ptr)
+		} else {
+			outcome, ret, stats, err = forkProbe(boot, d, ptr)
+		}
 		if err != nil {
 			return FuncResult{}, err
 		}
@@ -143,9 +164,21 @@ func (f *Fuzzer) FuzzOne(d *winapi.Descriptor) (FuncResult, error) {
 	return res, nil
 }
 
-// runProbe executes one harness run with the probe pointer in every
-// documented pointer-argument slot.
-func (f *Fuzzer) runProbe(img *bin.Image, d *winapi.Descriptor, ptr uint64) (Outcome, uint64, vm.Stats, error) {
+// probeArgs puts the probe pointer in every documented pointer-argument
+// slot of R1..R5 and 1 in the others.
+func probeArgs(d *winapi.Descriptor, ptr uint64) [5]uint64 {
+	args := [5]uint64{1, 1, 1, 1, 1}
+	for _, ai := range d.PtrArgs {
+		if ai < len(args) {
+			args[ai] = ptr
+		}
+	}
+	return args
+}
+
+// boot creates a harness process and starts its main thread with args in
+// R1..R5. The thread has run nothing yet.
+func (f *Fuzzer) boot(img *bin.Image, args [5]uint64) (*vm.Process, error) {
 	p := vm.NewProcess(vm.Config{
 		Platform:  vm.PlatformWindows,
 		Seed:      f.seed,
@@ -154,31 +187,47 @@ func (f *Fuzzer) runProbe(img *bin.Image, d *winapi.Descriptor, ptr uint64) (Out
 	})
 	p.API = f.reg
 	if _, err := p.LoadImage(img); err != nil {
-		return 0, 0, vm.Stats{}, err
+		return nil, err
 	}
+	if _, err := p.Start(args[:]...); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
 
-	args := make([]uint64, 5)
-	isPtr := make(map[int]bool, len(d.PtrArgs))
-	for _, ai := range d.PtrArgs {
-		isPtr[ai] = true
-	}
-	for i := 0; i < 5; i++ {
-		if isPtr[i] {
-			args[i] = ptr
-		} else {
-			args[i] = 1
-		}
-	}
-	if _, err := p.Start(args...); err != nil {
+// runProbe executes one probe in a harness booted for it alone: the
+// reference for forkProbe.
+func (f *Fuzzer) runProbe(img *bin.Image, d *winapi.Descriptor, ptr uint64) (Outcome, uint64, vm.Stats, error) {
+	p, err := f.boot(img, probeArgs(d, ptr))
+	if err != nil {
 		return 0, 0, vm.Stats{}, err
 	}
-	p.RunUntilIdle(100_000)
-	switch p.State {
-	case vm.ProcExited:
-		return OutcomeGraceful, p.ExitCode, p.Stats, nil
-	default:
-		return OutcomeCrash, 0, p.Stats, nil
+	outcome, ret := runHarness(p)
+	return outcome, ret, p.Stats, nil
+}
+
+// forkProbe executes one probe in a fork of boot, a booted harness, with
+// the probe's arguments in the main thread's R1..R5.
+func forkProbe(boot *vm.Process, d *winapi.Descriptor, ptr uint64) (Outcome, uint64, vm.Stats, error) {
+	p, err := boot.Fork()
+	if err != nil {
+		return 0, 0, vm.Stats{}, err
 	}
+	main, _ := p.Thread(0)
+	for i, a := range probeArgs(d, ptr) {
+		main.SetReg(isa.Register(1+i), a)
+	}
+	outcome, ret := runHarness(p)
+	return outcome, ret, p.Stats, nil
+}
+
+// runHarness runs a started harness to its end and classifies the probe.
+func runHarness(p *vm.Process) (Outcome, uint64) {
+	p.RunUntilIdle(100_000)
+	if p.State == vm.ProcExited {
+		return OutcomeGraceful, p.ExitCode
+	}
+	return OutcomeCrash, 0
 }
 
 // harness is the one-shot caller every probe runs: the five argument

@@ -208,18 +208,21 @@ func checkAccessible(t *testing.T, step int, as *AddressSpace, addr, length uint
 	}
 }
 
-// attachSwept attaches to the mapped pages of a page range the tables a
-// sweep of their current bytes gives, as bin.Load does for text.
+// attachSwept maps the mapped pages of a page range as views of their
+// current bytes, with the tables a sweep of those bytes gives, as bin.Load
+// does for text.
 func attachSwept(as *AddressSpace, addr, length uint64) error {
+	var text [][PageSize]byte
 	var code []byte
 	for a := addr; a < addr+length; a += PageSize {
 		p, ok := as.pages[a/PageSize]
 		if !ok {
 			break
 		}
+		text = append(text, *p.bytes())
 		code = append(code, p.bytes()[:]...)
 	}
-	return as.AttachCode(addr, isa.SweepPages(code, PageSize))
+	return as.AttachText(addr, text, isa.SweepPages(code, PageSize))
 }
 
 // FuzzAddressSpace decodes its input into Map, Unmap, Protect, Write,
@@ -230,11 +233,16 @@ func attachSwept(as *AddressSpace, addr, length uint64) error {
 // reuses addresses, so pages whose bytes were never allocated meet pages
 // that were. Accessible must agree with Check on every decoded range.
 //
-// A Protect with bit 6 of its opcode set then attaches predecoded tables of
-// the range's current bytes (AttachCode). Every FetchExec that Decoded
-// answers must decode to the same instruction Decoded returns, so a table
-// that outlives a write to its page, or is served from a page without
-// execute permission, fails.
+// A Protect with bit 6 of its opcode set then maps the range's pages as
+// views of their current bytes with predecoded tables of them (AttachText).
+// Every FetchExec that Decoded answers must decode to the same instruction
+// Decoded returns, so a table that outlives a write to its page, or is
+// served from a page without execute permission, fails.
+//
+// The first op with bits 3-5 of its opcode set forks the address space
+// (and its reference) before it runs. From then on, an op with bit 5 set
+// runs on the fork and any other on the original. Each copy must match its
+// own reference, so a write in one that shows in the other fails.
 //
 // An op is an opcode byte (low three bits: the call; bit 7: a data access
 // in the last page of the address space) and its operands: a page byte, a
@@ -244,11 +252,19 @@ func attachSwept(as *AddressSpace, addr, length uint64) error {
 // byte max+8 for FetchExec. The seed corpus is testdata/fuzz/FuzzAddressSpace.
 func FuzzAddressSpace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		as, ref := NewAddressSpace(), &flatSpace{}
+		spaces, refs := []*AddressSpace{NewAddressSpace()}, []*flatSpace{{}}
 		r := &progReader{b: prog}
 		for step := 0; len(r.b) > 0 && step < 64; step++ {
 			op := r.byte()
 			top := op&0x80 != 0
+			if op&0x38 == 0x38 && len(spaces) == 1 {
+				fork := *refs[0]
+				spaces, refs = append(spaces, spaces[0].Fork()), append(refs, &fork)
+			}
+			as, ref := spaces[0], refs[0]
+			if len(spaces) == 2 && op&0x20 != 0 {
+				as, ref = spaces[1], refs[1]
+			}
 			switch op % 8 {
 			case 0:
 				addr, length := r.pageRange()
@@ -279,7 +295,7 @@ func FuzzAddressSpace(f *testing.F) {
 				}
 				if op&0x40 != 0 && err == nil && length%PageSize == 0 {
 					if err := attachSwept(as, addr, length); err != nil {
-						t.Fatalf("step %d AttachCode(%#x) after Protect: %v", step, addr, err)
+						t.Fatalf("step %d AttachText(%#x) after Protect: %v", step, addr, err)
 					}
 				}
 			case 3, 4:
@@ -331,20 +347,29 @@ func FuzzAddressSpace(f *testing.F) {
 				}
 			}
 		}
-		for a := uint64(fuzzBase - PageSize); a <= fuzzBase+fuzzPages*PageSize; a += PageSize {
-			perm, mapped := as.PermAt(a)
-			i, in := windowPage(a)
-			var want Perm
-			wantMapped := in && ref.mapped[i]
-			if wantMapped {
-				want = ref.perm[i]
-			}
-			if perm != want || mapped != wantMapped {
-				t.Fatalf("page %#x: perm %v mapped %v, reference %v %v", a, perm, mapped, want, wantMapped)
-			}
-			if mapped && !bytes.Equal(as.pages[a/PageSize].bytes()[:], ref.mem[i*PageSize:(i+1)*PageSize]) {
-				t.Fatalf("page %#x: bytes differ from the reference", a)
-			}
+		for k, as := range spaces {
+			checkPages(t, k, as, refs[k])
 		}
 	})
+}
+
+// checkPages fails t unless every page of the window and of the pages on
+// either side has copy k's reference permission and bytes.
+func checkPages(t *testing.T, k int, as *AddressSpace, ref *flatSpace) {
+	t.Helper()
+	for a := uint64(fuzzBase - PageSize); a <= fuzzBase+fuzzPages*PageSize; a += PageSize {
+		perm, mapped := as.PermAt(a)
+		i, in := windowPage(a)
+		var want Perm
+		wantMapped := in && ref.mapped[i]
+		if wantMapped {
+			want = ref.perm[i]
+		}
+		if perm != want || mapped != wantMapped {
+			t.Fatalf("copy %d page %#x: perm %v mapped %v, reference %v %v", k, a, perm, mapped, want, wantMapped)
+		}
+		if mapped && !bytes.Equal(as.pages[a/PageSize].bytes()[:], ref.mem[i*PageSize:(i+1)*PageSize]) {
+			t.Fatalf("copy %d page %#x: bytes differ from the reference", k, a)
+		}
+	}
 }

@@ -6,10 +6,22 @@
 // fetches as zeros, so a mapping nobody touches (most of a thread stack)
 // costs only its header.
 //
+// Page bytes are shared copy-on-write. Fork copies an address space's page
+// headers but none of their bytes, and AttachText maps a loaded image's
+// text pages as views of bytes every process loading the image shares. A
+// page's bytes are written in place only by the address space that owns
+// them; every other write first copies them, so a write in one address
+// space never shows in another. Every write reaches a page through one
+// path, writePage.
+//
 // A page may also carry a predecoded table of the instructions its bytes
-// hold (AttachCode), which the interpreter reads instead of fetching and
+// hold (AttachText), which the interpreter reads instead of fetching and
 // decoding. The next write to the page drops the table, and Decoded serves
 // it only while the page is executable.
+//
+// Watch reports every read, instruction fetch, write, map and unmap that
+// touches chosen pages, so an analysis can learn when a slot is first read
+// without stepping the program itself.
 //
 // Faults are ordinary error values (*Fault) rather than panics, so the VM,
 // the simulated kernel and analysis tooling can all distinguish "the access
@@ -23,6 +35,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"crashresist/internal/isa"
 )
@@ -114,13 +127,19 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("%s fault: %s at %#x", kind, f.Access, f.Addr)
 }
 
-// page is one mapped page. data is nil until the first write. code, when
-// set, is the predecoded table of the bytes the page held when it was
-// attached; every write drops it.
+// page is one mapped page. data is nil until the first write, or a view of
+// bytes the page shares: with the address spaces forked from its own, and,
+// for a text page, with every process that loaded the image. owner is the
+// address space that may write data in place; it is zero for views and for
+// pages without bytes, so their first write copies. code, when set, is the
+// predecoded table of the bytes the page held when it was attached; every
+// write drops it. watched marks a page Watch reports.
 type page struct {
-	data *[PageSize]byte
-	code *isa.Table
-	perm Perm
+	data    *[PageSize]byte
+	code    *isa.Table
+	owner   uint64
+	perm    Perm
+	watched bool
 }
 
 // zeroPage backs reads of never-written pages; nothing writes it.
@@ -134,17 +153,28 @@ func (p *page) bytes() *[PageSize]byte {
 	return p.data
 }
 
-// writable returns the page's contents for writing, allocating them on the
-// first write.
-func (p *page) writable() *[PageSize]byte {
-	if p.data == nil {
-		p.data = new([PageSize]byte)
-	}
-	return p.data
-}
+// spaceIDs numbers address spaces; page owners hold these numbers.
+var spaceIDs atomic.Uint64
+
+// WatchEvent is what touched a watched page.
+type WatchEvent uint8
+
+// Watch events.
+const (
+	// WatchRead is a data read: a VM load, an API stub's read or a
+	// kernel copy out of the process.
+	WatchRead WatchEvent = iota + 1
+	// WatchFetch is an instruction fetch, predecoded or not.
+	WatchFetch
+	// WatchWrite is any write, with or without write permission.
+	WatchWrite
+	// WatchMap is a Map or Unmap of the page.
+	WatchMap
+)
 
 // AddressSpace is a sparse 64-bit paged address space. It is not safe for
-// concurrent use; the VM serializes all accesses.
+// concurrent use; the VM serializes all accesses. Fork is the exception: it
+// only reads an address space that owns no page (see Fork).
 type AddressSpace struct {
 	pages map[uint64]*page // keyed by addr >> 12
 	// codePage caches the page Decoded found last, whose number is
@@ -153,11 +183,73 @@ type AddressSpace struct {
 	// page itself.
 	codePage *page
 	codePN   uint64
+	// id is the owner number of the pages this address space may write
+	// in place, and owns reports whether any page has it.
+	id   uint64
+	owns bool
+	// watch receives the events on watched pages; watchPN holds the
+	// watched page numbers, mapped or not.
+	watch   func(ev WatchEvent, addr, length uint64)
+	watchPN map[uint64]bool
 }
 
 // NewAddressSpace returns an empty address space.
 func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{pages: make(map[uint64]*page)}
+	return &AddressSpace{pages: make(map[uint64]*page), id: spaceIDs.Add(1)}
+}
+
+// Fork returns a copy of the address space: every mapping with its
+// permission, bytes, predecoded table and watch-free header. It copies the
+// page headers and no bytes: both address spaces then share every page's
+// bytes, and each copies a page on its own first write to it. Fork writes
+// to the source only when the source owns a page, to stop writing its
+// pages in place; so an address space that is never written after its own
+// fork (a snapshot) can be forked by any number of goroutines at once.
+func (as *AddressSpace) Fork() *AddressSpace {
+	if as.owns {
+		as.id, as.owns = spaceIDs.Add(1), false
+	}
+	c := &AddressSpace{pages: make(map[uint64]*page, len(as.pages)), id: spaceIDs.Add(1)}
+	slab := make([]page, len(as.pages))
+	i := 0
+	for pn, p := range as.pages {
+		slab[i] = *p
+		slab[i].watched = false
+		c.pages[pn] = &slab[i]
+		i++
+	}
+	return c
+}
+
+// Watch makes the pages holding [addr, addr+length) watched, mapped or not,
+// and sends fn every event that touches a watched page from now on: its
+// address and length, which may reach past the watched range on the same
+// page. An address space has one watcher; each Watch replaces fn. Forks
+// are not watched.
+func (as *AddressSpace) Watch(addr, length uint64, fn func(ev WatchEvent, addr, length uint64)) {
+	as.watch = fn
+	if length == 0 {
+		return
+	}
+	if as.watchPN == nil {
+		as.watchPN = make(map[uint64]bool)
+	}
+	for pn := addr / PageSize; pn <= (addr+length-1)/PageSize; pn++ {
+		as.watchPN[pn] = true
+		if p, ok := as.pages[pn]; ok {
+			p.watched = true
+		}
+	}
+}
+
+// notifyMap reports a Map or Unmap of the watched pages in [first,
+// first+n).
+func (as *AddressSpace) notifyMap(first, n uint64) {
+	for i := uint64(0); i < n; i++ {
+		if as.watchPN[first+i] {
+			as.watch(WatchMap, (first+i)*PageSize, PageSize)
+		}
+	}
 }
 
 // Map creates pages covering [addr, addr+length) with the given permission.
@@ -180,7 +272,11 @@ func (as *AddressSpace) Map(addr, length uint64, perm Perm) error {
 	slab := make([]page, n)
 	for i := range slab {
 		slab[i].perm = perm
+		slab[i].watched = as.watchPN[first+uint64(i)]
 		as.pages[first+uint64(i)] = &slab[i]
+	}
+	if as.watchPN != nil {
+		as.notifyMap(first, n)
 	}
 	return nil
 }
@@ -192,6 +288,9 @@ func (as *AddressSpace) Unmap(addr, length uint64) error {
 		return fmt.Errorf("unmap %#x+%#x: not page aligned", addr, length)
 	}
 	first, n := addr/PageSize, length/PageSize
+	if as.watchPN != nil {
+		as.notifyMap(first, n)
+	}
 	for i := uint64(0); i < n; i++ {
 		delete(as.pages, first+i)
 	}
@@ -295,6 +394,18 @@ func (as *AddressSpace) Read(addr, length uint64) ([]byte, error) {
 
 // ReadInto fills buf from memory starting at addr, checking read permission.
 func (as *AddressSpace) ReadInto(addr uint64, buf []byte) error {
+	if n := uint64(len(buf)); n > 0 && addr%PageSize+n <= PageSize {
+		// One page: one lookup serves the check, the watch and the copy.
+		p, err := as.pageFor(addr, AccessRead, false)
+		if err != nil {
+			return err
+		}
+		if p.watched {
+			as.watch(WatchRead, addr, n)
+		}
+		copy(buf, p.bytes()[addr%PageSize:])
+		return nil
+	}
 	if err := as.Check(addr, uint64(len(buf)), AccessRead); err != nil {
 		return err
 	}
@@ -304,22 +415,46 @@ func (as *AddressSpace) ReadInto(addr uint64, buf []byte) error {
 
 // Write copies data into memory at addr, checking write permission.
 func (as *AddressSpace) Write(addr uint64, data []byte) error {
-	if err := as.Check(addr, uint64(len(data)), AccessWrite); err != nil {
-		return err
-	}
-	as.copyIn(addr, data)
-	return nil
+	return as.write(addr, data, false)
 }
 
 // WriteForce copies data into memory at addr ignoring write permission, but
 // still requiring the pages to be mapped. Loaders and attacker corruption
 // primitives use this.
 func (as *AddressSpace) WriteForce(addr uint64, data []byte) error {
-	if err := as.check(addr, uint64(len(data)), AccessWrite, true); err != nil {
+	return as.write(addr, data, true)
+}
+
+// write is Write, or WriteForce when anyPerm.
+func (as *AddressSpace) write(addr uint64, data []byte, anyPerm bool) error {
+	if n := uint64(len(data)); n > 0 && addr%PageSize+n <= PageSize {
+		// One page: one lookup serves the check, the watch, the
+		// copy-on-write copy and the copy.
+		p, err := as.pageFor(addr, AccessWrite, anyPerm)
+		if err != nil {
+			return err
+		}
+		as.writePage(p, addr, data)
+		return nil
+	}
+	if err := as.check(addr, uint64(len(data)), AccessWrite, anyPerm); err != nil {
 		return err
 	}
 	as.copyIn(addr, data)
 	return nil
+}
+
+// pageFor returns the page holding addr, or the fault an access of that
+// kind makes there: unmapped, or, unless anyPerm, lacking its permission.
+func (as *AddressSpace) pageFor(addr uint64, access Access, anyPerm bool) (*page, error) {
+	p, ok := as.pages[addr/PageSize]
+	if !ok {
+		return nil, &Fault{Addr: addr, Access: access, Unmapped: true}
+	}
+	if !anyPerm && p.perm&access.perm() == 0 {
+		return nil, &Fault{Addr: addr, Access: access}
+	}
+	return p, nil
 }
 
 // ReadUint reads a little-endian unsigned integer of the given byte width.
@@ -369,34 +504,42 @@ func (as *AddressSpace) FetchExec(addr uint64, max int, buf []byte) ([]byte, err
 		if int(take) > max-len(buf) {
 			take = uint64(max - len(buf))
 		}
+		if p.watched {
+			as.watch(WatchFetch, addr, take)
+		}
 		buf = append(buf, p.bytes()[off:off+take]...)
 		addr += take
 	}
 	return buf, nil
 }
 
-// AttachCode gives the pages from addr on one predecoded table each: code[i]
-// must describe the bytes page addr+i*PageSize holds now. A page keeps its
-// table until its next write or until it is unmapped. addr must be page
-// aligned and every page mapped.
-func (as *AddressSpace) AttachCode(addr uint64, code []isa.Table) error {
+// AttachText makes the pages from addr on views of an image's text: page
+// addr+i*PageSize reads text[i] and carries code[i], the predecoded table
+// of those bytes, until its first write copies the bytes and drops the
+// table. Nothing writes text, so any number of address spaces may share it.
+// addr must be page aligned, every page mapped, and code as long as text.
+func (as *AddressSpace) AttachText(addr uint64, text [][PageSize]byte, code []isa.Table) error {
 	if addr%PageSize != 0 {
-		return fmt.Errorf("attach code %#x: not page aligned", addr)
+		return fmt.Errorf("attach text %#x: not page aligned", addr)
+	}
+	if len(code) != len(text) {
+		return fmt.Errorf("attach text %#x: %d tables for %d pages", addr, len(code), len(text))
 	}
 	first := addr / PageSize
-	for i := range code {
+	for i := range text {
 		if _, ok := as.pages[first+uint64(i)]; !ok {
 			return &Fault{Addr: (first + uint64(i)) * PageSize, Access: AccessExec, Unmapped: true}
 		}
 	}
-	for i := range code {
-		as.pages[first+uint64(i)].code = &code[i]
+	for i := range text {
+		p := as.pages[first+uint64(i)]
+		p.data, p.owner, p.code = &text[i], 0, &code[i]
 	}
 	return nil
 }
 
 // Decoded returns the predecoded instruction starting at addr when addr's
-// page is executable and still carries the table AttachCode gave it, and the
+// page is executable and still carries the table AttachText gave it, and the
 // table holds an instruction there. A hit decodes exactly as FetchExec's
 // bytes would. A miss is not a fault: the caller fetches and decodes the
 // bytes itself, which is also how it learns of a fault.
@@ -412,7 +555,11 @@ func (as *AddressSpace) Decoded(addr uint64) (isa.Instruction, bool) {
 	if p.code == nil || p.perm&PermExec == 0 {
 		return isa.Instruction{}, false
 	}
-	return p.code.At(addr % PageSize)
+	ins, ok := p.code.At(addr % PageSize)
+	if ok && p.watched {
+		as.watch(WatchFetch, addr, uint64(ins.Size()))
+	}
+	return ins, ok
 }
 
 // Regions returns the mapped regions as sorted (addr, length, perm) triples,
@@ -461,22 +608,41 @@ func (r Region) Contains(addr uint64) bool {
 func (as *AddressSpace) copyOut(addr uint64, buf []byte) {
 	for len(buf) > 0 {
 		p := as.pages[addr/PageSize]
-		off := addr % PageSize
-		n := copy(buf, p.bytes()[off:])
+		n := copy(buf, p.bytes()[addr%PageSize:])
+		if p.watched {
+			as.watch(WatchRead, addr, uint64(n))
+		}
 		buf = buf[n:]
 		addr += uint64(n)
 	}
 }
 
+// copyIn writes data at addr, page by page.
 func (as *AddressSpace) copyIn(addr uint64, data []byte) {
 	for len(data) > 0 {
-		p := as.pages[addr/PageSize]
-		p.code = nil
-		off := addr % PageSize
-		n := copy(p.writable()[off:], data)
+		n := min(uint64(len(data)), PageSize-addr%PageSize)
+		as.writePage(as.pages[addr/PageSize], addr, data[:n])
 		data = data[n:]
-		addr += uint64(n)
+		addr += n
 	}
+}
+
+// writePage is the one write path: it writes data, which fits in page p,
+// at addr. It drops the page's predecoded table, and first copies the
+// page's bytes unless this address space owns them.
+func (as *AddressSpace) writePage(p *page, addr uint64, data []byte) {
+	if p.watched {
+		as.watch(WatchWrite, addr, uint64(len(data)))
+	}
+	p.code = nil
+	if p.owner != as.id {
+		d := new([PageSize]byte)
+		if p.data != nil {
+			*d = *p.data
+		}
+		p.data, p.owner, as.owns = d, as.id, true
+	}
+	copy(p.data[addr%PageSize:], data)
 }
 
 func maxU64(a, b uint64) uint64 {
@@ -492,25 +658,29 @@ func maxU64(a, b uint64) uint64 {
 // of rand.New(rand.NewSource(seed)).Int63n.
 type Allocator struct {
 	// memo holds the seed's first draws, or is nil when the seed memo had
-	// no room for the seed; next counts the draws taken. Past the memo,
-	// rng continues the same stream.
-	memo *[memoDraws]int64
-	next int
-	rng  rand.Source
-	seed int64
-	as   *AddressSpace
-	low  uint64
-	high uint64
+	// no room for the seed; draws counts the draws taken. Past the memo,
+	// or without one, rng continues the same stream; it is nil until the
+	// first draw it serves.
+	memo  *[memoDraws]int64
+	draws int
+	rng   rand.Source
+	seed  int64
+	as    *AddressSpace
+	low   uint64
+	high  uint64
 }
 
 // NewAllocator creates an allocator placing mappings inside [low, high) of
 // the given address space. low and high must be page aligned.
 func NewAllocator(as *AddressSpace, low, high uint64, seed int64) *Allocator {
-	a := &Allocator{memo: memoFor(seed), seed: seed, as: as, low: low, high: high}
-	if a.memo == nil {
-		a.rng = rand.NewSource(seed)
-	}
-	return a
+	return &Allocator{memo: memoFor(seed), seed: seed, as: as, low: low, high: high}
+}
+
+// Fork returns an allocator for as, a fork of a's address space, that
+// continues a's stream: it keeps a's seed and draw count and rebuilds its
+// source from them when it first needs one. It writes nothing to a.
+func (a *Allocator) Fork(as *AddressSpace) *Allocator {
+	return &Allocator{memo: a.memo, draws: a.draws, seed: a.seed, as: as, low: a.low, high: a.high}
 }
 
 // Alloc maps length bytes (rounded up to pages) at a randomized address and
@@ -549,18 +719,20 @@ func (a *Allocator) int63n(n int64) int64 {
 }
 
 // int63 returns the seed's next stream value: from the memo while it
-// lasts, then from a real source advanced past the memo.
+// lasts, then from a source seeded afresh and advanced past the draws
+// already taken.
 func (a *Allocator) int63() int64 {
 	if a.rng == nil {
-		if a.next < memoDraws {
-			a.next++
-			return a.memo[a.next-1]
+		if a.memo != nil && a.draws < memoDraws {
+			a.draws++
+			return a.memo[a.draws-1]
 		}
 		a.rng = rand.NewSource(a.seed)
-		for range memoDraws {
+		for range a.draws {
 			a.rng.Int63()
 		}
 	}
+	a.draws++
 	return a.rng.Int63()
 }
 

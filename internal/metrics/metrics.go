@@ -339,17 +339,18 @@ type Collector struct {
 	// emitting is non-zero when a progress callback or sink is attached;
 	// workers check it before paying for event serialization.
 	emitting atomic.Bool
+	// jobSpans counts the job spans opened, dropped ones included;
+	// spansDropped counts those past the cap.
+	jobSpans, spansDropped atomic.Int64
 
-	mu           sync.Mutex
-	faultEvents  map[uint64]uint64
-	detect       *defense.Section
-	stages       []StageStats
-	stageSeq     int
-	spans        []Span
-	jobSpans     int
-	spansDropped int
-	progress     func(StageEvent)
-	sinks        []Sink
+	mu          sync.Mutex
+	faultEvents map[uint64]uint64
+	detect      *defense.Section
+	stages      []StageStats
+	stageSeq    int
+	spans       []Span
+	progress    func(StageEvent)
+	sinks       []Sink
 }
 
 // NewCollector starts a collector for one pipeline run. workers is the
@@ -592,8 +593,8 @@ func (c *Collector) Snapshot() *RunStats {
 		Span{ID: spanID(c.runID), Kind: SpanRun, Name: c.target, Shard: -1, Job: -1, DurNS: wall},
 		Span{ID: spanID(c.pipeID), Parent: spanID(c.runID), Kind: SpanPipeline, Name: c.pipeline, Shard: -1, Job: -1, DurNS: wall})
 	spans = append(spans, c.spans...)
-	dropped := c.spansDropped
 	c.mu.Unlock()
+	dropped := int(c.spansDropped.Load())
 	sort.SliceStable(spans, func(i, j int) bool { return spans[i].StartNS < spans[j].StartNS })
 	return &RunStats{
 		Pipeline:     c.pipeline,

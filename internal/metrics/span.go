@@ -79,17 +79,10 @@ func deriveSpanID(parent uint64, kind, name string, index int) uint64 {
 // spanID renders an ID for the wire.
 func spanID(id uint64) string { return fmt.Sprintf("%016x", id) }
 
-// appendSpan records one completed span, dropping job spans past the cap.
+// appendSpan records one completed span.
 func (c *Collector) appendSpan(s Span) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s.Kind == SpanJob {
-		if c.jobSpans >= maxJobSpans {
-			c.spansDropped++
-			return
-		}
-		c.jobSpans++
-	}
 	c.spans = append(c.spans, s)
 }
 
@@ -145,14 +138,23 @@ type JobSpan struct {
 
 // Job opens the span for job index i on this lane. The job's ID derives
 // from the stage (not the lane), so it is identical at any worker count;
-// the Parent field records which lane actually ran it.
+// the Parent field records which lane actually ran it. Past the run's cap
+// of maxJobSpans it counts the drop and returns nil, without naming the
+// job: a dropped job costs no allocation.
 func (sh *ShardSpan) Job(i int) *JobSpan {
 	if sh == nil {
 		return nil
 	}
-	name := fmt.Sprintf("%s/job-%d", sh.stage.name, i)
+	c := sh.stage.c
+	if c.jobSpans.Add(1) > maxJobSpans {
+		c.spansDropped.Add(1)
+		return nil
+	}
+	var name string
 	if sh.stage.jobName != nil {
 		name = sh.stage.jobName(i)
+	} else {
+		name = fmt.Sprintf("%s/job-%d", sh.stage.name, i)
 	}
 	return &JobSpan{shard: sh, job: i, name: name, start: time.Now()}
 }

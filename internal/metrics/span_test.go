@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -145,6 +146,48 @@ func TestJobSpanCap(t *testing.T) {
 		if !kinds[k] {
 			t.Errorf("missing %s span after job-span cap", k)
 		}
+	}
+}
+
+// TestJobSpanCapDropsFirst checks that a job past the cap is dropped before
+// its span is built: its labeller never runs, it allocates nothing, and
+// every drop still counts.
+func TestJobSpanCapDropsFirst(t *testing.T) {
+	c := NewCollector("api", "iexplore", 1)
+	st := c.StartStage("fuzz", maxJobSpans)
+	labelled := 0
+	st.NameJobs(func(i int) string {
+		labelled++
+		return fmt.Sprintf("fuzz/api-%d", i)
+	})
+	sh := st.Shard(0)
+	for i := 0; i < maxJobSpans; i++ {
+		sh.Job(i).End()
+	}
+	const past = 25
+	var dropped int
+	allocs := testing.AllocsPerRun(past-1, func() {
+		js := sh.Job(maxJobSpans + dropped)
+		if js != nil {
+			t.Fatal("a job past the cap opened a span")
+		}
+		js.End()
+		dropped++
+	})
+	sh.End()
+	st.End()
+	stats, err := c.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("a job past the cap allocates %v times, want 0", allocs)
+	}
+	if labelled != maxJobSpans {
+		t.Errorf("labeller ran %d times, want %d (only for kept jobs)", labelled, maxJobSpans)
+	}
+	if stats.SpansDropped != past {
+		t.Errorf("spans dropped = %d, want %d", stats.SpansDropped, past)
 	}
 }
 

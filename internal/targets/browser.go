@@ -139,6 +139,20 @@ type BrowserEnv struct {
 	// GuardPage is the Firefox model's protected (mapped, no-access)
 	// page; zero for IE.
 	GuardPage uint64
+
+	// tempBase is the page JsAllocTemp returns, zero until its first
+	// call.
+	tempBase uint64
+	// paused is the browse an environment forked from a BrowseSnapshot
+	// resumes.
+	paused *pausedCall
+}
+
+// pausedCall is a Call paused before one of its Run slices: the thread
+// running it and the slice's number.
+type pausedCall struct {
+	module, symbol string
+	tid, iter      int
 }
 
 // IE builds the Internet Explorer 11 model.
@@ -562,25 +576,50 @@ func (e *BrowserEnv) ExportVA(module, symbol string) (uint64, error) {
 // Call runs module!symbol(args...) on a fresh thread to completion and
 // returns its R0. The process must survive the call.
 func (e *BrowserEnv) Call(module, symbol string, args ...uint64) (uint64, error) {
-	va, err := e.ExportVA(module, symbol)
+	c, err := e.startCall(module, symbol, args...)
 	if err != nil {
 		return 0, err
+	}
+	return e.runCall(c, nil)
+}
+
+// startCall starts module!symbol(args...) on a fresh thread.
+func (e *BrowserEnv) startCall(module, symbol string, args ...uint64) (pausedCall, error) {
+	va, err := e.ExportVA(module, symbol)
+	if err != nil {
+		return pausedCall{}, err
 	}
 	t, err := e.Proc.StartThread(symbol, va, args...)
 	if err != nil {
-		return 0, err
+		return pausedCall{}, err
 	}
-	for iter := 0; t.State != vm.ThreadDone && e.Proc.Alive(); iter++ {
+	return pausedCall{module: module, symbol: symbol, tid: t.ID}, nil
+}
+
+// runCall runs the process in Run slices of a million ticks, numbered on
+// from c.iter, until c's thread is done. before, when set, sees each
+// slice's number before the slice runs.
+func (e *BrowserEnv) runCall(c pausedCall, before func(iter int) error) (uint64, error) {
+	t, ok := e.Proc.Thread(c.tid)
+	if !ok {
+		return 0, fmt.Errorf("%s!%s: no thread %d", c.module, c.symbol, c.tid)
+	}
+	for iter := c.iter; t.State != vm.ThreadDone && e.Proc.Alive(); iter++ {
 		if iter > 10_000 {
-			return 0, fmt.Errorf("%s!%s: run budget exhausted", module, symbol)
+			return 0, fmt.Errorf("%s!%s: run budget exhausted", c.module, c.symbol)
+		}
+		if before != nil {
+			if err := before(iter); err != nil {
+				return 0, err
+			}
 		}
 		res := e.Proc.Run(1_000_000)
 		if res.State == vm.ProcIdle && t.State != vm.ThreadDone {
-			return 0, fmt.Errorf("%s!%s deadlocked", module, symbol)
+			return 0, fmt.Errorf("%s!%s deadlocked", c.module, c.symbol)
 		}
 	}
 	if !e.Proc.Alive() {
-		return 0, fmt.Errorf("%s died during %s!%s: %v", e.Browser.Name, module, symbol, e.Proc.Crash)
+		return 0, fmt.Errorf("%s died during %s!%s: %v", e.Browser.Name, c.module, c.symbol, e.Proc.Crash)
 	}
 	return t.Reg(isa.R0), nil
 }
@@ -591,17 +630,81 @@ func (e *BrowserEnv) Browse() error {
 	return err
 }
 
+// Fork returns a copy of the environment whose process continues exactly
+// as e's would (vm.Process.Fork), with a registry of its own so that its
+// natives act on the copy. It writes nothing to e that vm.Process.Fork
+// does not.
+func (e *BrowserEnv) Fork() (*BrowserEnv, error) {
+	p, err := e.Proc.Fork()
+	if err != nil {
+		return nil, err
+	}
+	reg := e.Browser.apis.Extend()
+	f := &BrowserEnv{Proc: p, Reg: reg, Browser: e.Browser, GuardPage: e.GuardPage, tempBase: e.tempBase, paused: e.paused}
+	registerBrowserNatives(reg, f)
+	p.API = reg
+	return f, nil
+}
+
+// BrowseSnapshot is a browse paused at the start of one of its Run slices:
+// a fork of the browsing environment taken there. Nothing runs a snapshot,
+// and forking it writes nothing to it, so any number of goroutines may
+// fork one snapshot at once.
+type BrowseSnapshot struct {
+	env *BrowserEnv
+}
+
+// BrowseSnapshots runs one full browse as Browse does, and before each of
+// its Run slices hands each the slice's number, counted from zero, and a
+// snapshot of the environment there.
+func (e *BrowserEnv) BrowseSnapshots(each func(slice int, s *BrowseSnapshot)) error {
+	c, err := e.startCall(e.Browser.Name+".exe", "browse")
+	if err != nil {
+		return err
+	}
+	_, err = e.runCall(c, func(iter int) error {
+		f, err := e.Fork()
+		if err != nil {
+			return err
+		}
+		at := c
+		at.iter = iter
+		f.paused = &at
+		each(iter, &BrowseSnapshot{env: f})
+		return nil
+	})
+	return err
+}
+
+// Fork returns a copy of the snapshot's environment, paused where the
+// snapshot is; its ResumeBrowse finishes the browse.
+func (s *BrowseSnapshot) Fork() (*BrowserEnv, error) { return s.env.Fork() }
+
+// ResumeBrowse finishes the browse an environment forked from a
+// BrowseSnapshot is paused in, exactly as the browse the snapshot was
+// taken from went on from there.
+func (e *BrowserEnv) ResumeBrowse() error {
+	if e.paused == nil {
+		return fmt.Errorf("%s: no paused browse to resume", e.Browser.Name)
+	}
+	_, err := e.runCall(*e.paused, nil)
+	return err
+}
+
 // registerBrowserNatives installs the special-cased APIs the browser models
 // rely on.
 func registerBrowserNatives(reg *winapi.Registry, env *BrowserEnv) {
-	// Sleep(ticks): blocks the calling thread on the virtual clock.
+	// Sleep(ticks): blocks the calling thread on the virtual clock. It
+	// returns 0, set before it blocks: a thread blocked on a
+	// continuation could not be forked.
 	reg.RegisterNative(winapi.Descriptor{Name: "Sleep", NArgs: 1},
 		func(p *vm.Process, t *vm.Thread) *vm.Exception {
 			ticks := t.Reg(isa.R1)
 			if ticks == 0 {
 				ticks = 1
 			}
-			t.Block(p.Clock+ticks, func(bool) { t.SetReg(0, 0) })
+			t.SetReg(0, 0)
+			t.Block(p.Clock+ticks, nil)
 			return nil
 		})
 	// AddVectoredExceptionHandler(handler): run-time registration.
@@ -637,18 +740,17 @@ func registerBrowserNatives(reg *winapi.Registry, env *BrowserEnv) {
 	// JsAllocTemp(): returns a fresh temporary allocation — a pointer
 	// value with no stored reference anywhere (the "volatile heap
 	// pointer" exclusion reason).
-	var tempBase uint64
 	reg.RegisterNative(winapi.Descriptor{Name: "JsAllocTemp", NArgs: 0},
 		func(p *vm.Process, t *vm.Thread) *vm.Exception {
-			if tempBase == 0 {
+			if env.tempBase == 0 {
 				base, err := p.Alloc.Alloc(mem.PageSize, mem.PermRW)
 				if err != nil {
 					t.SetReg(0, 0)
 					return nil
 				}
-				tempBase = base
+				env.tempBase = base
 			}
-			t.SetReg(0, tempBase)
+			t.SetReg(0, env.tempBase)
 			return nil
 		})
 }

@@ -107,6 +107,32 @@ func processBootOp(tb testing.TB) func() {
 	}
 }
 
+// forkOp forks a booted two-thread process partway through its run: the
+// copy of its page headers, threads, frames and handlers, and no page
+// bytes.
+func forkOp(tb testing.TB) func() {
+	bb := asm.NewBuilder("bench.exe", bin.KindExecutable)
+	bb.Func("main").Entry("main").
+		LeaData(isa.R2, "cell").
+		Label("loop").
+		Load(8, isa.R3, isa.R2, 0).
+		AddRI(isa.R3, 1).
+		Store(8, isa.R2, 0, isa.R3).
+		Jmp("loop").
+		EndFunc()
+	bb.BSS("cell", 8)
+	p := startBench(tb, bb)
+	if _, err := p.StartThread("worker", p.Modules()[0].VA(0)); err != nil {
+		tb.Fatal(err)
+	}
+	p.Run(100)
+	return func() {
+		if _, err := p.Fork(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 func benchOp(b *testing.B, newOp func(testing.TB) func()) {
 	op := newOp(b)
 	b.ReportAllocs()
@@ -119,6 +145,7 @@ func benchOp(b *testing.B, newOp func(testing.TB) func()) {
 func BenchmarkExecLoop(b *testing.B)     { benchOp(b, execLoopOp) }
 func BenchmarkSEHRoundTrip(b *testing.B) { benchOp(b, sehRoundTripOp) }
 func BenchmarkProcessBoot(b *testing.B)  { benchOp(b, processBootOp) }
+func BenchmarkFork(b *testing.B)         { benchOp(b, forkOp) }
 
 // TestAllocs fails when an operation allocates more per call than its
 // budget. Budgets are measured counts; a change that lowers a count lowers
@@ -134,9 +161,10 @@ func TestAllocs(t *testing.T) {
 	}{
 		{"ExecLoop", execLoopOp, 0},
 		{"SEHRoundTrip", sehRoundTripOp, 6},
-		// Each boot takes a new seed: 23 in a fresh test binary, while
-		// the first seeds fill mem's seed memo, and 22 once it is full.
-		{"ProcessBoot", processBootOp, 23},
+		// Each boot takes a new seed: 22 in a fresh test binary, while
+		// the first seeds fill mem's seed memo, and 21 once it is full.
+		{"ProcessBoot", processBootOp, 22},
+		{"Fork", forkOp, 16},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {

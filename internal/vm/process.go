@@ -1,7 +1,10 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"crashresist/internal/bin"
 	"crashresist/internal/faultinject"
@@ -121,6 +124,64 @@ func NewProcess(cfg Config) *Process {
 		quantum:        quantum,
 		stackSize:      stack,
 	}
+}
+
+// Fork returns a copy of p that continues exactly as p would: its memory
+// (shared copy-on-write, see mem.AddressSpace.Fork), threads, frames and
+// scheduler position, clock and Stats, modules, vectored and signal
+// handlers, and an allocator that continues p's draws. The copy shares p's
+// API handler and fault plan and has no tracer and no data flow; callers
+// attach their own.
+//
+// Fork refuses a process with a syscall handler, whose kernel state it
+// cannot copy, and one with a thread blocked on a continuation, a closure
+// it cannot copy. Fork writes to p only to stop p writing its own pages in
+// place, which a process forked from and never run since does not need.
+func (p *Process) Fork() (*Process, error) {
+	if p.Syscalls != nil {
+		return nil, errors.New("fork: the process has a syscall handler")
+	}
+	for _, t := range p.threads {
+		if t.resume != nil {
+			return nil, fmt.Errorf("fork: thread %d is blocked on a continuation", t.ID)
+		}
+	}
+	as := p.AS.Fork()
+	c := &Process{
+		AS:             as,
+		Alloc:          p.Alloc.Fork(as),
+		Platform:       p.Platform,
+		Policy:         p.Policy,
+		Clock:          p.Clock,
+		API:            p.API,
+		FaultPlan:      p.FaultPlan,
+		SignalHandlers: maps.Clone(p.SignalHandlers),
+		Stats:          p.Stats,
+		State:          p.State,
+		ExitCode:       p.ExitCode,
+		referenceFetch: p.referenceFetch,
+		modules:        slices.Clone(p.modules),
+		modsByName:     maps.Clone(p.modsByName),
+		threads:        make([]*Thread, len(p.threads)),
+		nextTID:        p.nextTID,
+		quantum:        p.quantum,
+		stackSize:      p.stackSize,
+		rrIndex:        p.rrIndex,
+		veh:            slices.Clone(p.veh),
+	}
+	if p.Crash != nil {
+		crash := *p.Crash
+		c.Crash = &crash
+	}
+	threads := make([]Thread, len(p.threads))
+	for i, t := range p.threads {
+		threads[i] = *t
+		threads[i].proc = c
+		threads[i].frames = slices.Clone(t.frames)
+		threads[i].savedSigCtx = slices.Clone(t.savedSigCtx)
+		c.threads[i] = &threads[i]
+	}
+	return c, nil
 }
 
 // LoadImage maps an image into the process, resolving module imports against
