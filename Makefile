@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci test race fuzz-short chaos scale bench golden-update
+.PHONY: ci test race fuzz-short chaos scale bench hostprof golden-update
 
 # ci runs what .github/workflows/ci.yml's test and perfbench jobs run:
 # gofmt, vet, build, tests (allocation budgets included), race and the
@@ -52,6 +52,23 @@ scale:
 # job (bash perfbench/run.sh); allocation budgets run in `make test`.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# hostprof profiles the host CPU time and allocations of BenchmarkTableI,
+# BenchmarkAPIFunnel and BenchmarkTableIII, the in-tree counterparts of
+# perfbench's table1, funnel and seh workloads, and prints the top of each
+# profile. Profiles and the test binary they name go to hostprof/; read one
+# further with `go tool pprof hostprof/crashresist.test hostprof/<b>.cpu.pprof`.
+hostprof:
+	mkdir -p hostprof
+	for b in TableI APIFunnel TableIII; do \
+		$(GO) test -run '^$$' -bench "^Benchmark$$b$$" -benchtime 10x \
+			-cpuprofile hostprof/$$b.cpu.pprof -memprofile hostprof/$$b.mem.pprof \
+			-o hostprof/crashresist.test . || exit 1; \
+		echo "== $$b: cpu"; \
+		$(GO) tool pprof -top -nodecount 40 hostprof/crashresist.test hostprof/$$b.cpu.pprof || exit 1; \
+		echo "== $$b: allocated bytes"; \
+		$(GO) tool pprof -top -nodecount 25 -sample_index alloc_space hostprof/crashresist.test hostprof/$$b.mem.pprof || exit 1; \
+	done
 
 golden-update:
 	$(GO) test ./cmd/crtables -run TestGolden -update

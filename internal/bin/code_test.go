@@ -17,8 +17,11 @@ func TestLoadAttachesPredecodedText(t *testing.T) {
 	img := testImage(t)
 	as := mem.NewAddressSpace()
 	alloc := mem.NewAllocator(as, 0x100000, 0x10000000, 3)
-	var bases []uint64
-	for range 2 {
+	var (
+		bases []uint64
+		first []*isa.Instruction // the first load's Decoded at each instruction
+	)
+	for load := range 2 {
 		m, err := Load(as, alloc, img, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -29,15 +32,24 @@ func TestLoadAttachesPredecodedText(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, ok := as.Decoded(m.Base + uint64(off)); !ok || got != want {
-				t.Errorf("base %#x offset %d: Decoded = %v, %v; want %v", m.Base, off, got, ok, want)
+			got := as.Decoded(m.Base + uint64(off))
+			if got == nil || *got != want {
+				t.Errorf("base %#x offset %d: Decoded = %v; want %v", m.Base, off, got, want)
+			}
+			if load == 0 {
+				first = append(first, got)
+			} else if got != first[0] {
+				t.Errorf("base %#x offset %d: the loads' Decoded are different instructions", m.Base, off)
+			}
+			if load == 1 {
+				first = first[1:]
 			}
 			off += n
 		}
-		if _, ok := as.Decoded(m.Base + 2); ok {
+		if as.Decoded(m.Base+2) != nil {
 			t.Errorf("base %#x: Decoded hit in the middle of an instruction", m.Base)
 		}
-		if _, ok := as.Decoded(m.Base + uint64(len(img.Text))); ok {
+		if as.Decoded(m.Base+uint64(len(img.Text))) != nil {
 			t.Errorf("base %#x: Decoded hit in the zero padding after the text", m.Base)
 		}
 	}
@@ -47,10 +59,10 @@ func TestLoadAttachesPredecodedText(t *testing.T) {
 	if err := as.WriteForce(bases[0]+19, []byte{byte(isa.OpHalt)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := as.Decoded(bases[0]); ok {
+	if as.Decoded(bases[0]) != nil {
 		t.Error("Decoded still served the first load's table after a write to its text")
 	}
-	if _, ok := as.Decoded(bases[1]); !ok {
+	if as.Decoded(bases[1]) == nil {
 		t.Error("a write to one load's text dropped the other load's table")
 	}
 	text, _ := img.textPages()

@@ -178,6 +178,15 @@ func (img *Image) textPages() ([][mem.PageSize]byte, []isa.Table) {
 	return c.text, c.pages
 }
 
+// Code returns img's predecoded text, one isa.Table per text page, building
+// it on the first call for img or any image sharing it. The tables number
+// the text's instructions image-wide (isa.Table.Num). Callers must not
+// modify them.
+func (img *Image) Code() []isa.Table {
+	_, code := img.textPages()
+	return code
+}
+
 // WithImports returns a copy of img that imports imps instead of img's
 // imports. The copy shares every section and the predecoded text with img,
 // so images that differ only in what they import decode their text once.

@@ -85,9 +85,9 @@ func TestAllocs(t *testing.T) {
 		op     func(testing.TB) func()
 		budget float64
 	}{
-		{"runProbe", probeOp, 18},
-		{"forkProbe", forkProbeOp, 14},
-		{"FuzzOne", fuzzOneOp, 78},
+		{"runProbe", probeOp, 17},
+		{"forkProbe", forkProbeOp, 11},
+		{"FuzzOne", fuzzOneOp, 65},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {

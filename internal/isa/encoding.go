@@ -79,7 +79,7 @@ func Decode(buf []byte) (Instruction, int, error) {
 	if layout == 0 {
 		return Instruction{}, 0, &InvalidOpError{Op: op}
 	}
-	size := layout.Size()
+	size := int(sizeOf[op])
 	if len(buf) < size {
 		return Instruction{}, 0, &TruncatedError{Op: op, Need: size, Have: len(buf)}
 	}

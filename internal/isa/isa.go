@@ -210,7 +210,22 @@ func (l Layout) Size() int {
 }
 
 // LayoutOf returns the operand layout for an opcode.
-func LayoutOf(op Op) Layout {
+func LayoutOf(op Op) Layout { return layoutOf[op] }
+
+// layoutOf and sizeOf hold every byte's LayoutOf and encoded size, so
+// decoding and the interpreter read a table instead of a switch chain.
+var layoutOf, sizeOf = opTables()
+
+func opTables() (layout [256]Layout, size [256]uint8) {
+	for op := range layout {
+		layout[op] = layoutFor(Op(op))
+		size[op] = uint8(layout[op].Size())
+	}
+	return layout, size
+}
+
+// layoutFor defines LayoutOf.
+func layoutFor(op Op) Layout {
 	switch {
 	case op >= OpNop && op <= OpYield:
 		return LayoutNone
@@ -238,17 +253,18 @@ func CodeToDisp(code uint32) int32 { return int32(code) }
 // DispToCode is the inverse of CodeToDisp.
 func DispToCode(disp int32) uint32 { return uint32(disp) }
 
-// Instruction is a decoded M64 instruction.
+// Instruction is a decoded M64 instruction. Its fields are ordered so it
+// packs into 16 bytes.
 type Instruction struct {
 	Op   Op
 	A    Register // first register operand
 	B    Register // second register operand
-	Imm  uint64   // 64-bit immediate (OpMovRI)
 	Disp int32    // 32-bit displacement / immediate / import slot / code
+	Imm  uint64   // 64-bit immediate (OpMovRI)
 }
 
 // Size returns the encoded size of the instruction in bytes.
-func (i Instruction) Size() int { return LayoutOf(i.Op).Size() }
+func (i Instruction) Size() int { return int(sizeOf[i.Op]) }
 
 // IsBranch reports whether the instruction may transfer control somewhere
 // other than the next instruction.

@@ -3,25 +3,52 @@ package isa
 // Table holds the instructions a linear sweep decoded from one page of code,
 // keyed by their byte offset in the page. It is immutable once built, so any
 // number of processes may read one concurrently.
+//
+// The sweep numbers the instructions it decodes 0, 1, 2, ... in offset
+// order across all of its tables, so a number names one instruction start
+// of the whole run of code; per-instruction counters index by it.
 type Table struct {
 	// slot has one entry per byte of code the page holds: 1 + the index
 	// in ins of the instruction starting there, or 0 when none does.
 	slot []uint16
 	ins  []Instruction
+	// first is the number of ins[0].
+	first int
 }
 
-// At returns the instruction starting at byte offset off of the page, if the
-// sweep decoded one there.
-func (t *Table) At(off uint64) (Instruction, bool) {
+// At returns the instruction starting at byte offset off of the page, or nil
+// when the sweep decoded none there. The instruction is the table's own,
+// shared by every reader: callers must not write through it.
+func (t *Table) At(off uint64) *Instruction {
 	if off >= uint64(len(t.slot)) {
-		return Instruction{}, false
+		return nil
 	}
 	i := t.slot[off]
 	if i == 0 {
-		return Instruction{}, false
+		return nil
 	}
-	return t.ins[i-1], true
+	return &t.ins[i-1]
 }
+
+// Num returns the number of the instruction starting at byte offset off of
+// the page, if the sweep decoded one there.
+func (t *Table) Num(off uint64) (int, bool) {
+	if off >= uint64(len(t.slot)) {
+		return 0, false
+	}
+	i := t.slot[off]
+	if i == 0 {
+		return 0, false
+	}
+	return t.first + int(i) - 1, true
+}
+
+// Len returns how many bytes of code the table covers.
+func (t *Table) Len() int { return len(t.slot) }
+
+// End returns one past the number of the table's last instruction; the last
+// table's End is how many instructions the sweep numbered.
+func (t *Table) End() int { return t.first + len(t.ins) }
 
 // SweepPages decodes code linearly from offset 0 and returns one Table per
 // pageSize bytes of it; the last table covers only the bytes left. A page's
@@ -43,7 +70,7 @@ func SweepPages(code []byte, pageSize int) []Table {
 	page, first := 0, 0 // the page being filled and its first index in ins
 	finish := func() {
 		lo, hi, end := page*pageSize, min((page+1)*pageSize, len(code)), len(ins)
-		tables[page] = Table{slot: slots[lo:hi:hi], ins: ins[first:end:end]}
+		tables[page] = Table{slot: slots[lo:hi:hi], ins: ins[first:end:end], first: first}
 		page, first = page+1, end
 	}
 	sweep(code, pageSize, func(off int, in Instruction) {

@@ -4,7 +4,8 @@ import "testing"
 
 // TestSweepPages checks the page split: each table is sized to the code on
 // its page, keeps only instructions that start and end on it, answers At
-// exactly at their starts, and the sweep steps over undecodable bytes.
+// and Num exactly at their starts, numbering them in offset order across
+// the tables, and the sweep steps over undecodable bytes.
 func TestSweepPages(t *testing.T) {
 	const page = 16
 	// 0: movri (10 bytes), 10: load8 (7 bytes, straddles 16), 17: an
@@ -37,19 +38,40 @@ func TestSweepPages(t *testing.T) {
 		{1, 19 - page}: {Op: OpJmp, Disp: -3},
 		{1, 24 - page}: {Op: OpRet},
 	}
+	wantNum := map[[2]int]int{{0, 0}: 0, {1, 18 - page}: 1, {1, 19 - page}: 2, {1, 24 - page}: 3}
 	for p := range tables {
 		for off := uint64(0); off < page+2; off++ {
-			ins, ok := tables[p].At(off)
 			w, wantOK := want[[2]int{p, int(off)}]
-			if ok != wantOK || ins != w {
-				t.Errorf("page %d At(%d) = %v, %v; want %v, %v", p, off, ins, ok, w, wantOK)
+			if ins := tables[p].At(off); (ins != nil) != wantOK || ins != nil && *ins != w {
+				t.Errorf("page %d At(%d) = %v; want %v, %v", p, off, ins, w, wantOK)
+			}
+			n, ok := tables[p].Num(off)
+			if w, wantOK := wantNum[[2]int{p, int(off)}]; ok != wantOK || n != w {
+				t.Errorf("page %d Num(%d) = %d, %v; want %d, %v", p, off, n, ok, w, wantOK)
 			}
 		}
 	}
 	if n := len(tables[0].ins) + len(tables[1].ins); n != len(want) {
 		t.Errorf("tables hold %d instructions, want %d", n, len(want))
 	}
+	if got := []int{tables[0].End(), tables[1].End(), tables[1].Len()}; got[0] != 1 || got[1] != len(want) || got[2] != len(code)-page {
+		t.Errorf("End, End, Len = %v; want [1 %d %d]", got, len(want), len(code)-page)
+	}
 	if SweepPages(nil, page) != nil {
 		t.Error("SweepPages(nil) is not nil")
+	}
+}
+
+// TestOpTables checks the opcode tables against the switch that defines
+// them, for every byte an opcode can take.
+func TestOpTables(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		op := Op(b)
+		if got, want := LayoutOf(op), layoutFor(op); got != want {
+			t.Errorf("LayoutOf(%d) = %d, want %d", b, got, want)
+		}
+		if got, want := (Instruction{Op: op}).Size(), layoutFor(op).Size(); got != want {
+			t.Errorf("Size of op %d = %d, want %d", b, got, want)
+		}
 	}
 }

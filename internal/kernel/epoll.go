@@ -30,14 +30,14 @@ func (k *Kernel) epolls() []*epollFD {
 	return out
 }
 
-func (k *Kernel) sysEpollCreate(t *vm.Thread, ev Event) {
+func (k *Kernel) sysEpollCreate(t *vm.Thread, ev *Event) {
 	fd := k.installFD(&epollFD{interest: make(map[int]epollReg)})
 	k.complete(t, ev, uint64(fd))
 }
 
 // sysEpollCtl registers interest: args are (epfd, op, fd, eventPtr). The
 // event struct is read through an EFAULT-checked pointer.
-func (k *Kernel) sysEpollCtl(t *vm.Thread, ev Event) {
+func (k *Kernel) sysEpollCtl(t *vm.Thread, ev *Event) {
 	e, ok := k.fds[int(ev.Args[0])].(*epollFD)
 	if !ok {
 		k.complete(t, ev, errRet(EBADF))
@@ -75,7 +75,7 @@ func (k *Kernel) sysEpollCtl(t *vm.Thread, ev Event) {
 // every attempt; a pointer corrupted to an unmapped address produces an
 // immediate -EFAULT without blocking — the tight failing loop the Cherokee
 // PoC (§VI-D) turns into a timing side channel.
-func (k *Kernel) sysEpollWait(t *vm.Thread, ev Event) {
+func (k *Kernel) sysEpollWait(t *vm.Thread, ev *Event) {
 	e, ok := k.fds[int(ev.Args[0])].(*epollFD)
 	if !ok {
 		k.complete(t, ev, errRet(EBADF))

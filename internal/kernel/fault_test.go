@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"maps"
 	"testing"
 
 	"crashresist/internal/asm"
@@ -239,5 +240,30 @@ func TestWriteToReadOnlyBufferEFAULT(t *testing.T) {
 	p.RunUntilIdle(1_000_000)
 	if int64(p.ExitCode) != -EFAULT {
 		t.Errorf("read into r/o page ret = %d, want -EFAULT", int64(p.ExitCode))
+	}
+}
+
+// TestEFAULTBucketsBySecond returns -EFAULT at clocks spread over several
+// virtual seconds, reading Counts between some of them: every read must
+// equal a series bucketed return by return, so folding the current
+// second's count into the series neither loses nor repeats a return.
+func TestEFAULTBucketsBySecond(t *testing.T) {
+	f := newDispatchFixture(t)
+	want := map[uint64]uint64{}
+	for i, clock := range []uint64{5, 900_000, 999_999, 1_000_000, 1_000_001, 3_500_000, 3_500_000, 7_000_000} {
+		f.p.Clock = clock
+		if ret := f.call(SysAccess, [5]uint64{0xdead0000}); int64(ret) != -EFAULT {
+			t.Fatalf("access = %d, want -EFAULT", int64(ret))
+		}
+		want[clock/TicksPerSecond]++
+		if i%3 == 1 {
+			if got := f.k.Counts().EFAULTBuckets; !maps.Equal(got, want) {
+				t.Fatalf("after %d returns: buckets %v, want %v", i+1, got, want)
+			}
+		}
+	}
+	c := f.k.Counts()
+	if !maps.Equal(c.EFAULTBuckets, want) || c.EFAULTReturns != 8 {
+		t.Errorf("buckets %v and %d returns, want %v and 8", c.EFAULTBuckets, c.EFAULTReturns, want)
 	}
 }

@@ -15,7 +15,7 @@ func (f *fsFile) kind() string { return "file" }
 
 // sysOpen opens (or creates) a filesystem file. The path pointer is
 // EFAULT-checked.
-func (k *Kernel) sysOpen(t *vm.Thread, ev Event) {
+func (k *Kernel) sysOpen(t *vm.Thread, ev *Event) {
 	path, ok := k.readPath(ev.Args[0])
 	if !ok {
 		k.complete(t, ev, errRet(EFAULT))
@@ -34,7 +34,7 @@ func (k *Kernel) sysOpen(t *vm.Thread, ev Event) {
 }
 
 // sysRead handles read() for both files and sockets: read(fd, buf, n).
-func (k *Kernel) sysRead(t *vm.Thread, ev Event) {
+func (k *Kernel) sysRead(t *vm.Thread, ev *Event) {
 	switch f := k.fds[int(ev.Args[0])].(type) {
 	case *serverConn:
 		k.streamRead(t, ev, f, ev.Args[1], ev.Args[2])
@@ -63,7 +63,7 @@ func (k *Kernel) sysRead(t *vm.Thread, ev Event) {
 }
 
 // sysWrite handles write() for both files and sockets.
-func (k *Kernel) sysWrite(t *vm.Thread, ev Event) {
+func (k *Kernel) sysWrite(t *vm.Thread, ev *Event) {
 	switch f := k.fds[int(ev.Args[0])].(type) {
 	case *serverConn:
 		k.streamWrite(t, ev, f, ev.Args[1], ev.Args[2])
@@ -88,7 +88,7 @@ func (k *Kernel) sysWrite(t *vm.Thread, ev Event) {
 
 // sysPathOp implements access/chmod/mkdir/unlink: all validate the path
 // pointer (EFAULT) and then act trivially on the in-memory filesystem.
-func (k *Kernel) sysPathOp(t *vm.Thread, ev Event) {
+func (k *Kernel) sysPathOp(t *vm.Thread, ev *Event) {
 	path, ok := k.readPath(ev.Args[0])
 	if !ok {
 		k.complete(t, ev, errRet(EFAULT))
@@ -117,7 +117,7 @@ func (k *Kernel) sysPathOp(t *vm.Thread, ev Event) {
 }
 
 // sysSymlink validates both path pointers, then records the link as a copy.
-func (k *Kernel) sysSymlink(t *vm.Thread, ev Event) {
+func (k *Kernel) sysSymlink(t *vm.Thread, ev *Event) {
 	target, ok := k.readPath(ev.Args[0])
 	if !ok {
 		k.complete(t, ev, errRet(EFAULT))

@@ -131,7 +131,8 @@ func inPtr(i int) PtrArg  { return PtrArg{Index: i, Access: mem.AccessRead} }
 func outPtr(i int) PtrArg { return PtrArg{Index: i, Access: mem.AccessWrite} }
 
 // table holds each syscall's spec at the index of its number; slot 0 is
-// unused. Only SpecFor and Specs read it, and both hand out copies.
+// unused. SpecFor and Specs hand out copies of it; dispatch reads names
+// from it in place.
 var table = [...]Spec{
 	SysExit:        {Num: SysExit, Name: "exit"},
 	SysExitThread:  {Num: SysExitThread, Name: "exit_thread"},
@@ -211,6 +212,11 @@ type Kernel struct {
 	plan     *faultinject.Plan
 
 	counts Counts
+	// efaultSec is the virtual second of the latest -EFAULT return, and
+	// efaultNow counts that second's returns not yet folded into
+	// counts.EFAULTBuckets, so a return costs no map write.
+	efaultSec uint64
+	efaultNow uint64
 
 	// sleepers are threads blocked in the kernel; any external event
 	// wakes them all and their continuations re-evaluate readiness.
@@ -239,9 +245,22 @@ type Counts struct {
 // Counts returns the kernel's dispatch counters so far. The bucket series
 // is copied, so callers may retain the result across further dispatches.
 func (k *Kernel) Counts() Counts {
+	k.foldEFAULTs()
 	c := k.counts
 	c.EFAULTBuckets = maps.Clone(c.EFAULTBuckets)
 	return c
+}
+
+// foldEFAULTs adds the -EFAULT returns counted for efaultSec to its bucket.
+func (k *Kernel) foldEFAULTs() {
+	if k.efaultNow == 0 {
+		return
+	}
+	if k.counts.EFAULTBuckets == nil {
+		k.counts.EFAULTBuckets = make(map[uint64]uint64)
+	}
+	k.counts.EFAULTBuckets[k.efaultSec] += k.efaultNow
+	k.efaultNow = 0
 }
 
 // fileLike is anything installable in the fd table.
@@ -291,13 +310,15 @@ var _ vm.SyscallHandler = (*Kernel)(nil)
 // Syscall dispatches one SYSCALL instruction.
 func (k *Kernel) Syscall(p *vm.Process, t *vm.Thread) {
 	num := t.Reg(0)
-	var args [5]uint64
-	for i := 0; i < 5; i++ {
-		args[i] = t.Regs[1+i]
-	}
 	k.counts.Dispatched++
-	spec, _ := SpecFor(num)
-	ev := Event{Thread: t, Num: num, Name: spec.Name, Args: args}
+	// ev is built in place: a composite literal would be built aside
+	// and copied in.
+	var ev Event
+	ev.Thread, ev.Num = t, num
+	copy(ev.Args[:], t.Regs[1:6])
+	if num < uint64(len(table)) {
+		ev.Name = table[num].Name
+	}
 	if k.observer != nil {
 		k.observer.SyscallEnter(ev)
 	}
@@ -311,21 +332,23 @@ func (k *Kernel) Syscall(p *vm.Process, t *vm.Thread) {
 			if f.Transient() {
 				errno = EAGAIN
 			}
-			k.complete(t, ev, errRet(errno))
+			k.complete(t, &ev, errRet(errno))
 			return
 		}
 	}
-	k.invoke(t, ev)
+	k.invoke(t, &ev)
 }
 
-// complete finishes a syscall, reporting to the observer.
-func (k *Kernel) complete(t *vm.Thread, ev Event, ret uint64) {
+// complete finishes a syscall, reporting to the observer. Like every
+// syscall body, it only reads ev; the observer gets a copy.
+func (k *Kernel) complete(t *vm.Thread, ev *Event, ret uint64) {
 	if int64(ret) == -int64(EFAULT) {
 		k.counts.EFAULTReturns++
-		if k.counts.EFAULTBuckets == nil {
-			k.counts.EFAULTBuckets = make(map[uint64]uint64)
+		if sec := k.proc.Clock / TicksPerSecond; sec != k.efaultSec {
+			k.foldEFAULTs()
+			k.efaultSec = sec
 		}
-		k.counts.EFAULTBuckets[k.proc.Clock/TicksPerSecond]++
+		k.efaultNow++
 	}
 	t.SetReg(0, ret)
 	if k.proc.Flow != nil {
@@ -334,12 +357,12 @@ func (k *Kernel) complete(t *vm.Thread, ev Event, ret uint64) {
 		k.proc.Flow.SetRegImm(t.ID, 0)
 	}
 	if k.observer != nil {
-		k.observer.SyscallExit(ev, ret)
+		k.observer.SyscallExit(*ev, ret)
 	}
 }
 
 // invoke runs (or re-runs, after a wakeup) the syscall body.
-func (k *Kernel) invoke(t *vm.Thread, ev Event) {
+func (k *Kernel) invoke(t *vm.Thread, ev *Event) {
 	p := k.proc
 	args := ev.Args
 	switch ev.Num {
@@ -355,7 +378,7 @@ func (k *Kernel) invoke(t *vm.Thread, ev Event) {
 			k.complete(t, ev, errRet(EINVAL))
 			return
 		}
-		p.SignalHandlers[sig] = args[1]
+		p.SetSignalHandler(sig, args[1])
 		k.complete(t, ev, 0)
 	case SysSpawnThread:
 		nt, err := p.StartThread("worker", args[0], args[1])
@@ -365,8 +388,10 @@ func (k *Kernel) invoke(t *vm.Thread, ev Event) {
 		}
 		k.complete(t, ev, uint64(nt.ID))
 	case SysNanosleep:
+		// The continuation keeps a copy: ev lives in Syscall's frame.
+		e := *ev
 		k.block(t, p.Clock+args[0], func(bool) {
-			k.complete(t, ev, 0)
+			k.complete(t, &e, 0)
 		})
 
 	case SysOpen:
@@ -428,7 +453,7 @@ func (k *Kernel) block(t *vm.Thread, wakeAt uint64, resume func(timedOut bool)) 
 
 // retry re-parks a thread with the same continuation semantics as the
 // original call; used by blocking syscalls after a spurious wakeup.
-func (k *Kernel) retry(t *vm.Thread, ev Event, wakeAt uint64) {
+func (k *Kernel) retry(t *vm.Thread, ev *Event, wakeAt uint64) {
 	if t.InFilter() {
 		// Exception dispatch must not block; re-invoking would recurse
 		// (the block helper resumes in-filter threads synchronously).
@@ -436,20 +461,22 @@ func (k *Kernel) retry(t *vm.Thread, ev Event, wakeAt uint64) {
 		k.complete(t, ev, errRet(EAGAIN))
 		return
 	}
-	ev.Retry = true
+	// The continuation keeps a copy: ev lives in Syscall's frame.
+	e := *ev
+	e.Retry = true
 	k.block(t, wakeAt, func(timedOut bool) {
 		if timedOut && wakeAt != 0 {
 			// Let the specific syscall decide what a timeout
 			// means by re-invoking; epoll_wait handles it.
-			k.invokeTimedOut(t, ev)
+			k.invokeTimedOut(t, &e)
 			return
 		}
-		k.invoke(t, ev)
+		k.invoke(t, &e)
 	})
 }
 
 // invokeTimedOut completes calls whose wait deadline expired.
-func (k *Kernel) invokeTimedOut(t *vm.Thread, ev Event) {
+func (k *Kernel) invokeTimedOut(t *vm.Thread, ev *Event) {
 	switch ev.Num {
 	case SysEpollWait:
 		k.complete(t, ev, 0) // no events

@@ -40,12 +40,12 @@ func (c *serverConn) kind() string { return "conn" }
 
 func (c *serverConn) readable() bool { return len(c.in) > 0 || c.closedByClient }
 
-func (k *Kernel) sysSocket(t *vm.Thread, ev Event) {
+func (k *Kernel) sysSocket(t *vm.Thread, ev *Event) {
 	fd := k.installFD(&socketFD{})
 	k.complete(t, ev, uint64(fd))
 }
 
-func (k *Kernel) sysBind(t *vm.Thread, ev Event) {
+func (k *Kernel) sysBind(t *vm.Thread, ev *Event) {
 	s, ok := k.fds[int(ev.Args[0])].(*socketFD)
 	if !ok {
 		k.complete(t, ev, errRet(EBADF))
@@ -56,7 +56,7 @@ func (k *Kernel) sysBind(t *vm.Thread, ev Event) {
 	k.complete(t, ev, 0)
 }
 
-func (k *Kernel) sysListen(t *vm.Thread, ev Event) {
+func (k *Kernel) sysListen(t *vm.Thread, ev *Event) {
 	s, ok := k.fds[int(ev.Args[0])].(*socketFD)
 	if !ok || !s.bound {
 		k.complete(t, ev, errRet(EBADF))
@@ -71,7 +71,7 @@ func (k *Kernel) sysListen(t *vm.Thread, ev Event) {
 // sysAccept accepts a pending connection. A non-zero second argument makes
 // the call nonblocking: it returns -EAGAIN when the backlog is empty,
 // matching accept on an O_NONBLOCK listener.
-func (k *Kernel) sysAccept(t *vm.Thread, ev Event) {
+func (k *Kernel) sysAccept(t *vm.Thread, ev *Event) {
 	l, ok := k.fds[int(ev.Args[0])].(*listener)
 	if !ok {
 		k.complete(t, ev, errRet(EBADF))
@@ -95,7 +95,7 @@ func (k *Kernel) sysAccept(t *vm.Thread, ev Event) {
 // pointer (EFAULT-capable) and always reports connection refused, since the
 // simulated network has no outbound peers. The EFAULT path is what matters
 // for the discovery pipeline.
-func (k *Kernel) sysConnect(t *vm.Thread, ev Event) {
+func (k *Kernel) sysConnect(t *vm.Thread, ev *Event) {
 	if _, ok := k.fds[int(ev.Args[0])].(*socketFD); !ok {
 		k.complete(t, ev, errRet(EBADF))
 		return
@@ -107,7 +107,7 @@ func (k *Kernel) sysConnect(t *vm.Thread, ev Event) {
 	k.complete(t, ev, errRet(EINVAL))
 }
 
-func (k *Kernel) sysRecv(t *vm.Thread, ev Event) {
+func (k *Kernel) sysRecv(t *vm.Thread, ev *Event) {
 	conn, ok := k.fds[int(ev.Args[0])].(*serverConn)
 	if !ok {
 		k.complete(t, ev, errRet(EBADF))
@@ -124,7 +124,7 @@ func (k *Kernel) sysRecv(t *vm.Thread, ev Event) {
 	k.streamRead(t, ev, conn, buf, n)
 }
 
-func (k *Kernel) sysSend(t *vm.Thread, ev Event) {
+func (k *Kernel) sysSend(t *vm.Thread, ev *Event) {
 	conn, ok := k.fds[int(ev.Args[0])].(*serverConn)
 	if !ok {
 		k.complete(t, ev, errRet(EBADF))
@@ -135,7 +135,7 @@ func (k *Kernel) sysSend(t *vm.Thread, ev Event) {
 
 // sysSendmsg reads a struct msghdr {buf u64, len u64} through the
 // EFAULT-checked header pointer, then sends like send().
-func (k *Kernel) sysSendmsg(t *vm.Thread, ev Event) {
+func (k *Kernel) sysSendmsg(t *vm.Thread, ev *Event) {
 	conn, ok := k.fds[int(ev.Args[0])].(*serverConn)
 	if !ok {
 		k.complete(t, ev, errRet(EBADF))
@@ -156,7 +156,7 @@ func (k *Kernel) sysSendmsg(t *vm.Thread, ev Event) {
 // nothing is pending. The user pointer is validated on every attempt — a
 // pointer corrupted while the thread was blocked produces EFAULT, not a
 // fault.
-func (k *Kernel) streamRead(t *vm.Thread, ev Event, conn *serverConn, buf, n uint64) {
+func (k *Kernel) streamRead(t *vm.Thread, ev *Event, conn *serverConn, buf, n uint64) {
 	if n == 0 {
 		k.complete(t, ev, 0)
 		return
@@ -204,7 +204,7 @@ func (k *Kernel) streamRead(t *vm.Thread, ev Event, conn *serverConn, buf, n uin
 }
 
 // streamWrite copies user bytes to the client side.
-func (k *Kernel) streamWrite(t *vm.Thread, ev Event, conn *serverConn, buf, n uint64) {
+func (k *Kernel) streamWrite(t *vm.Thread, ev *Event, conn *serverConn, buf, n uint64) {
 	if conn.closedByServer || conn.closedByClient {
 		k.complete(t, ev, errRet(EBADF))
 		return
@@ -218,7 +218,7 @@ func (k *Kernel) streamWrite(t *vm.Thread, ev Event, conn *serverConn, buf, n ui
 	k.complete(t, ev, n)
 }
 
-func (k *Kernel) sysClose(t *vm.Thread, ev Event) {
+func (k *Kernel) sysClose(t *vm.Thread, ev *Event) {
 	fd := int(ev.Args[0])
 	f, ok := k.fds[fd]
 	if !ok {

@@ -97,7 +97,7 @@ func TestWatchReportsEveryTouch(t *testing.T) {
 		{"read", func() error { _, err := as.ReadUint(slot+4, 4); return err }, []watchEvent{{WatchRead, slot + 4, 4}}},
 		{"read across pages", func() error { _, err := as.Read(slot-PageSize, PageSize+4); return err },
 			[]watchEvent{{WatchRead, base + PageSize, 0x10 + 4}}},
-		{"predecoded fetch", func() error { _, _ = as.Decoded(slot); return nil }, []watchEvent{{WatchFetch, slot, 1}}},
+		{"predecoded fetch", func() error { _ = as.Decoded(slot); return nil }, []watchEvent{{WatchFetch, slot, 1}}},
 		{"fetch", func() error { _, err := as.FetchExec(slot, 10, buf[:0]); return err }, []watchEvent{{WatchFetch, slot, 10}}},
 		{"write", func() error { return as.WriteUint(slot, 8, 7) }, []watchEvent{{WatchWrite, slot, 8}}},
 		{"forced write", func() error { return as.WriteForce(slot+7, []byte{1, 2}) }, []watchEvent{{WatchWrite, slot + 7, 2}}},
@@ -105,6 +105,9 @@ func TestWatchReportsEveryTouch(t *testing.T) {
 		{"unmap", func() error { return as.Unmap(base+PageSize, PageSize) }, []watchEvent{{WatchMap, base + PageSize, PageSize}}},
 		{"remap", func() error { return as.Map(base+PageSize, PageSize, PermRW) }, []watchEvent{{WatchMap, base + PageSize, PageSize}}},
 		{"read after remap", func() error { _, err := as.ReadUint(slot, 8); return err }, []watchEvent{{WatchRead, slot, 8}}},
+		{"unmap again", func() error { return as.Unmap(base+PageSize, PageSize) }, []watchEvent{{WatchMap, base + PageSize, PageSize}}},
+		{"map again", func() error { return as.Map(base+PageSize, PageSize, PermRW) }, []watchEvent{{WatchMap, base + PageSize, PageSize}}},
+		{"shared write", func() error { return as.WriteShared(slot, 8, seedAt(slot, 8)) }, []watchEvent{{WatchWrite, slot, 8}}},
 	}
 	for _, st := range steps {
 		got = nil
@@ -121,4 +124,91 @@ func TestWatchReportsEveryTouch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// seedAt returns a seed page for WriteShared: 0xa5 over [addr, addr+length)
+// of addr's page and zero elsewhere.
+func seedAt(addr, length uint64) *[PageSize]byte {
+	seed := new([PageSize]byte)
+	for i := addr % PageSize; i < addr%PageSize+length; i++ {
+		seed[i] = 0xa5
+	}
+	return seed
+}
+
+// TestWriteShared checks that a shared write to a page without bytes makes
+// it a view of the seed that reads as the write, that each address space
+// and fork copies the seed on its own first write and never changes it,
+// that a page with bytes is written as Write writes it, and that the
+// permission check and the one-page rule hold.
+func TestWriteShared(t *testing.T) {
+	const base = 0x40000
+	as := NewAddressSpace()
+	if err := as.Map(base, 2*PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	addr := uint64(base + PageSize - 64)
+	seed := seedAt(addr, 8)
+	pristine := *seed
+	if err := as.WriteShared(addr, 8, seed); err != nil {
+		t.Fatal(err)
+	}
+	if p := as.pages[addr/PageSize]; p.data != seed || p.owner != 0 {
+		t.Fatalf("page data %p owner %d, want a view of the seed %p", p.data, p.owner, seed)
+	}
+	if v, _ := as.ReadUint(addr, 8); v != 0xa5a5a5a5a5a5a5a5 {
+		t.Fatalf("reads %#x after the shared write", v)
+	}
+	fork := as.Fork()
+	if err := fork.WriteUint(addr-8, 8, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.WriteUint(addr, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if *seed != pristine {
+		t.Fatal("a write through the view changed the seed")
+	}
+	if v, _ := fork.ReadUint(addr-8, 8); v != 1 {
+		t.Errorf("fork reads %#x below the slot, want 1", v)
+	}
+	if v, _ := fork.ReadUint(addr, 8); v != 0xa5a5a5a5a5a5a5a5 {
+		t.Errorf("fork reads %#x at the slot, want the seed's bytes", v)
+	}
+	if v, _ := as.ReadUint(addr, 8); v != 0xa5a5a5a5a5a5a502 {
+		t.Errorf("source reads %#x, want its own write over the seed", v)
+	}
+
+	// A page that has bytes keeps them.
+	if err := as.WriteUint(base+8, 8, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.WriteShared(base+64, 8, seedAt(base+64, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := mustRead(t, as, base+8), mustRead(t, as, base+64); a != 3 || b != 0xa5a5a5a5a5a5a5a5 {
+		t.Errorf("written page reads %#x and %#x, want 3 and the seed's bytes", a, b)
+	}
+
+	if err := as.Protect(base, 2*PageSize, PermRX); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.WriteShared(addr, 8, seed); err == nil {
+		t.Error("a shared write to an r-x page succeeded")
+	}
+	if err := as.WriteShared(0x90000, 8, seed); err == nil {
+		t.Error("a shared write to an unmapped page succeeded")
+	}
+	if err := as.WriteShared(base+PageSize-4, 8, seed); err == nil {
+		t.Error("a shared write across two pages succeeded")
+	}
+}
+
+func mustRead(t *testing.T, as *AddressSpace, addr uint64) uint64 {
+	t.Helper()
+	v, err := as.ReadUint(addr, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

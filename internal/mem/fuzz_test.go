@@ -339,9 +339,9 @@ func FuzzAddressSpace(f *testing.F) {
 				if !sameFault(err, wantFault) || !bytes.Equal(got, want) {
 					t.Fatalf("step %d FetchExec(%#x, %d) = %x, %v; reference %x, %v", step, addr, max, got, err, want, wantFault)
 				}
-				if ins, ok := as.Decoded(addr); ok {
+				if ins := as.Decoded(addr); ins != nil {
 					code, _ := as.FetchExec(addr, 10, nil)
-					if dec, _, err := isa.Decode(code); err != nil || dec != ins {
+					if dec, _, err := isa.Decode(code); err != nil || dec != *ins {
 						t.Fatalf("step %d Decoded(%#x) = %v; its bytes %x decode to %v, %v", step, addr, ins, code, dec, err)
 					}
 				}

@@ -538,28 +538,58 @@ func (as *AddressSpace) AttachText(addr uint64, text [][PageSize]byte, code []is
 	return nil
 }
 
+// WriteShared writes seed's bytes [addr%PageSize, addr%PageSize+length),
+// a non-empty range on one page, at addr, checking write permission as
+// Write does. seed must be zero outside that range and nothing may ever
+// write it. When addr's page has no bytes yet, the page becomes a view of
+// seed, as a text page is a view of its image's bytes, and its first write
+// copies seed; so one seed can stand for the same write in any number of
+// address spaces. Otherwise it writes as Write. A watcher sees a write of
+// the range either way.
+func (as *AddressSpace) WriteShared(addr, length uint64, seed *[PageSize]byte) error {
+	off := addr % PageSize
+	if length == 0 || off+length > PageSize {
+		return fmt.Errorf("write shared %#x+%#x: not a non-empty range on one page", addr, length)
+	}
+	p, err := as.pageFor(addr, AccessWrite, false)
+	if err != nil {
+		return err
+	}
+	if p.data != nil {
+		as.writePage(p, addr, seed[off:off+length])
+		return nil
+	}
+	if p.watched {
+		as.watch(WatchWrite, addr, length)
+	}
+	p.code, p.data, p.owner = nil, seed, 0
+	return nil
+}
+
 // Decoded returns the predecoded instruction starting at addr when addr's
 // page is executable and still carries the table AttachText gave it, and the
-// table holds an instruction there. A hit decodes exactly as FetchExec's
-// bytes would. A miss is not a fault: the caller fetches and decodes the
-// bytes itself, which is also how it learns of a fault.
-func (as *AddressSpace) Decoded(addr uint64) (isa.Instruction, bool) {
+// table holds an instruction there; otherwise it returns nil. A hit decodes
+// exactly as FetchExec's bytes would, and points into the image's shared
+// table, which the caller must not write. A miss is not a fault: the caller
+// fetches and decodes the bytes itself, which is also how it learns of a
+// fault.
+func (as *AddressSpace) Decoded(addr uint64) *isa.Instruction {
 	pn, p := addr/PageSize, as.codePage
 	if p == nil || pn != as.codePN {
 		var ok bool
 		if p, ok = as.pages[pn]; !ok {
-			return isa.Instruction{}, false
+			return nil
 		}
 		as.codePage, as.codePN = p, pn
 	}
 	if p.code == nil || p.perm&PermExec == 0 {
-		return isa.Instruction{}, false
+		return nil
 	}
-	ins, ok := p.code.At(addr % PageSize)
-	if ok && p.watched {
+	ins := p.code.At(addr % PageSize)
+	if ins != nil && p.watched {
 		as.watch(WatchFetch, addr, uint64(ins.Size()))
 	}
-	return ins, ok
+	return ins
 }
 
 // Regions returns the mapped regions as sorted (addr, length, perm) triples,

@@ -12,10 +12,17 @@ import (
 	"crashresist/internal/vm"
 )
 
+// Where coverageOp's PC lies.
+const (
+	pcCovered   = iota // in a guarded range
+	pcUncovered        // in the image's text, past every guarded range
+	pcNoTable          // outside every image, so outside every table
+)
+
 // coverageOp records one more execution of a PC the coverage recorder has
-// already seen: the per-instruction cost of a covered browse. covered picks
-// a PC inside a guarded range or one outside every range.
-func coverageOp(covered bool) func(testing.TB) func() {
+// already seen: the per-instruction cost of a covered browse. where picks
+// the PC.
+func coverageOp(where int) func(testing.TB) func() {
 	return func(tb testing.TB) func() {
 		b := asm.NewBuilder("app.exe", bin.KindExecutable)
 		b.Func("main").Entry("main").
@@ -43,8 +50,11 @@ func coverageOp(covered bool) func(testing.TB) func() {
 			tb.Fatal(err)
 		}
 		pc, hit := mod.VA(img.Entry), 1
-		if !covered {
-			pc, hit = pc+1, 0 // the second nop, past the guarded range
+		switch where {
+		case pcUncovered:
+			pc, hit = pc+1, 0 // the second nop
+		case pcNoTable:
+			pc, hit = 0x7000_0000, 0
 		}
 		ins := isa.Instruction{Op: isa.OpNop}
 		rec.OnInstruction(t, pc, ins)
@@ -64,7 +74,7 @@ func benchOp(b *testing.B, newOp func(testing.TB) func()) {
 	}
 }
 
-func BenchmarkCoverage(b *testing.B) { benchOp(b, coverageOp(true)) }
+func BenchmarkCoverage(b *testing.B) { benchOp(b, coverageOp(pcCovered)) }
 
 // TestAllocs fails when an operation allocates more per call than its
 // budget. Budgets are measured counts; a change that lowers a count lowers
@@ -78,8 +88,9 @@ func TestAllocs(t *testing.T) {
 		op     func(testing.TB) func()
 		budget float64
 	}{
-		{"OnInstruction/covered-seen", coverageOp(true), 0},
-		{"OnInstruction/uncovered-seen", coverageOp(false), 0},
+		{"OnInstruction/covered-seen", coverageOp(pcCovered), 0},
+		{"OnInstruction/uncovered-seen", coverageOp(pcUncovered), 0},
+		{"OnInstruction/no-table-seen", coverageOp(pcNoTable), 0},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {

@@ -19,6 +19,7 @@ import (
 
 	"crashresist/internal/bin"
 	"crashresist/internal/isa"
+	"crashresist/internal/mem"
 	"crashresist/internal/vm"
 )
 
@@ -67,13 +68,25 @@ type Recorder struct {
 	apis        map[uint32]*APIStats
 	contextMods map[string]bool
 
-	// Guarded-region coverage: each executed PC's covering scopes are
-	// found once, then the PC only counts executions. pcs maps a PC to
-	// its counter, or to nil when no scope covers it.
+	// Guarded-region coverage counts executions per PC and folds them
+	// into scopes only when ScopeHits reads them. A PC that its module's
+	// predecoded tables number counts in the module's counters; any other
+	// PC (text rewritten so an instruction starts mid-instruction, an
+	// instruction straddling a page, code outside every image) counts in
+	// pcs, which also takes a counter's carry when it wraps.
 	coverage bool
-	covIndex []covModule
-	pcs      map[uint64]*pcCoverage
-	lastMod  int // cache for PC locality
+	covIndex []covModule // every module, by base
+	cur      *covModule  // the module of the latest PC off the cached page
+	pcs      map[uint64]uint64
+	// pageVA, page and counts cache the text page of the latest counted
+	// PC: its address, its table and its module's counters. page is
+	// noPage until a PC is counted.
+	pageVA uint64
+	page   *isa.Table
+	counts []uint32
+	// referenceCoverage counts every PC in pcs, the reference path the
+	// differential tests compare the counters against.
+	referenceCoverage bool
 
 	// Exception log.
 	recordExceptions bool
@@ -82,29 +95,35 @@ type Recorder struct {
 
 type covModule struct {
 	mod *bin.Module
-	// order holds scope indices sorted by Begin for binary search.
+	// order holds scope indices sorted by Begin for binary search; it is
+	// nil when no scope guards the module.
 	order []int
-}
-
-// pcCoverage counts a covered PC's executions.
-type pcCoverage struct {
-	scopes []ScopeKey
-	count  uint64
+	// base and text bound the module's text, [base, base+text); code is
+	// its predecoded tables and counts its counters, one per numbered
+	// instruction, allocated on the module's first counted PC.
+	base, text uint64
+	code       []isa.Table
+	counts     []uint32
 }
 
 var _ vm.Tracer = (*Recorder)(nil)
+
+// noPage is an empty table: it numbers no PC.
+var noPage isa.Table
 
 // NewRecorder creates an inactive recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{
 		apis:        make(map[uint32]*APIStats),
 		contextMods: make(map[string]bool),
-		pcs:         make(map[uint64]*pcCoverage),
+		pcs:         make(map[uint64]uint64),
+		page:        &noPage,
 	}
 }
 
 // Attach installs the recorder as the process tracer. Call after all images
-// are loaded so coverage indexing sees every module.
+// are loaded so coverage indexing sees every module; coverage counts start
+// from zero.
 func (r *Recorder) Attach(p *vm.Process) {
 	r.proc = p
 	p.Tracer = r
@@ -133,13 +152,29 @@ func (r *Recorder) APIs() map[uint32]*APIStats { return r.apis }
 // fresh snapshot.
 func (r *Recorder) ScopeHits() map[ScopeKey]uint64 {
 	hits := make(map[ScopeKey]uint64)
-	for _, c := range r.pcs {
-		if c == nil {
+	var keys []ScopeKey
+	add := func(pc, n uint64) {
+		keys = r.coverPC(pc, keys[:0])
+		for _, k := range keys {
+			hits[k] += n
+		}
+	}
+	for i := range r.covIndex {
+		m := &r.covIndex[i]
+		if m.counts == nil {
 			continue
 		}
-		for _, k := range c.scopes {
-			hits[k] += c.count
+		for pg := range m.code {
+			t := &m.code[pg]
+			for off := uint64(0); off < uint64(t.Len()); off++ {
+				if n, ok := t.Num(off); ok && m.counts[n] != 0 {
+					add(m.base+uint64(pg)*mem.PageSize+off, uint64(m.counts[n]))
+				}
+			}
 		}
+	}
+	for pc, n := range r.pcs {
+		add(pc, n)
 	}
 	return hits
 }
@@ -171,18 +206,55 @@ func (r *Recorder) Exceptions() []ExcEvent {
 func (r *Recorder) ResetExceptions() { r.exceptions = nil }
 
 // OnInstruction implements vm.Tracer: guarded-region coverage.
-func (r *Recorder) OnInstruction(t *vm.Thread, pc uint64, _ isa.Instruction) {
+func (r *Recorder) OnInstruction(_ *vm.Thread, pc uint64, _ isa.Instruction) {
 	if !r.coverage {
 		return
 	}
-	c, seen := r.pcs[pc]
-	if !seen {
-		c = r.coverPC(pc)
-		r.pcs[pc] = c
+	// The page of the latest counted PC answers most PCs.
+	if off := pc - r.pageVA; off < mem.PageSize {
+		if n, ok := r.page.Num(off); ok {
+			if c := r.counts[n] + 1; c != 0 {
+				r.counts[n] = c
+				return
+			}
+		}
 	}
-	if c != nil {
-		c.count++
+	r.count(pc)
+}
+
+// count counts a PC the cached page does not: it finds the PC's module,
+// through a one-module cache and a binary search, and its page, which
+// it caches, counts the PC in the module's counters, carrying into pcs
+// when its counter wraps, and counts a PC no table numbers in pcs.
+func (r *Recorder) count(pc uint64) {
+	if !r.referenceCoverage {
+		m := r.cur
+		if m == nil || pc-m.base >= m.text {
+			i := r.moduleAt(pc)
+			if i < 0 || pc-r.covIndex[i].base >= r.covIndex[i].text {
+				r.pcs[pc]++
+				return
+			}
+			m = &r.covIndex[i]
+			r.cur = m
+		}
+		if m.order == nil {
+			return // no scope can cover the PC
+		}
+		off := pc - m.base
+		page := &m.code[off/mem.PageSize]
+		if n, ok := page.Num(off % mem.PageSize); ok {
+			if m.counts == nil {
+				m.counts = make([]uint32, m.code[len(m.code)-1].End())
+			}
+			r.pageVA, r.page, r.counts = pc-off%mem.PageSize, page, m.counts
+			if m.counts[n]++; m.counts[n] == 0 {
+				r.pcs[pc] += 1 << 32 // the counter wrapped
+			}
+			return
+		}
 	}
+	r.pcs[pc]++
 }
 
 // OnCall implements vm.Tracer.
@@ -269,44 +341,37 @@ func (r *Recorder) stackInContext(t *vm.Thread) bool {
 }
 
 func (r *Recorder) buildCoverageIndex() {
-	r.covIndex = r.covIndex[:0]
+	r.covIndex, r.cur = r.covIndex[:0], nil
+	r.pageVA, r.page, r.counts = 0, &noPage, nil
+	clear(r.pcs)
 	for _, m := range r.proc.Modules() {
-		scopes := m.Image.Scopes
-		if len(scopes) == 0 {
-			continue
+		cm := covModule{mod: m, base: m.Base, text: uint64(len(m.Image.Text)), code: m.Image.Code()}
+		if scopes := m.Image.Scopes; len(scopes) > 0 {
+			cm.order = make([]int, len(scopes))
+			for i := range cm.order {
+				cm.order[i] = i
+			}
+			sort.Slice(cm.order, func(a, b int) bool {
+				return scopes[cm.order[a]].Begin < scopes[cm.order[b]].Begin
+			})
 		}
-		order := make([]int, len(scopes))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(a, b int) bool {
-			return scopes[order[a]].Begin < scopes[order[b]].Begin
-		})
-		r.covIndex = append(r.covIndex, covModule{mod: m, order: order})
+		r.covIndex = append(r.covIndex, cm)
 	}
+	sort.Slice(r.covIndex, func(a, b int) bool { return r.covIndex[a].base < r.covIndex[b].base })
 }
 
-// coverPC finds the scope entries covering a PC, returning its new counter,
-// or nil when no entry covers it.
-func (r *Recorder) coverPC(pc uint64) *pcCoverage {
-	if len(r.covIndex) == 0 {
-		return nil
-	}
-	// Check the cached module first (strong PC locality).
-	mi := -1
-	if r.lastMod < len(r.covIndex) && r.covIndex[r.lastMod].mod.Contains(pc) {
-		mi = r.lastMod
-	} else {
-		for i := range r.covIndex {
-			if r.covIndex[i].mod.Contains(pc) {
-				mi = i
-				r.lastMod = i
-				break
-			}
-		}
-	}
-	if mi < 0 {
-		return nil
+// moduleAt returns the index in covIndex of the module with the highest
+// base at or below pc, or -1. Modules do not overlap, so it is the only
+// module that can contain pc.
+func (r *Recorder) moduleAt(pc uint64) int {
+	return sort.Search(len(r.covIndex), func(i int) bool { return r.covIndex[i].base > pc }) - 1
+}
+
+// coverPC appends the keys of the scope entries covering a PC to keys.
+func (r *Recorder) coverPC(pc uint64, keys []ScopeKey) []ScopeKey {
+	mi := r.moduleAt(pc)
+	if mi < 0 || !r.covIndex[mi].mod.Contains(pc) || r.covIndex[mi].order == nil {
+		return keys
 	}
 	cm := &r.covIndex[mi]
 	scopes := cm.mod.Image.Scopes
@@ -317,7 +382,6 @@ func (r *Recorder) coverPC(pc uint64) *pcCoverage {
 	hi := sort.Search(len(cm.order), func(i int) bool {
 		return scopes[cm.order[i]].Begin > off
 	})
-	var keys []ScopeKey
 	for i := hi - 1; i >= 0; i-- {
 		s := scopes[cm.order[i]]
 		if s.End <= off {
@@ -331,10 +395,7 @@ func (r *Recorder) coverPC(pc uint64) *pcCoverage {
 		}
 		keys = append(keys, ScopeKey{Module: cm.mod.Image.Name, Index: cm.order[i]})
 	}
-	if keys == nil {
-		return nil
-	}
-	return &pcCoverage{scopes: keys}
+	return keys
 }
 
 // RatePerSecond computes the peak exception rate over a sliding window of

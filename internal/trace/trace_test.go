@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"crashresist/internal/asm"
@@ -285,4 +286,47 @@ func ExampleRatePerSecond() {
 	events := []ExcEvent{{Clock: 0}, {Clock: 50}, {Clock: 60}, {Clock: 5000}}
 	fmt.Println(RatePerSecond(events, 100))
 	// Output: 3
+}
+
+// TestCoverageCounterCarries runs a covered PC's 32-bit counter past its
+// top: the scope's hits must still count every execution.
+func TestCoverageCounterCarries(t *testing.T) {
+	b := asm.NewBuilder("app.exe", bin.KindExecutable)
+	b.Func("main").Entry("main").
+		Label("g0").
+		Nop().
+		Label("g0_end").
+		Halt().
+		EndFunc()
+	b.Guard("main", "g0", "g0_end", asm.CatchAll, "g0_end")
+	img, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := vm.NewProcess(vm.Config{Platform: vm.PlatformWindows, Seed: 4})
+	mod, err := p.LoadImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder()
+	rec.EnableCoverage()
+	rec.Attach(p)
+	th, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, ins := mod.VA(img.Entry), isa.Instruction{Op: isa.OpNop}
+	rec.OnInstruction(th, pc, ins)
+	counts := rec.cur.counts
+	if len(counts) == 0 || counts[0] != 1 {
+		t.Fatalf("counters %v after one execution, want the entry's at 1", counts)
+	}
+	counts[0] = math.MaxUint32 - 1 // as if run that often
+	for range 3 {
+		rec.OnInstruction(th, pc, ins)
+	}
+	key := ScopeKey{Module: "app.exe", Index: 0}
+	if got, want := rec.ScopeHits()[key], uint64(math.MaxUint32)+2; got != want {
+		t.Errorf("scope hits %d, want %d", got, want)
+	}
 }

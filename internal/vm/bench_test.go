@@ -30,7 +30,13 @@ func startBench(tb testing.TB, bb *asm.Builder) *Process {
 
 // execLoopOp retires one instruction of a tight arithmetic+memory loop:
 // raw interpreter throughput.
-func execLoopOp(tb testing.TB) func() {
+func execLoopOp(tb testing.TB) func() { return execLoop(tb, false) }
+
+// decodedLoopOp is execLoopOp with every instruction fetched and decoded,
+// as on a predecoded miss: the decoded instruction stays in the frame.
+func decodedLoopOp(tb testing.TB) func() { return execLoop(tb, true) }
+
+func execLoop(tb testing.TB, reference bool) func() {
 	bb := asm.NewBuilder("bench.exe", bin.KindExecutable)
 	bb.Func("main").Entry("main").
 		LeaData(isa.R2, "cell").
@@ -42,6 +48,7 @@ func execLoopOp(tb testing.TB) func() {
 		EndFunc()
 	bb.BSS("cell", 8)
 	p := startBench(tb, bb)
+	p.referenceFetch = reference
 	return func() {
 		if res := p.Run(1); res.Ticks != 1 {
 			tb.Fatalf("loop ran %d ticks, want 1", res.Ticks)
@@ -143,6 +150,7 @@ func benchOp(b *testing.B, newOp func(testing.TB) func()) {
 }
 
 func BenchmarkExecLoop(b *testing.B)     { benchOp(b, execLoopOp) }
+func BenchmarkDecodedLoop(b *testing.B)  { benchOp(b, decodedLoopOp) }
 func BenchmarkSEHRoundTrip(b *testing.B) { benchOp(b, sehRoundTripOp) }
 func BenchmarkProcessBoot(b *testing.B)  { benchOp(b, processBootOp) }
 func BenchmarkFork(b *testing.B)         { benchOp(b, forkOp) }
@@ -160,11 +168,12 @@ func TestAllocs(t *testing.T) {
 		budget float64
 	}{
 		{"ExecLoop", execLoopOp, 0},
+		{"ExecLoop/decoded", decodedLoopOp, 0},
 		{"SEHRoundTrip", sehRoundTripOp, 6},
-		// Each boot takes a new seed: 22 in a fresh test binary, while
-		// the first seeds fill mem's seed memo, and 21 once it is full.
-		{"ProcessBoot", processBootOp, 22},
-		{"Fork", forkOp, 16},
+		// Each boot takes a new seed: 21 in a fresh test binary, while
+		// the first seeds fill mem's seed memo, and 20 once it is full.
+		{"ProcessBoot", processBootOp, 21},
+		{"Fork", forkOp, 13},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {

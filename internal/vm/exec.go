@@ -13,13 +13,24 @@ import (
 // platform's exception model. It reports whether the thread yielded the CPU
 // (blocked, exited, or executed YIELD).
 func (p *Process) step(t *Thread) (yield bool) {
-	if handled := p.handleMagicPC(t); handled {
-		return true
+	ins := p.predecoded(t.PC)
+	if ins == nil {
+		// Magic PCs lie above the arena, outside every table, so only
+		// a miss can be one.
+		if handled := p.handleMagicPC(t); handled {
+			return true
+		}
+		var (
+			buf isa.Instruction
+			exc *Exception
+		)
+		if ins, exc = p.decode(t.PC, &buf); exc != nil {
+			p.dispatchException(t, *exc)
+			return t.State != ThreadRunnable
+		}
 	}
-	exc := p.execOne(t)
-	if exc != nil {
+	if exc := p.exec(t, ins); exc != nil {
 		p.dispatchException(t, *exc)
-		return t.State != ThreadRunnable
 	}
 	return t.State != ThreadRunnable
 }
@@ -46,12 +57,24 @@ func (p *Process) handleMagicPC(t *Thread) bool {
 // raised, if any, without dispatching it. The PC is left at the faulting
 // instruction on exception, and advanced on success.
 func (p *Process) execOne(t *Thread) *Exception {
-	ins, exc := p.fetch(t.PC)
-	if exc != nil {
-		return exc
+	ins := p.predecoded(t.PC)
+	if ins == nil {
+		var (
+			buf isa.Instruction
+			exc *Exception
+		)
+		if ins, exc = p.decode(t.PC, &buf); exc != nil {
+			return exc
+		}
 	}
+	return p.exec(t, ins)
+}
+
+// exec executes ins, the instruction at t's PC, as execOne does. It only
+// reads ins, which may be a shared table's.
+func (p *Process) exec(t *Thread, ins *isa.Instruction) *Exception {
 	if p.Tracer != nil {
-		p.Tracer.OnInstruction(t, t.PC, ins)
+		p.Tracer.OnInstruction(t, t.PC, *ins)
 	}
 
 	pc := t.PC
@@ -242,27 +265,31 @@ func (p *Process) execOne(t *Thread) *Exception {
 	return nil
 }
 
-// fetch returns the instruction at pc: from the page's predecoded table
-// when it has one there, otherwise by fetching and decoding the bytes, which
-// is also the reference path and the only one that faults. The table misses
-// on pages written since load, on instructions that straddle a page or
-// start mid-instruction, and on code outside any image.
-func (p *Process) fetch(pc uint64) (isa.Instruction, *Exception) {
-	if !p.referenceFetch {
-		if ins, ok := p.AS.Decoded(pc); ok {
-			return ins, nil
-		}
+// predecoded returns the instruction at pc from its page's predecoded
+// table, or nil when the table has none there or the process takes the
+// reference path. The table misses on pages written since load, on
+// instructions that straddle a page or start mid-instruction, and on code
+// outside any image.
+func (p *Process) predecoded(pc uint64) *isa.Instruction {
+	if p.referenceFetch {
+		return nil
 	}
-	var buf [10]byte
-	code, err := p.AS.FetchExec(pc, len(buf), buf[:0])
+	return p.AS.Decoded(pc)
+}
+
+// decode fetches and decodes the instruction at pc into *buf and returns
+// buf: the path for a predecoded miss, the reference path, and the only one
+// that faults. The caller's buf stays in its frame.
+func (p *Process) decode(pc uint64, buf *isa.Instruction) (*isa.Instruction, *Exception) {
+	var code [10]byte
+	bytes, err := p.AS.FetchExec(pc, len(code), code[:0])
 	if err != nil {
-		return isa.Instruction{}, p.memFault(pc, err)
+		return nil, p.memFault(pc, err)
 	}
-	ins, _, err := isa.Decode(code)
-	if err != nil {
-		return isa.Instruction{}, &Exception{Code: ExcIllegalInstruction, PC: pc}
+	if *buf, _, err = isa.Decode(bytes); err != nil {
+		return nil, &Exception{Code: ExcIllegalInstruction, PC: pc}
 	}
-	return ins, nil
+	return buf, nil
 }
 
 // doCall pushes the return address and transfers to target.

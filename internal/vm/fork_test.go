@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"crashresist/internal/asm"
+	"crashresist/internal/bin"
 	"crashresist/internal/isa"
 	"crashresist/internal/mem"
 )
@@ -116,9 +117,10 @@ func sameRun(t *testing.T, name string, got, want *Process) {
 	}
 }
 
-// TestForkContinuesExactly runs the two-thread program partway, forks it,
-// and finishes both copies: each must end exactly as an unforked run, and
-// a write to one copy afterwards must not show in the other.
+// TestForkContinuesExactly runs the two-thread program partway, forks it
+// twice, and finishes the source and one fork: each must end exactly as an
+// unforked run. Afterwards a write to one copy's memory, signal handlers
+// or loaded modules must not show in any other copy.
 func TestForkContinuesExactly(t *testing.T) {
 	want := forkProgram(t)
 	want.RunUntilIdle(1_000_000)
@@ -129,6 +131,10 @@ func TestForkContinuesExactly(t *testing.T) {
 		src := forkProgram(t)
 		src.Run(at)
 		fork, err := src.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sibling, err := src.Fork()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +151,51 @@ func TestForkContinuesExactly(t *testing.T) {
 		if v, _ := src.AS.ReadUint(addr, 8); v != 40 {
 			t.Errorf("fork at %d: a write to the fork shows in the source: %#x", at, v)
 		}
+
+		// The copies share their signal-handler and module maps until
+		// one writes them. Each process's first write is to a
+		// different map, so each write path must copy on its own.
+		if _, err := fork.LoadImage(forkLibrary(t, "fork.dll")); err != nil {
+			t.Fatal(err)
+		}
+		src.SetSignalHandler(SigIll, 0x2222)
+		if _, err := src.LoadImage(forkLibrary(t, "source.dll")); err != nil {
+			t.Fatal(err)
+		}
+		fork.SetSignalHandler(SigSegv, 0x1111)
+		for _, c := range []struct {
+			name string
+			p    *Process
+			sig  int
+			dll  string
+		}{{"fork", fork, SigSegv, "fork.dll"}, {"source", src, SigIll, "source.dll"}, {"sibling", sibling, 0, ""}} {
+			for sig := range c.p.SignalHandlers {
+				if sig != c.sig {
+					t.Errorf("fork at %d: the %s has a handler for signal %d", at, c.name, sig)
+				}
+			}
+			if _, ok := c.p.SignalHandlers[c.sig]; c.sig != 0 && !ok {
+				t.Errorf("fork at %d: the %s lost its handler for signal %d", at, c.name, c.sig)
+			}
+			for _, dll := range []string{"fork.dll", "source.dll"} {
+				if _, ok := c.p.Module(dll); ok != (dll == c.dll) {
+					t.Errorf("fork at %d: the %s has module %s: %v", at, c.name, dll, ok)
+				}
+			}
+		}
 	}
+}
+
+// forkLibrary builds a one-function library image.
+func forkLibrary(t *testing.T, name string) *bin.Image {
+	t.Helper()
+	b := asm.NewBuilder(name, bin.KindLibrary)
+	b.Func("f").Ret().EndFunc()
+	img, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
 }
 
 // TestForkRefuses checks that Fork refuses a process with a syscall

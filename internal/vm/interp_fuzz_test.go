@@ -12,6 +12,7 @@ import (
 	"crashresist/internal/isa"
 	"crashresist/internal/mem"
 	"crashresist/internal/targets"
+	"crashresist/internal/trace"
 	"crashresist/internal/vm"
 )
 
@@ -210,10 +211,11 @@ type interpEvent struct {
 	HandlerPC uint64
 }
 
-// interpTracer hashes every retired instruction with its PC and logs
-// exceptions.
+// interpTracer hashes every retired instruction with its PC, hands it to a
+// coverage recorder and logs exceptions.
 type interpTracer struct {
 	hash   uint64
+	cov    *trace.Recorder
 	events []interpEvent
 }
 
@@ -221,6 +223,7 @@ func (tr *interpTracer) OnInstruction(t *vm.Thread, pc uint64, ins isa.Instructi
 	for _, v := range []uint64{uint64(t.ID), pc, uint64(ins.Op), uint64(ins.A), uint64(ins.B), ins.Imm, uint64(uint32(ins.Disp))} {
 		tr.hash = (tr.hash ^ v) * 1099511628211
 	}
+	tr.cov.OnInstruction(t, pc, ins)
 }
 func (*interpTracer) OnCall(*vm.Thread, uint64, uint64)    {}
 func (*interpTracer) OnRet(*vm.Thread, uint64)             {}
@@ -250,6 +253,7 @@ type interpResult struct {
 	Crash    string
 	Clock    uint64
 	Trace    uint64
+	Coverage map[trace.ScopeKey]uint64
 	Events   []interpEvent
 	Threads  []interpThread
 	Memory   [sha256.Size]byte
@@ -305,7 +309,9 @@ func newInterpProcess(img *bin.Image, threads []byte, reference bool) (*interpSe
 			}
 		}
 	}
-	tr := &interpTracer{}
+	tr := &interpTracer{cov: trace.NewRecorder()}
+	tr.cov.EnableCoverage()
+	tr.cov.Attach(p)
 	p.Tracer = tr
 	return &interpSetup{p: p, img: img, text: mod.Base}, nil
 }
@@ -361,7 +367,7 @@ func (s *interpSetup) result() interpResult {
 	tr := p.Tracer.(*interpTracer)
 	res := interpResult{
 		Stats: p.Stats, State: p.State, ExitCode: p.ExitCode, Clock: p.Clock,
-		Trace: tr.hash, Events: tr.events,
+		Trace: tr.hash, Coverage: tr.cov.ScopeHits(), Events: tr.events,
 	}
 	if p.Crash != nil {
 		res.Crash = p.Crash.String()
@@ -430,8 +436,9 @@ func decodeInterpInput(in []byte) (img *bin.Image, threads, schedule []byte, err
 // to map different code there. The program runs on both paths with the same
 // seed and budget; they must agree on vm.Stats, the exception sequence
 // (code, PC, address, access, unmapped), every thread's registers, PC and
-// frames, the process state, a hash of every retired instruction, and a
-// digest of Regions() plus the mapped bytes.
+// frames, the process state, a hash of every retired instruction, the
+// per-scope hits of a coverage recorder, and a digest of Regions() plus
+// the mapped bytes.
 //
 // Blocks can store into text, jump into the middle of an instruction, call
 // code outside any image, run into the zero padding after the text, and

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"maps"
@@ -64,7 +65,9 @@ type Process struct {
 	FaultPlan *faultinject.Plan
 
 	// SignalHandlers maps Linux-model signal numbers to handler
-	// addresses, registered via the kernel's sigaction.
+	// addresses, registered via the kernel's sigaction. A fork shares
+	// the map with its source, so write it only through
+	// SetSignalHandler.
 	SignalHandlers map[int]uint64
 
 	Stats Stats
@@ -76,6 +79,10 @@ type Process struct {
 	// referenceFetch makes every instruction take the fetch-and-decode
 	// path, ignoring predecoded tables; the differential tests set it.
 	referenceFetch bool
+	// sharedMaps reports that SignalHandlers and modsByName may be
+	// shared with a fork or the process this one forked from, so a write
+	// to either first copies it.
+	sharedMaps bool
 
 	modules    []*bin.Module
 	modsByName map[string]*bin.Module
@@ -131,12 +138,14 @@ func NewProcess(cfg Config) *Process {
 // scheduler position, clock and Stats, modules, vectored and signal
 // handlers, and an allocator that continues p's draws. The copy shares p's
 // API handler and fault plan and has no tracer and no data flow; callers
-// attach their own.
+// attach their own. The two share the signal-handler and module-name maps
+// until either writes one (SetSignalHandler, LoadImage), which copies it.
 //
 // Fork refuses a process with a syscall handler, whose kernel state it
 // cannot copy, and one with a thread blocked on a continuation, a closure
-// it cannot copy. Fork writes to p only to stop p writing its own pages in
-// place, which a process forked from and never run since does not need.
+// it cannot copy. Fork writes to p only to stop p writing its own pages and
+// maps in place, which a process forked from and never run since does not
+// need.
 func (p *Process) Fork() (*Process, error) {
 	if p.Syscalls != nil {
 		return nil, errors.New("fork: the process has a syscall handler")
@@ -147,6 +156,9 @@ func (p *Process) Fork() (*Process, error) {
 		}
 	}
 	as := p.AS.Fork()
+	if !p.sharedMaps {
+		p.sharedMaps = true
+	}
 	c := &Process{
 		AS:             as,
 		Alloc:          p.Alloc.Fork(as),
@@ -155,13 +167,14 @@ func (p *Process) Fork() (*Process, error) {
 		Clock:          p.Clock,
 		API:            p.API,
 		FaultPlan:      p.FaultPlan,
-		SignalHandlers: maps.Clone(p.SignalHandlers),
+		SignalHandlers: p.SignalHandlers,
 		Stats:          p.Stats,
 		State:          p.State,
 		ExitCode:       p.ExitCode,
 		referenceFetch: p.referenceFetch,
+		sharedMaps:     true,
 		modules:        slices.Clone(p.modules),
-		modsByName:     maps.Clone(p.modsByName),
+		modsByName:     p.modsByName,
 		threads:        make([]*Thread, len(p.threads)),
 		nextTID:        p.nextTID,
 		quantum:        p.quantum,
@@ -212,9 +225,27 @@ func (p *Process) LoadImage(img *bin.Image) (*bin.Module, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.ownMaps()
 	p.modules = append(p.modules, mod)
 	p.modsByName[img.Name] = mod
 	return mod, nil
+}
+
+// SetSignalHandler registers handler for a Linux-model signal, as the
+// kernel's sigaction does.
+func (p *Process) SetSignalHandler(sig int, handler uint64) {
+	p.ownMaps()
+	p.SignalHandlers[sig] = handler
+}
+
+// ownMaps copies SignalHandlers and modsByName if a fork may share them, so
+// a write to either shows in this process alone.
+func (p *Process) ownMaps() {
+	if p.sharedMaps {
+		p.SignalHandlers = maps.Clone(p.SignalHandlers)
+		p.modsByName = maps.Clone(p.modsByName)
+		p.sharedMaps = false
+	}
 }
 
 // Modules returns the loaded modules in load order.
@@ -265,8 +296,15 @@ func (p *Process) StartThread(name string, entry uint64, args ...uint64) (*Threa
 	}
 	sp := stackBase + p.stackSize - 64
 	// Seed the return address so a RET from the entry function exits the
-	// thread.
-	if err := p.AS.WriteUint(sp, 8, threadExitMagic); err != nil {
+	// thread. A stack of whole pages has sp on its top page at
+	// PageSize-64, where exitPage holds the address, so the page becomes a
+	// view of exitPage and costs no bytes until the thread writes it.
+	if p.stackSize%mem.PageSize == 0 {
+		err = p.AS.WriteShared(sp, 8, exitPage)
+	} else {
+		err = p.AS.WriteUint(sp, 8, threadExitMagic)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("start thread: seed stack: %w", err)
 	}
 
@@ -292,6 +330,16 @@ func (p *Process) StartThread(name string, entry uint64, args ...uint64) (*Threa
 	p.threads = append(p.threads, t)
 	return t, nil
 }
+
+// exitPage is the top page of a fresh stack of whole pages: zero but for
+// threadExitMagic at PageSize-64, the return address StartThread seeds.
+// Nothing writes it; every such stack's top page is a view of it until the
+// thread's first write there copies it.
+var exitPage = func() *[mem.PageSize]byte {
+	pg := new([mem.PageSize]byte)
+	binary.LittleEndian.PutUint64(pg[mem.PageSize-64:], threadExitMagic)
+	return pg
+}()
 
 // Start locates the executable module and starts its main thread at the
 // entry point.

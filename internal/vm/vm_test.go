@@ -420,7 +420,7 @@ func TestLinuxSignalHandler(t *testing.T) {
 			off = s.Offset
 		}
 	}
-	p.SignalHandlers[SigSegv] = mod.VA(off)
+	p.SetSignalHandler(SigSegv, mod.VA(off))
 	runMain(t, p)
 	if p.State != ProcExited || p.ExitCode != 99 {
 		t.Errorf("state=%v exit=%d crash=%v, want handler-set 99", p.State, p.ExitCode, p.Crash)
