@@ -3,8 +3,8 @@ GO ?= go
 .PHONY: ci test race fuzz-short chaos scale bench hostprof golden-update
 
 # ci runs what .github/workflows/ci.yml's test and perfbench jobs run:
-# gofmt, vet, build, tests (allocation budgets included), race and the
-# perfbench module's tests. The workflow's other jobs are not mirrored here.
+# gofmt, vet, build, tests (allocation budgets included), race (with the
+# fork-sharing tests ten times) and the perfbench module's tests. The workflow's other jobs are not mirrored here.
 ci:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
@@ -12,14 +12,20 @@ ci:
 	$(GO) build ./...
 	$(GO) test ./...
 	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race -count=10 -run Concurrent $(FORKSHARE)
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test:
 	$(GO) build ./...
 	$(GO) test ./...
 
+# FORKSHARE holds the tests of state several goroutines fork at once; race
+# runs their Concurrent tests ten times, since one run seldom shows a race.
+FORKSHARE = ./internal/mem ./internal/targets ./internal/fuzz
+
 race:
 	$(GO) test -race -timeout 20m ./...
+	$(GO) test -race -count=10 -run Concurrent $(FORKSHARE)
 
 fuzz-short:
 	$(GO) test -fuzz=FuzzDecodeRoundTrip -fuzztime=30s ./internal/isa

@@ -12,7 +12,8 @@ import (
 // instructions from the image's table at every load base, that two loads
 // share one table, and that a write to a text page drops its table there
 // and copies the page, leaving the other load and the image's shared text
-// as they were.
+// as they were. The loaded image marshals exactly as a fresh one, since
+// its predecoded text is never marshalled.
 func TestLoadAttachesPredecodedText(t *testing.T) {
 	img := testImage(t)
 	as := mem.NewAddressSpace()
@@ -75,37 +76,15 @@ func TestLoadAttachesPredecodedText(t *testing.T) {
 			t.Errorf("load %d reads %#x at offset 19, shared text %#x; want the image's %#x", i, got[0], text[0][19], want)
 		}
 	}
-}
-
-// TestWithImportsSharesText checks that a WithImports copy imports only its
-// own list and shares the sections and the predecoded text, which is not
-// part of the marshalled image.
-func TestWithImportsSharesText(t *testing.T) {
-	img := testImage(t)
-	img.Imports = []Import{{Symbol: "orig"}}
-	cp := img.WithImports([]Import{{Symbol: "other"}})
-	if img.Imports[0].Symbol != "orig" || len(cp.Imports) != 1 || cp.Imports[0].Symbol != "other" {
-		t.Fatalf("imports: original %v, copy %v", img.Imports, cp.Imports)
-	}
-	if &cp.Text[0] != &img.Text[0] || cp.code != img.code || cp.code == nil {
-		t.Fatal("the copy does not share the original's text and predecoded holder")
-	}
-	cpText, cpCode := cp.textPages()
-	imgText, imgCode := img.textPages()
-	if &cpCode[0] != &imgCode[0] || &cpText[0] != &imgText[0] {
-		t.Fatal("the copy built a table of its own")
-	}
-	before, err := Marshal(cp)
+	loaded, err := Marshal(img)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := testImage(t)
-	fresh.Imports = cp.Imports
-	after, err := Marshal(fresh)
+	fresh, err := Marshal(testImage(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(before, after) {
+	if !bytes.Equal(loaded, fresh) {
 		t.Error("a loaded image marshals differently from a fresh one")
 	}
 }

@@ -129,45 +129,28 @@ type Image struct {
 	Relocs  []Reloc
 	Scopes  []ScopeEntry
 
-	// code is the text's pages and predecoded tables, set on the first
-	// load (or the first WithImports) and shared from then on by every
-	// load and by copies WithImports makes. It is derived from Text, so
-	// it is neither marshalled nor part of any digest. codeMu guards the
-	// field.
-	code *predecoded
+	// code is the text's pages and predecoded tables, built on the first
+	// load and shared from then on by every load. It is derived from Text,
+	// so it is neither marshalled nor part of any digest.
+	code predecoded
 }
 
 // predecoded is an image's text as loads map it: its bytes split into
-// zero-padded pages, and one predecoded table per page.
+// zero-padded pages, and one predecoded table per page. Concurrent
+// pipelines load the same images, so once builds them.
 type predecoded struct {
 	once  sync.Once
 	text  [][mem.PageSize]byte
 	pages []isa.Table
 }
 
-// codeMu guards every Image's code field. Concurrent pipelines load the
-// same images, so the field is set under a lock and the table is built
-// once, outside it.
-var codeMu sync.Mutex
-
-// sharedCode returns img's predecoded text, creating the empty holder on
-// first use.
-func (img *Image) sharedCode() *predecoded {
-	codeMu.Lock()
-	defer codeMu.Unlock()
-	if img.code == nil {
-		img.code = new(predecoded)
-	}
-	return img.code
-}
-
 // textPages returns img's text pages and their predecoded tables, building
-// them on the first call for img or any image sharing them. Both are a pure
-// function of Text, so whichever process builds them, every load maps the
-// same bytes and executes the same instructions. Nothing writes the pages:
-// a load maps them as views (mem.AddressSpace.AttachText).
+// them on the first call. Both are a pure function of Text, so whichever
+// process builds them, every load maps the same bytes and executes the same
+// instructions. Nothing writes the pages: a load maps them as views
+// (mem.AddressSpace.AttachText).
 func (img *Image) textPages() ([][mem.PageSize]byte, []isa.Table) {
-	c := img.sharedCode()
+	c := &img.code
 	c.once.Do(func() {
 		c.text = make([][mem.PageSize]byte, mem.RoundUp(uint64(len(img.Text)))/mem.PageSize)
 		for i := range c.text {
@@ -179,22 +162,11 @@ func (img *Image) textPages() ([][mem.PageSize]byte, []isa.Table) {
 }
 
 // Code returns img's predecoded text, one isa.Table per text page, building
-// it on the first call for img or any image sharing it. The tables number
-// the text's instructions image-wide (isa.Table.Num). Callers must not
-// modify them.
+// it on the first call. The tables number the text's instructions
+// image-wide (isa.Table.Num). Callers must not modify them.
 func (img *Image) Code() []isa.Table {
 	_, code := img.textPages()
 	return code
-}
-
-// WithImports returns a copy of img that imports imps instead of img's
-// imports. The copy shares every section and the predecoded text with img,
-// so images that differ only in what they import decode their text once.
-func (img *Image) WithImports(imps []Import) *Image {
-	img.sharedCode()
-	cp := *img
-	cp.Imports = imps
-	return &cp
 }
 
 // DataStart returns the flat offset where the data section begins.

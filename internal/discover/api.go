@@ -3,6 +3,7 @@ package discover
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -140,11 +141,11 @@ type APIFunnelReport struct {
 // fuzzing, call-site harvesting, context filtering and controllability
 // classification, checking ctx between stages and before each fuzzing or
 // classification job. The fuzzing battery fans out across the worker pool
-// one descriptor per job (each probe already runs in its own single-shot
-// harness process), and the final controllability stage fans out per
-// JS-context API (each replay builds its own environment). Both stages
-// write into index-addressed slices, keeping the funnel byte-identical for
-// any worker count.
+// one descriptor per job (each probe runs in its own fork of the fuzzer's
+// one booted harness), and the final controllability stage fans out per
+// JS-context API (each corrupted browse runs in an environment of its
+// own). Both stages write into index-addressed slices, keeping the funnel
+// byte-identical for any worker count.
 func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunnelReport, error) {
 	r := cfg.begin("api", br.Name)
 	var apiParams []byte
@@ -455,12 +456,13 @@ func (r *pipelineRun) observeBrowse(br *targets.Browser, span *metrics.Stage) (*
 // them, so a cache hit can replay the identical observations.
 //
 // The corrupted browse forks the watch browse's snapshot of the Run slice
-// holding the slot's first read, corrupts the slot there and finishes the
-// browse; forked reports whether it did. A slot the watch cannot vouch for
-// (see classifyWatch.snapshotFor), or a run with fullReplay set, takes the
-// full replay instead: it rebuilds the environment (same seed, same
-// layout), corrupts the slot and browses from the start. Both give the same
-// verdict, clock and Stats.
+// holding the slot's first touch (the last snapshot for a slot nothing
+// touched), corrupts the slot there and finishes the browse; forked reports
+// whether it did. A slot first touched in Start, a watch that took no
+// snapshot, or a run with fullReplay set takes the full replay instead: it
+// rebuilds the environment (same seed, same layout), corrupts the slot and
+// browses from the start. Both give the same verdict, clock and Stats (see
+// classifyWatch.snapshotFor).
 func (r *pipelineRun) classify(br *targets.Browser, api string, obs argObservation, watch func() *classifyWatch) (cls APIClassification, cost classifyCost, forked bool, err error) {
 	cls = APIClassification{API: api}
 	switch {
@@ -532,50 +534,50 @@ func costOf(env *targets.BrowserEnv) classifyCost {
 
 // classifyWatch is what the classify stage's watch browse saw: one clean
 // browse, without taint, that watched every classify slot and kept a
-// snapshot of the start of each Run slice of its browse.
+// snapshot of the start of each Run slice of its browse. first maps each
+// watched 8-byte slot to the Run slice of the first access that touched its
+// bytes (a read, fetch, write, map or unmap), -1 when that fell in Start,
+// or untouched.
 type classifyWatch struct {
 	snaps []*targets.BrowseSnapshot
-	slots map[uint64]*slotWatch
+	first map[uint64]int
 }
 
-// slotWatch is what the watch browse saw of one 8-byte pointer slot.
-type slotWatch struct {
-	// mapped: all 8 bytes were mapped when the environment was built.
-	mapped bool
-	// read: the slot was read (a VM load, an API stub's read, a kernel
-	// copy or an instruction fetch), first in Run slice slice, or in
-	// Start when slice is -1.
-	read  bool
-	slice int
-	// touched: something wrote, mapped or unmapped the slot's bytes
-	// before its first read.
-	touched bool
-}
+// untouched is the first slice of a slot nothing touched.
+const untouched = math.MaxInt
 
-// snapshotFor returns the snapshot a classify of the slot at addr forks, or
-// nil when it must run the full replay. A fork equals the replay only when
-// the slot's 8 bytes were mapped when the environment was built, nothing
-// wrote, unmapped or remapped them before their first read, and that read
-// fell in the browse rather than in Start: until its first slice, the
-// replay then ran exactly as the clean browse did, but for bytes nothing
-// read.
+// snapshotFor returns the snapshot a classify of the slot at addr forks: the
+// one of the slice holding the slot's first touch, or the last one when
+// nothing touched the slot. It returns nil, for the full replay, when the
+// first touch fell in Start or the watch took no snapshot.
+//
+// The fork equals the replay. Until the slot's first touch nothing reads,
+// writes, maps or unmaps its bytes, so the replay, which corrupted the slot
+// at build, runs exactly as the clean watch browse did, clock, Stats and
+// fault-plan draws included. At the snapshot every byte but the slot's
+// equals the replay's, and corruptSlot leaves the slot as the build-time
+// corruption did: written when it is mapped, skipped when it is not, and
+// intact when a straddling slot's second page is unmapped. From there both
+// run under the same corruptingFlow. An untouched slot's replay is the
+// clean browse, so a fork of the last snapshot ends as it does, a crash or
+// an exhausted budget in the last slice included.
 func (w *classifyWatch) snapshotFor(addr uint64) *targets.BrowseSnapshot {
-	if w == nil {
+	if w == nil || len(w.snaps) == 0 {
 		return nil
 	}
-	s := w.slots[addr]
-	if s == nil || !s.mapped || !s.read || s.touched || s.slice < 0 || s.slice >= len(w.snaps) {
+	slice, ok := w.first[addr]
+	if !ok || slice < 0 {
 		return nil
 	}
-	return w.snaps[s.slice]
+	return w.snaps[min(slice, len(w.snaps)-1)]
 }
 
 // watchBrowse runs the classify stage's watch browse over the slots at
 // addrs: one clean browse without taint, under the run's fault plan. It is
 // host work alone: it charges nothing, opens no span and sends no progress
-// event. A browse that fails partway keeps what it saw before; a slot it
-// never saw read falls back to the full replay, and so does every slot when
-// the environment cannot be built.
+// event. A browse that fails partway keeps what it saw before, and its last
+// snapshot is the one before the failing slice; no slot forks when the
+// environment cannot be built or Start fails.
 func (r *pipelineRun) watchBrowse(br *targets.Browser, addrs []uint64) *classifyWatch {
 	if r.watches != nil {
 		r.watches.Add(1)
@@ -585,34 +587,27 @@ func (r *pipelineRun) watchBrowse(br *targets.Browser, addrs []uint64) *classify
 		return nil
 	}
 	env.Proc.FaultPlan = r.FaultPlan
-	as := env.Proc.AS
-	w := &classifyWatch{slots: make(map[uint64]*slotWatch, len(addrs))}
+	w := &classifyWatch{first: make(map[uint64]int, len(addrs))}
 	slice := -1
 	// onPage lists the slots holding bytes of each watched page.
 	onPage := make(map[uint64][]uint64)
-	seen := func(ev mem.WatchEvent, addr, length uint64) {
+	touch := func(addr, length uint64) {
 		for _, slot := range onPage[addr/mem.PageSize] {
-			s := w.slots[slot]
-			if s.read || s.touched || addr >= slot+8 || slot >= addr+length {
-				continue
-			}
-			if ev == mem.WatchRead || ev == mem.WatchFetch {
-				s.read, s.slice = true, slice
-			} else {
-				s.touched = true
+			if w.first[slot] == untouched && addr < slot+8 && slot < addr+length {
+				w.first[slot] = slice
 			}
 		}
 	}
 	for _, a := range addrs {
-		if _, dup := w.slots[a]; dup {
+		if _, dup := w.first[a]; dup {
 			continue
 		}
-		w.slots[a] = &slotWatch{mapped: a+7 > a && as.Mapped(a) && as.Mapped(a+7)}
+		w.first[a] = untouched
 		onPage[a/mem.PageSize] = append(onPage[a/mem.PageSize], a)
 		if (a+7)/mem.PageSize != a/mem.PageSize {
 			onPage[(a+7)/mem.PageSize] = append(onPage[(a+7)/mem.PageSize], a)
 		}
-		as.Watch(a, 8, seen)
+		env.Proc.AS.Watch(a, 8, touch)
 	}
 	if env.Start() != nil {
 		return w

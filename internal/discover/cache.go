@@ -129,7 +129,7 @@ func sehModuleKey(img *bin.Image) (cas.Key, bool) {
 }
 
 // fuzzDescKey keys one descriptor's fuzzing battery. The corpus parameters
-// pin the registry the harness resolves against; the descriptor fields pin
+// pin the registry the probes call into; the descriptor fields pin
 // the function's full calling contract. v2 entries add per-probe
 // instruction counts; the schema bump retires v1 entries (which lack
 // them) by key mismatch.

@@ -123,12 +123,14 @@ func TestForkedClassifyMatchesReplay(t *testing.T) {
 
 // TestForkedClassifyFallbacks watches every 8-byte slot of a small
 // Firefox's executable, script engine and xul data, and an unmapped one,
-// over a browse of several Run slices. It classifies one slot of each kind
-// the watch sorts them into, both ways: a slot unmapped at build, written
-// before its first read, first read during Start, or never read must fall
-// back to the full replay. Slots first read in the browse must fork; one
-// is classified for each slice holding a first read. Every classify must
-// equal the replay.
+// over a browse of several Run slices, and sorts the slots into kinds: a
+// slot unmapped at build, never touched, first touched in the browse by a
+// read or by a write, or touched in Start. A slot counts as written when
+// its bytes differ between the snapshot of its first touch's slice and the
+// next snapshot, or the browse's end after the last slice. It classifies
+// one slot of each kind both ways, and one per slice of the kinds first
+// touched in the browse: every kind but the last must fork, and every
+// classify must equal the replay.
 func TestForkedClassifyFallbacks(t *testing.T) {
 	params := targets.SmallBrowserParams()
 	params.TriggerTotal = 400_000
@@ -157,43 +159,89 @@ func TestForkedClassifyFallbacks(t *testing.T) {
 	cfg := Config{Seed: 42}
 	w := cfg.begin("api", br.Name).watchBrowse(br, slots)
 	watch := func() *classifyWatch { return w }
-
-	kinds := map[string]func(s *slotWatch) bool{
-		"unmapped at build":        func(s *slotWatch) bool { return !s.mapped },
-		"written before read":      func(s *slotWatch) bool { return s.mapped && s.touched },
-		"first read during Start":  func(s *slotWatch) bool { return s.mapped && !s.touched && s.read && s.slice < 0 },
-		"never read":               func(s *slotWatch) bool { return s.mapped && !s.touched && !s.read },
-		"first read in the browse": func(s *slotWatch) bool { return s.mapped && !s.touched && s.read && s.slice >= 0 },
+	if len(w.snaps) < 2 {
+		t.Fatalf("the browse took %d snapshots, want several", len(w.snaps))
 	}
-	names := make([]string, 0, len(kinds))
-	for k := range kinds {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, kind := range names {
-		var picked []uint64
-		slices := map[int]bool{}
-		for _, a := range slots {
-			s := w.slots[a]
-			if kinds[kind](s) && (len(picked) == 0 || kind == "first read in the browse" && !slices[s.slice]) {
-				picked = append(picked, a)
-				slices[s.slice] = true
-			}
+	// states holds a fork of each snapshot and, last, one finished browse.
+	var states []*targets.BrowserEnv
+	for _, snap := range w.snaps {
+		f, err := snap.Fork()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(picked) == 0 {
+		states = append(states, f)
+	}
+	end, err := w.snaps[len(w.snaps)-1].Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := end.ResumeBrowse(); err != nil {
+		t.Fatal(err)
+	}
+	states = append(states, end)
+	// bytesAt reads a slot's bytes in state i, nil where it is unmapped.
+	bytesAt := func(i int, slot uint64) []byte {
+		b, _ := states[i].Proc.AS.Read(slot, 8)
+		return b
+	}
+
+	const (
+		unmappedAtBuild = "unmapped at build"
+		neverTouched    = "never touched"
+		firstRead       = "first read in the browse"
+		firstWritten    = "first written in the browse"
+		touchedInStart  = "touched in Start"
+	)
+	kindOf := func(slot uint64) string {
+		switch i := w.first[slot]; {
+		case !env.Proc.AS.Mapped(slot):
+			return unmappedAtBuild
+		case i == untouched:
+			return neverTouched
+		case i < 0:
+			return touchedInStart
+		case !bytes.Equal(bytesAt(i, slot), bytesAt(i+1, slot)):
+			return firstWritten
+		default:
+			return firstRead
+		}
+	}
+	type pick struct {
+		kind  string
+		slice int
+	}
+	count := map[string]int{}
+	picked := map[string][]uint64{}
+	pickedIn := map[pick]bool{}
+	browsed := map[int]bool{} // slices holding a first touch
+	for _, a := range slots {
+		kind := kindOf(a)
+		count[kind]++
+		perSlice := kind == firstRead || kind == firstWritten
+		if perSlice {
+			browsed[w.first[a]] = true
+		}
+		if at := (pick{kind, w.first[a]}); len(picked[kind]) == 0 || perSlice && !pickedIn[at] {
+			picked[kind] = append(picked[kind], a)
+			pickedIn[at] = true
+		}
+	}
+	t.Logf("%d slots over %d snapshots: %v", len(slots), len(w.snaps), count)
+	for _, kind := range []string{unmappedAtBuild, neverTouched, firstRead, firstWritten, touchedInStart} {
+		if len(picked[kind]) == 0 {
 			t.Errorf("no slot is %s", kind)
 			continue
 		}
-		for _, slot := range picked {
+		for _, slot := range picked[kind] {
 			obs := argObservation{value: 0x1234, provOK: true, prov: slot}
 			forked, _ := compareClassify(t, kind, cfg, br, "slot", obs, watch)
-			if want := kind == "first read in the browse"; forked != want {
+			if want := kind != touchedInStart; forked != want {
 				t.Errorf("%s (slot %#x): forked = %v, want %v", kind, slot, forked, want)
 			}
 		}
-		if kind == "first read in the browse" && len(picked) < 2 {
-			t.Errorf("first reads fall in %d of %d slices, want several", len(picked), len(w.snaps))
-		}
+	}
+	if len(browsed) < 2 {
+		t.Errorf("first touches in the browse fall in %d of %d slices, want several", len(browsed), len(w.snaps))
 	}
 }
 
@@ -229,9 +277,6 @@ func TestCorruptingFlowTriggers(t *testing.T) {
 		got, _ := env.ReadUint(slot, 8)
 		if corrupted := got == bad; corrupted != st.corrupted {
 			t.Errorf("%s: slot holds %#x, corrupted = %v, want %v", st.name, got, corrupted, st.corrupted)
-		}
-		if c.RegTaint(0, 1) != 0 || c.MemTaint(slot, 8) != 0 {
-			t.Errorf("%s: the corruptor reports taint", st.name)
 		}
 	}
 }

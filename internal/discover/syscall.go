@@ -596,9 +596,3 @@ func (*corruptingFlow) LoadMem(int, isa.Register, uint64, int) {}
 // ClearMem implements vm.DataFlow as a no-op: a constant store over the
 // slot does not re-corrupt it.
 func (*corruptingFlow) ClearMem(uint64, int) {}
-
-// RegTaint implements vm.DataFlow: a replay tracks no taint.
-func (*corruptingFlow) RegTaint(int, isa.Register) uint64 { return 0 }
-
-// MemTaint implements vm.DataFlow: a replay tracks no taint.
-func (*corruptingFlow) MemTaint(uint64, int) uint64 { return 0 }

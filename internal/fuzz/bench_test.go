@@ -12,42 +12,34 @@ import (
 func probeOp(tb testing.TB) func() {
 	r := smallRegistry(tb)
 	d, _ := r.Lookup("Graceful1")
-	img, err := harnessImage(d)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	f := New(r, 5)
+	f, h := New(r, 5), &harnessAPI{reg: r, fn: d}
 	return func() {
-		outcome, _, _, err := f.runProbe(img, d, InvalidPointers[1])
+		outcome, _, _, err := f.runProbe(h, InvalidPointers[1])
 		if err != nil || outcome != OutcomeGraceful {
 			tb.Fatalf("probe = %v, %v; want graceful", outcome, err)
 		}
 	}
 }
 
-// forkProbeOp runs the same probe in a fork of a booted harness: the unit
-// of work the API funnel repeats 46,084 times.
+// forkProbeOp runs the same probe in a fork of the fuzzer's booted
+// harness: the unit of work the API funnel repeats 46,084 times.
 func forkProbeOp(tb testing.TB) func() {
 	r := smallRegistry(tb)
 	d, _ := r.Lookup("Graceful1")
-	img, err := harnessImage(d)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	boot, err := New(r, 5).boot(img, [5]uint64{})
-	if err != nil {
+	f, h := New(r, 5), &harnessAPI{reg: r, fn: d}
+	if _, err := f.snapshot(); err != nil {
 		tb.Fatal(err)
 	}
 	return func() {
-		outcome, _, _, err := forkProbe(boot, d, InvalidPointers[1])
+		outcome, _, _, err := f.forkProbe(h, InvalidPointers[1])
 		if err != nil || outcome != OutcomeGraceful {
 			tb.Fatalf("probe = %v, %v; want graceful", outcome, err)
 		}
 	}
 }
 
-// fuzzOneOp runs the whole battery, the function's harness image included,
-// on the same function.
+// fuzzOneOp runs the whole battery on the same function, in forks of a
+// harness the fuzzer has already booted.
 func fuzzOneOp(tb testing.TB) func() {
 	r := smallRegistry(tb)
 	d, _ := r.Lookup("Graceful1")
@@ -85,9 +77,9 @@ func TestAllocs(t *testing.T) {
 		op     func(testing.TB) func()
 		budget float64
 	}{
-		{"runProbe", probeOp, 17},
-		{"forkProbe", forkProbeOp, 11},
-		{"FuzzOne", fuzzOneOp, 65},
+		{"runProbe", probeOp, 16},
+		{"forkProbe", forkProbeOp, 10},
+		{"FuzzOne", fuzzOneOp, 44},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {

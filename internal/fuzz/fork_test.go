@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"crashresist/internal/faultinject"
@@ -59,6 +60,56 @@ func TestForkedProbesMatchFresh(t *testing.T) {
 			if pi == 3 && injected == 0 {
 				t.Errorf("%s plan %d: no probe drew an injected fault", c.name, pi)
 			}
+		}
+	}
+}
+
+// TestFuzzOneConcurrent runs the battery over the pointer descriptors of
+// the small corpus on four goroutines sharing one fuzzer, whose probes all
+// fork its one booted harness: every result must equal a sequential
+// fuzzer's. Under -race this checks that forking the harness writes
+// nothing to it.
+func TestFuzzOneConcurrent(t *testing.T) {
+	reg, err := winapi.GenerateCorpus(targets.SmallBrowserParams().API)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ptrs []*winapi.Descriptor
+	for _, d := range reg.All() {
+		if d.HasPointerArg() {
+			ptrs = append(ptrs, d)
+		}
+	}
+	want := make([]FuncResult, len(ptrs))
+	seq := New(reg, 42)
+	for i, d := range ptrs {
+		if want[i], err = seq.FuzzOne(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const lanes = 4
+	got := make([]FuncResult, len(ptrs))
+	errs := make([]error, lanes)
+	shared := New(reg, 42)
+	var wg sync.WaitGroup
+	for lane := range lanes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lane; i < len(ptrs) && errs[lane] == nil; i += lanes {
+				got[i], errs[lane] = shared.FuzzOne(ptrs[i])
+			}
+		}()
+	}
+	wg.Wait()
+	for lane, err := range errs {
+		if err != nil {
+			t.Fatalf("lane %d: %v", lane, err)
+		}
+	}
+	for i := range ptrs {
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("%s: concurrent %+v, sequential %+v", ptrs[i].Name, got[i], want[i])
 		}
 	}
 }

@@ -6,11 +6,12 @@
 //
 // The fuzzer knows only each function's documented signature (argument
 // count and which arguments are pointers — the MSDN-derived information the
-// paper used); it never consults the generator's behaviour category. The
-// fuzzer boots one single-shot harness process per function, and each probe
-// runs in its own fork of it (vm.Process.Fork). A fork's writes stay
-// private to it, so a crash still cannot poison subsequent probes, and a
-// probe costs exactly what a freshly booted harness would.
+// paper used); it never consults the generator's behaviour category. A
+// fuzzer boots one single-shot harness process on its first probe, and each
+// probe runs in its own fork of it (vm.Process.Fork) with the function
+// under test as the fork's API handler. A fork's writes stay private to it,
+// so a crash still cannot poison subsequent probes, and a probe costs
+// exactly what a freshly booted harness would.
 package fuzz
 
 import (
@@ -98,15 +99,27 @@ type Fuzzer struct {
 	// the harness's virtual clock, which restarts from zero per probe.
 	FaultPlan *faultinject.Plan
 
+	// snapshot returns a fork of the booted harness, booting it on the
+	// first call. Nothing runs it, so probes fork it concurrently.
+	snapshot func() (*vm.Process, error)
+
 	// freshProbes boots a harness for every probe instead of forking
-	// one per function: the reference path the differential tests set.
+	// the snapshot: the reference path the differential tests set.
 	freshProbes bool
 }
 
 // New creates a fuzzer over the registry. The seed feeds harness-process
 // ASLR only.
 func New(reg *winapi.Registry, seed int64) *Fuzzer {
-	return &Fuzzer{reg: reg, seed: seed}
+	f := &Fuzzer{reg: reg, seed: seed}
+	f.snapshot = sync.OnceValues(func() (*vm.Process, error) {
+		boot, err := f.boot(&harnessAPI{reg: reg}, [5]uint64{})
+		if err != nil {
+			return nil, err
+		}
+		return boot.Fork()
+	})
+	return f
 }
 
 // FuzzAll probes every pointer-taking function in the registry.
@@ -129,29 +142,18 @@ func (f *Fuzzer) FuzzAll() (Summary, error) {
 	return sum, nil
 }
 
-// FuzzOne runs the invalid-pointer battery against one function: it boots
-// the function's harness once and runs each probe in a fork of it.
+// FuzzOne runs the invalid-pointer battery against one function, each
+// probe in a fork of the fuzzer's booted harness. It is safe for concurrent
+// use.
 func (f *Fuzzer) FuzzOne(d *winapi.Descriptor) (FuncResult, error) {
-	img, err := harnessImage(d)
-	if err != nil {
-		return FuncResult{}, err
-	}
-	var boot *vm.Process
-	if !f.freshProbes {
-		if boot, err = f.boot(img, [5]uint64{}); err != nil {
-			return FuncResult{}, err
-		}
+	h := &harnessAPI{reg: f.reg, fn: d}
+	probe := f.forkProbe
+	if f.freshProbes {
+		probe = f.runProbe
 	}
 	res := FuncResult{Name: d.Name, ID: d.ID, CrashResistant: true}
 	for _, ptr := range InvalidPointers {
-		var outcome Outcome
-		var ret uint64
-		var stats vm.Stats
-		if f.freshProbes {
-			outcome, ret, stats, err = f.runProbe(img, d, ptr)
-		} else {
-			outcome, ret, stats, err = forkProbe(boot, d, ptr)
-		}
+		outcome, ret, stats, err := probe(h, ptr)
 		if err != nil {
 			return FuncResult{}, err
 		}
@@ -162,6 +164,22 @@ func (f *Fuzzer) FuzzOne(d *winapi.Descriptor) (FuncResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// harnessAPI is a harness process's API handler: the harness's one import
+// resolves to the function under test, fn, which Call runs.
+type harnessAPI struct {
+	reg *winapi.Registry
+	fn  *winapi.Descriptor
+}
+
+// Resolve implements vm.APIHandler. Probes run fn whatever the import
+// resolved to, so it resolves to 0 for every function.
+func (*harnessAPI) Resolve(string) (uint32, error) { return 0, nil }
+
+// Call implements vm.APIHandler by running fn.
+func (h *harnessAPI) Call(p *vm.Process, t *vm.Thread, _ uint32) *vm.Exception {
+	return h.reg.Call(p, t, h.fn.ID)
 }
 
 // probeArgs puts the probe pointer in every documented pointer-argument
@@ -176,16 +194,20 @@ func probeArgs(d *winapi.Descriptor, ptr uint64) [5]uint64 {
 	return args
 }
 
-// boot creates a harness process and starts its main thread with args in
-// R1..R5. The thread has run nothing yet.
-func (f *Fuzzer) boot(img *bin.Image, args [5]uint64) (*vm.Process, error) {
+// boot creates a harness process with API handler h and starts its main
+// thread with args in R1..R5. The thread has run nothing yet, and the
+// process has no fault plan.
+func (f *Fuzzer) boot(h *harnessAPI, args [5]uint64) (*vm.Process, error) {
+	img, err := harness()
+	if err != nil {
+		return nil, err
+	}
 	p := vm.NewProcess(vm.Config{
 		Platform:  vm.PlatformWindows,
 		Seed:      f.seed,
 		StackSize: 16 * 1024,
-		FaultPlan: f.FaultPlan,
 	})
-	p.API = f.reg
+	p.API = h
 	if _, err := p.LoadImage(img); err != nil {
 		return nil, err
 	}
@@ -197,24 +219,31 @@ func (f *Fuzzer) boot(img *bin.Image, args [5]uint64) (*vm.Process, error) {
 
 // runProbe executes one probe in a harness booted for it alone: the
 // reference for forkProbe.
-func (f *Fuzzer) runProbe(img *bin.Image, d *winapi.Descriptor, ptr uint64) (Outcome, uint64, vm.Stats, error) {
-	p, err := f.boot(img, probeArgs(d, ptr))
+func (f *Fuzzer) runProbe(h *harnessAPI, ptr uint64) (Outcome, uint64, vm.Stats, error) {
+	p, err := f.boot(h, probeArgs(h.fn, ptr))
 	if err != nil {
 		return 0, 0, vm.Stats{}, err
 	}
+	p.FaultPlan = f.FaultPlan
 	outcome, ret := runHarness(p)
 	return outcome, ret, p.Stats, nil
 }
 
-// forkProbe executes one probe in a fork of boot, a booted harness, with
-// the probe's arguments in the main thread's R1..R5.
-func forkProbe(boot *vm.Process, d *winapi.Descriptor, ptr uint64) (Outcome, uint64, vm.Stats, error) {
-	p, err := boot.Fork()
+// forkProbe executes one probe in a fork of the fuzzer's booted harness,
+// with h as its API handler and the probe's arguments in the main thread's
+// R1..R5.
+func (f *Fuzzer) forkProbe(h *harnessAPI, ptr uint64) (Outcome, uint64, vm.Stats, error) {
+	snap, err := f.snapshot()
 	if err != nil {
 		return 0, 0, vm.Stats{}, err
 	}
+	p, err := snap.Fork()
+	if err != nil {
+		return 0, 0, vm.Stats{}, err
+	}
+	p.API, p.FaultPlan = h, f.FaultPlan
 	main, _ := p.Thread(0)
-	for i, a := range probeArgs(d, ptr) {
+	for i, a := range probeArgs(h.fn, ptr) {
 		main.SetReg(isa.Register(1+i), a)
 	}
 	outcome, ret := runHarness(p)
@@ -231,9 +260,9 @@ func runHarness(p *vm.Process) (Outcome, uint64) {
 }
 
 // harness is the one-shot caller every probe runs: the five argument
-// registers are seeded by Start, import slot 0 is the function under test,
-// and the return value becomes the exit code. It is assembled once; every
-// function's harness image shares its text and predecoded table.
+// registers are seeded by Start, its one import is the function under test,
+// and the return value becomes the exit code. It is assembled once per
+// process and booted once per fuzzer.
 var harness = sync.OnceValues(func() (*bin.Image, error) {
 	b := asm.NewBuilder("fuzz-harness.exe", bin.KindExecutable)
 	// R0 holds the API return value at HALT, becoming the exit code.
@@ -243,12 +272,3 @@ var harness = sync.OnceValues(func() (*bin.Image, error) {
 		EndFunc()
 	return b.Build()
 })
-
-// harnessImage returns the harness importing d as its one import.
-func harnessImage(d *winapi.Descriptor) (*bin.Image, error) {
-	img, err := harness()
-	if err != nil {
-		return nil, err
-	}
-	return img.WithImports([]bin.Import{{Symbol: d.Name}}), nil
-}

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -63,15 +64,12 @@ func TestForkSnapshotConcurrently(t *testing.T) {
 	}
 }
 
-// watchEvent is one event a Watch reported.
-type watchEvent struct {
-	ev           WatchEvent
-	addr, length uint64
-}
+// touch is one access a Watch reported.
+type touch struct{ addr, length uint64 }
 
-// TestWatchReportsEveryTouch watches 8 bytes and checks the event each
-// access kind reports, that accesses to other pages report nothing, and
-// that a fork is not watched.
+// TestWatchReportsEveryTouch watches 8 bytes and checks the address and
+// length each access kind reports, that accesses to other pages report
+// nothing, and that a fork is not watched.
 func TestWatchReportsEveryTouch(t *testing.T) {
 	const base, slot = 0x40000, 0x41010
 	as := NewAddressSpace()
@@ -84,44 +82,38 @@ func TestWatchReportsEveryTouch(t *testing.T) {
 	if err := as.AttachText(base+PageSize, text, isa.SweepPages(code, PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	var got []watchEvent
-	as.Watch(slot, 8, func(ev WatchEvent, addr, length uint64) { got = append(got, watchEvent{ev, addr, length}) })
+	var got []touch
+	as.Watch(slot, 8, func(addr, length uint64) { got = append(got, touch{addr, length}) })
 	fork := as.Fork()
 	var buf [10]byte
 	steps := []struct {
 		name string
 		do   func() error
-		want []watchEvent
+		want []touch
 	}{
 		{"read elsewhere", func() error { _, err := as.ReadUint(base+8, 8); return err }, nil},
-		{"read", func() error { _, err := as.ReadUint(slot+4, 4); return err }, []watchEvent{{WatchRead, slot + 4, 4}}},
+		{"read", func() error { _, err := as.ReadUint(slot+4, 4); return err }, []touch{{slot + 4, 4}}},
 		{"read across pages", func() error { _, err := as.Read(slot-PageSize, PageSize+4); return err },
-			[]watchEvent{{WatchRead, base + PageSize, 0x10 + 4}}},
-		{"predecoded fetch", func() error { _ = as.Decoded(slot); return nil }, []watchEvent{{WatchFetch, slot, 1}}},
-		{"fetch", func() error { _, err := as.FetchExec(slot, 10, buf[:0]); return err }, []watchEvent{{WatchFetch, slot, 10}}},
-		{"write", func() error { return as.WriteUint(slot, 8, 7) }, []watchEvent{{WatchWrite, slot, 8}}},
-		{"forced write", func() error { return as.WriteForce(slot+7, []byte{1, 2}) }, []watchEvent{{WatchWrite, slot + 7, 2}}},
+			[]touch{{base + PageSize, 0x10 + 4}}},
+		{"predecoded fetch", func() error { _ = as.Decoded(slot); return nil }, []touch{{slot, 1}}},
+		{"fetch", func() error { _, err := as.FetchExec(slot, 10, buf[:0]); return err }, []touch{{slot, 10}}},
+		{"write", func() error { return as.WriteUint(slot, 8, 7) }, []touch{{slot, 8}}},
+		{"forced write", func() error { return as.WriteForce(slot+7, []byte{1, 2}) }, []touch{{slot + 7, 2}}},
 		{"write to the fork", func() error { return fork.WriteUint(slot, 8, 9) }, nil},
-		{"unmap", func() error { return as.Unmap(base+PageSize, PageSize) }, []watchEvent{{WatchMap, base + PageSize, PageSize}}},
-		{"remap", func() error { return as.Map(base+PageSize, PageSize, PermRW) }, []watchEvent{{WatchMap, base + PageSize, PageSize}}},
-		{"read after remap", func() error { _, err := as.ReadUint(slot, 8); return err }, []watchEvent{{WatchRead, slot, 8}}},
-		{"unmap again", func() error { return as.Unmap(base+PageSize, PageSize) }, []watchEvent{{WatchMap, base + PageSize, PageSize}}},
-		{"map again", func() error { return as.Map(base+PageSize, PageSize, PermRW) }, []watchEvent{{WatchMap, base + PageSize, PageSize}}},
-		{"shared write", func() error { return as.WriteShared(slot, 8, seedAt(slot, 8)) }, []watchEvent{{WatchWrite, slot, 8}}},
+		{"unmap", func() error { return as.Unmap(base+PageSize, PageSize) }, []touch{{base + PageSize, PageSize}}},
+		{"remap", func() error { return as.Map(base+PageSize, PageSize, PermRW) }, []touch{{base + PageSize, PageSize}}},
+		{"read after remap", func() error { _, err := as.ReadUint(slot, 8); return err }, []touch{{slot, 8}}},
+		{"unmap again", func() error { return as.Unmap(base+PageSize, PageSize) }, []touch{{base + PageSize, PageSize}}},
+		{"map again", func() error { return as.Map(base+PageSize, PageSize, PermRW) }, []touch{{base + PageSize, PageSize}}},
+		{"shared write", func() error { return as.WriteShared(slot, 8, seedAt(slot, 8)) }, []touch{{slot, 8}}},
 	}
 	for _, st := range steps {
 		got = nil
 		if err := st.do(); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
-		if len(got) != len(st.want) {
-			t.Errorf("%s: events %+v, want %+v", st.name, got, st.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != st.want[i] {
-				t.Errorf("%s: events %+v, want %+v", st.name, got, st.want)
-			}
+		if !slices.Equal(got, st.want) {
+			t.Errorf("%s: touches %+v, want %+v", st.name, got, st.want)
 		}
 	}
 }

@@ -19,9 +19,10 @@
 // decoding. The next write to the page drops the table, and Decoded serves
 // it only while the page is executable.
 //
-// Watch reports every read, instruction fetch, write, map and unmap that
-// touches chosen pages, so an analysis can learn when a slot is first read
-// without stepping the program itself.
+// Watch reports the address and length of every read, instruction fetch,
+// write, map and unmap that touches chosen pages, without saying which, so
+// an analysis can learn when a slot is first touched without stepping the
+// program itself.
 //
 // Faults are ordinary error values (*Fault) rather than panics, so the VM,
 // the simulated kernel and analysis tooling can all distinguish "the access
@@ -156,22 +157,6 @@ func (p *page) bytes() *[PageSize]byte {
 // spaceIDs numbers address spaces; page owners hold these numbers.
 var spaceIDs atomic.Uint64
 
-// WatchEvent is what touched a watched page.
-type WatchEvent uint8
-
-// Watch events.
-const (
-	// WatchRead is a data read: a VM load, an API stub's read or a
-	// kernel copy out of the process.
-	WatchRead WatchEvent = iota + 1
-	// WatchFetch is an instruction fetch, predecoded or not.
-	WatchFetch
-	// WatchWrite is any write, with or without write permission.
-	WatchWrite
-	// WatchMap is a Map or Unmap of the page.
-	WatchMap
-)
-
 // AddressSpace is a sparse 64-bit paged address space. It is not safe for
 // concurrent use; the VM serializes all accesses. Fork is the exception: it
 // only reads an address space that owns no page (see Fork).
@@ -187,9 +172,9 @@ type AddressSpace struct {
 	// in place, and owns reports whether any page has it.
 	id   uint64
 	owns bool
-	// watch receives the events on watched pages; watchPN holds the
+	// watch receives the touches of watched pages; watchPN holds the
 	// watched page numbers, mapped or not.
-	watch   func(ev WatchEvent, addr, length uint64)
+	watch   func(addr, length uint64)
 	watchPN map[uint64]bool
 }
 
@@ -222,11 +207,13 @@ func (as *AddressSpace) Fork() *AddressSpace {
 }
 
 // Watch makes the pages holding [addr, addr+length) watched, mapped or not,
-// and sends fn every event that touches a watched page from now on: its
-// address and length, which may reach past the watched range on the same
-// page. An address space has one watcher; each Watch replaces fn. Forks
-// are not watched.
-func (as *AddressSpace) Watch(addr, length uint64, fn func(ev WatchEvent, addr, length uint64)) {
+// and from now on sends fn the address and length of every access that
+// touches a watched page: a read (a VM load, an API stub's read or a kernel
+// copy out of the process), an instruction fetch, predecoded or not, a
+// write, with or without write permission, and a Map or Unmap of the page.
+// The range may reach past the watched one on the same page. An address
+// space has one watcher; each Watch replaces fn. Forks are not watched.
+func (as *AddressSpace) Watch(addr, length uint64, fn func(addr, length uint64)) {
 	as.watch = fn
 	if length == 0 {
 		return
@@ -247,7 +234,7 @@ func (as *AddressSpace) Watch(addr, length uint64, fn func(ev WatchEvent, addr, 
 func (as *AddressSpace) notifyMap(first, n uint64) {
 	for i := uint64(0); i < n; i++ {
 		if as.watchPN[first+i] {
-			as.watch(WatchMap, (first+i)*PageSize, PageSize)
+			as.watch((first+i)*PageSize, PageSize)
 		}
 	}
 }
@@ -401,7 +388,7 @@ func (as *AddressSpace) ReadInto(addr uint64, buf []byte) error {
 			return err
 		}
 		if p.watched {
-			as.watch(WatchRead, addr, n)
+			as.watch(addr, n)
 		}
 		copy(buf, p.bytes()[addr%PageSize:])
 		return nil
@@ -505,7 +492,7 @@ func (as *AddressSpace) FetchExec(addr uint64, max int, buf []byte) ([]byte, err
 			take = uint64(max - len(buf))
 		}
 		if p.watched {
-			as.watch(WatchFetch, addr, take)
+			as.watch(addr, take)
 		}
 		buf = append(buf, p.bytes()[off:off+take]...)
 		addr += take
@@ -560,7 +547,7 @@ func (as *AddressSpace) WriteShared(addr, length uint64, seed *[PageSize]byte) e
 		return nil
 	}
 	if p.watched {
-		as.watch(WatchWrite, addr, length)
+		as.watch(addr, length)
 	}
 	p.code, p.data, p.owner = nil, seed, 0
 	return nil
@@ -587,7 +574,7 @@ func (as *AddressSpace) Decoded(addr uint64) *isa.Instruction {
 	}
 	ins := p.code.At(addr % PageSize)
 	if ins != nil && p.watched {
-		as.watch(WatchFetch, addr, uint64(ins.Size()))
+		as.watch(addr, uint64(ins.Size()))
 	}
 	return ins
 }
@@ -640,7 +627,7 @@ func (as *AddressSpace) copyOut(addr uint64, buf []byte) {
 		p := as.pages[addr/PageSize]
 		n := copy(buf, p.bytes()[addr%PageSize:])
 		if p.watched {
-			as.watch(WatchRead, addr, uint64(n))
+			as.watch(addr, uint64(n))
 		}
 		buf = buf[n:]
 		addr += uint64(n)
@@ -662,7 +649,7 @@ func (as *AddressSpace) copyIn(addr uint64, data []byte) {
 // page's bytes unless this address space owns them.
 func (as *AddressSpace) writePage(p *page, addr uint64, data []byte) {
 	if p.watched {
-		as.watch(WatchWrite, addr, uint64(len(data)))
+		as.watch(addr, uint64(len(data)))
 	}
 	p.code = nil
 	if p.owner != as.id {
@@ -768,7 +755,7 @@ func (a *Allocator) int63() int64 {
 
 const (
 	// memoDraws is how many leading stream values the memo keeps per
-	// seed. The paper runs' fuzz probes and server boots draw at most 6;
+	// seed. The paper runs' fuzz harness and server boots draw at most 6;
 	// a browse draws 191 and continues past the memo.
 	memoDraws = 64
 	// memoSeeds bounds the memo: the first memoSeeds distinct seeds are
@@ -777,8 +764,8 @@ const (
 )
 
 // seedMemo maps a seed to the first memoDraws values of its math/rand
-// stream. Seeding a source costs about 10 µs and 5.4 KB, and every fuzz
-// probe boots a process with the run's one seed. An entry is a pure
+// stream. Seeding a source costs about 10 µs and 5.4 KB, and every process
+// a run boots takes the run's one seed. An entry is a pure
 // function of its seed and never changes once published, so a hit and a
 // miss yield the same layout.
 var seedMemo struct {

@@ -169,7 +169,7 @@ func (e *Engine) MarkMem(label uint8, addr uint64, size int) {
 	}
 }
 
-// RegTaint implements vm.DataFlow: the union mask of all lanes.
+// RegTaint returns the union mask of all lanes of a register.
 func (e *Engine) RegTaint(tid int, r isa.Register) uint64 {
 	ts, ok := e.threads[tid]
 	if !ok {
@@ -178,7 +178,7 @@ func (e *Engine) RegTaint(tid int, r isa.Register) uint64 {
 	return ts.regs[r].union()
 }
 
-// MemTaint implements vm.DataFlow: the union mask of a byte range.
+// MemTaint returns the union mask of a byte range.
 func (e *Engine) MemTaint(addr uint64, size int) uint64 {
 	var m uint64
 	for i := 0; i < size; i++ {

@@ -20,11 +20,6 @@ func (t tee) OnInstruction(th *vm.Thread, pc uint64, ins isa.Instruction) {
 	t.a.OnInstruction(th, pc, ins)
 	t.b.OnInstruction(th, pc, ins)
 }
-func (t tee) OnCall(th *vm.Thread, target, retPC uint64) {
-	t.a.OnCall(th, target, retPC)
-	t.b.OnCall(th, target, retPC)
-}
-func (t tee) OnRet(th *vm.Thread, retPC uint64) { t.a.OnRet(th, retPC); t.b.OnRet(th, retPC) }
 func (t tee) OnAPICall(th *vm.Thread, callPC uint64, id uint32) {
 	t.a.OnAPICall(th, callPC, id)
 	t.b.OnAPICall(th, callPC, id)

@@ -257,12 +257,6 @@ func (r *Recorder) count(pc uint64) {
 	r.pcs[pc]++
 }
 
-// OnCall implements vm.Tracer.
-func (r *Recorder) OnCall(*vm.Thread, uint64, uint64) {}
-
-// OnRet implements vm.Tracer.
-func (r *Recorder) OnRet(*vm.Thread, uint64) {}
-
 // OnAPICall implements vm.Tracer: API harvesting + context tagging.
 func (r *Recorder) OnAPICall(t *vm.Thread, callPC uint64, id uint32) {
 	if !r.harvestAPIs {

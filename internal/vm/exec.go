@@ -106,9 +106,6 @@ func (p *Process) exec(t *Thread, ins *isa.Instruction) *Exception {
 		if len(t.frames) > 1 {
 			t.frames = t.frames[:len(t.frames)-1]
 		}
-		if p.Tracer != nil {
-			p.Tracer.OnRet(t, retPC)
-		}
 		t.PC = retPC
 		t.Instructions++
 		p.Stats.Instructions++
@@ -303,9 +300,6 @@ func (p *Process) doCall(t *Thread, pc, retPC, target uint64) *Exception {
 	}
 	t.Regs[16] = sp
 	t.frames = append(t.frames, Frame{FuncEntry: target, SPAtEntry: sp, RetPC: retPC})
-	if p.Tracer != nil {
-		p.Tracer.OnCall(t, target, retPC)
-	}
 	t.PC = target
 	t.Instructions++
 	p.Stats.Instructions++

@@ -225,8 +225,6 @@ func (tr *interpTracer) OnInstruction(t *vm.Thread, pc uint64, ins isa.Instructi
 	}
 	tr.cov.OnInstruction(t, pc, ins)
 }
-func (*interpTracer) OnCall(*vm.Thread, uint64, uint64)    {}
-func (*interpTracer) OnRet(*vm.Thread, uint64)             {}
 func (*interpTracer) OnAPICall(*vm.Thread, uint64, uint32) {}
 func (tr *interpTracer) OnException(t *vm.Thread, exc vm.Exception) {
 	tr.events = append(tr.events, interpEvent{TID: t.ID, Code: exc.Code, PC: exc.PC, Addr: exc.Addr, Access: exc.Access, Unmapped: exc.Unmapped})

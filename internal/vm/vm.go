@@ -124,8 +124,6 @@ type APIHandler interface {
 // a non-nil tracer. Tracers must not mutate the process.
 type Tracer interface {
 	OnInstruction(t *Thread, pc uint64, ins isa.Instruction)
-	OnCall(t *Thread, target, retPC uint64)
-	OnRet(t *Thread, retPC uint64)
 	OnAPICall(t *Thread, callPC uint64, id uint32)
 	OnException(t *Thread, exc Exception)
 	OnExceptionHandled(t *Thread, exc Exception, handlerPC uint64)
@@ -148,10 +146,6 @@ type DataFlow interface {
 	ClearMem(addr uint64, size int)
 	// MarkMem sets a taint label on [addr, addr+size) (input sources).
 	MarkMem(label uint8, addr uint64, size int)
-	// RegTaint returns the taint label set of a register.
-	RegTaint(tid int, r isa.Register) uint64
-	// MemTaint returns the union label set of [addr, addr+size).
-	MemTaint(addr uint64, size int) uint64
 }
 
 // Policy holds exception-dispatch countermeasures from the paper's §VII-C.

@@ -223,7 +223,7 @@ func (r *Registry) Call(p *vm.Process, t *vm.Thread, id uint32) *vm.Exception {
 			if d.Writes {
 				access = mem.AccessWrite
 			}
-			if err := p.AS.Check(ptr, structProbeSize, access); err != nil {
+			if !p.AS.Accessible(ptr, structProbeSize, access) {
 				t.SetReg(0, ErrInvalidPointer)
 				return nil
 			}
