@@ -21,7 +21,7 @@ test:
 
 # FORKSHARE holds the tests of state several goroutines fork at once; race
 # runs their Concurrent tests ten times, since one run seldom shows a race.
-FORKSHARE = ./internal/mem ./internal/targets ./internal/fuzz
+FORKSHARE = ./internal/mem ./internal/vm ./internal/targets ./internal/fuzz
 
 race:
 	$(GO) test -race -timeout 20m ./...
@@ -37,6 +37,7 @@ fuzz-short:
 	$(GO) test -fuzz=FuzzRateDetector -fuzztime=30s ./internal/defense
 	$(GO) test -fuzz=FuzzSyscallDispatch -fuzztime=30s ./internal/kernel
 	$(GO) test -fuzz=FuzzAddressSpace -fuzztime=30s ./internal/mem
+	$(GO) test -fuzz=FuzzTaint -fuzztime=30s ./internal/taint
 	$(GO) test -fuzz=FuzzInterpreter -fuzztime=30s ./internal/vm
 
 # chaos runs the full paper-scale fault-injection sweep under the race

@@ -38,6 +38,23 @@ func forkProbeOp(tb testing.TB) func() {
 	}
 }
 
+// crashProbeOp is forkProbeOp on a function whose user-mode stub faults
+// on the probe pointer, so the probe crashes the harness.
+func crashProbeOp(tb testing.TB) func() {
+	r := smallRegistry(tb)
+	d, _ := r.Lookup("Crashy1")
+	f, h := New(r, 5), &harnessAPI{reg: r, fn: d}
+	if _, err := f.snapshot(); err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		outcome, _, _, err := f.forkProbe(h, InvalidPointers[1])
+		if err != nil || outcome != OutcomeCrash {
+			tb.Fatalf("probe = %v, %v; want a crash", outcome, err)
+		}
+	}
+}
+
 // fuzzOneOp runs the whole battery on the same function, in forks of a
 // harness the fuzzer has already booted.
 func fuzzOneOp(tb testing.TB) func() {
@@ -78,8 +95,9 @@ func TestAllocs(t *testing.T) {
 		budget float64
 	}{
 		{"runProbe", probeOp, 16},
-		{"forkProbe", forkProbeOp, 10},
-		{"FuzzOne", fuzzOneOp, 44},
+		{"forkProbe", forkProbeOp, 7},
+		{"forkProbe/crash", crashProbeOp, 10},
+		{"FuzzOne", fuzzOneOp, 32},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {

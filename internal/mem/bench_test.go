@@ -127,6 +127,30 @@ func readUintFaultOp(tb testing.TB) func() {
 	}
 }
 
+// accessibleUnmappedOp is the kernel's -EFAULT check of one unmapped
+// pointer, repeated: the data cache answers it, so it neither allocates nor
+// hashes.
+func accessibleUnmappedOp(tb testing.TB) func() {
+	as := benchSpace(tb)
+	return func() {
+		if as.Accessible(benchUnmapped, 8, AccessRead) {
+			tb.Fatal("an unmapped page is accessible")
+		}
+	}
+}
+
+// forkSnapshotOp forks a snapshot, a fork of a written address space that
+// is never written itself, as every fuzz probe does: the copy shares the
+// snapshot's page table.
+func forkSnapshotOp(tb testing.TB) func() {
+	snap := benchSpace(tb).Fork()
+	return func() {
+		if snap.Fork().pages == nil {
+			tb.Fatal("fork has no page table")
+		}
+	}
+}
+
 func benchOp(b *testing.B, newOp func(testing.TB) func()) {
 	op := newOp(b)
 	b.ReportAllocs()
@@ -142,6 +166,7 @@ func BenchmarkFetchExec(b *testing.B)     { benchOp(b, fetchExecOp) }
 func BenchmarkReadUintFault(b *testing.B) { benchOp(b, readUintFaultOp) }
 func BenchmarkMapStack(b *testing.B)      { benchOp(b, mapStackOp) }
 func BenchmarkNewAllocator(b *testing.B)  { benchOp(b, newAllocatorOp) }
+func BenchmarkForkSnapshot(b *testing.B)  { benchOp(b, forkSnapshotOp) }
 
 // TestAllocs fails when an operation allocates more per call than its
 // budget. Budgets are measured counts; a change that lowers a count lowers
@@ -159,6 +184,7 @@ func TestAllocs(t *testing.T) {
 		{"WriteUint", writeUintOp, 0},
 		{"FetchExec", fetchExecOp, 0},
 		{"ReadUint/fault", readUintFaultOp, 1},
+		{"Accessible/unmapped", accessibleUnmappedOp, 0},
 		// A page's bytes are allocated on its first write.
 		{"ReadUint/untouched", readUintUntouchedOp, 0},
 		{"FetchExec/untouched", fetchExecUntouchedOp, 0},
@@ -166,6 +192,8 @@ func TestAllocs(t *testing.T) {
 		{"Map/stack", mapStackOp, 1},
 		// A memoized seed costs only the Allocator itself.
 		{"NewAllocator/memoized", newAllocatorOp, 1},
+		// The AddressSpace itself: the fork shares the page table.
+		{"Fork/snapshot", forkSnapshotOp, 1},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {

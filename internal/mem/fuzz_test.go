@@ -239,10 +239,14 @@ func attachSwept(as *AddressSpace, addr, length uint64) error {
 // Decoded returns, so a table that outlives a write to its page, or is
 // served from a page without execute permission, fails.
 //
-// The first op with bits 3-5 of its opcode set forks the address space
-// (and its reference) before it runs. From then on, an op with bit 5 set
-// runs on the fork and any other on the original. Each copy must match its
-// own reference, so a write in one that shows in the other fails.
+// Up to four copies of the address space run side by side. Bits 3-4 of an
+// opcode, modulo the number of copies, pick the copy an op runs on; an op
+// with bits 3-5 set first forks that copy (and its reference), while there
+// are fewer than four. Those forks come from copy 0, then copy 1, then copy
+// 0 again: a fork, a fork of the fork, and a second fork of a source that
+// may have written since its first. Each copy must match its own
+// reference, so a write in one that shows in another fails, and so does a
+// copy that misses its own write because of a page table it shares.
 //
 // An op is an opcode byte (low three bits: the call; bit 7: a data access
 // in the last page of the address space) and its operands: a page byte, a
@@ -257,14 +261,12 @@ func FuzzAddressSpace(f *testing.F) {
 		for step := 0; len(r.b) > 0 && step < 64; step++ {
 			op := r.byte()
 			top := op&0x80 != 0
-			if op&0x38 == 0x38 && len(spaces) == 1 {
-				fork := *refs[0]
-				spaces, refs = append(spaces, spaces[0].Fork()), append(refs, &fork)
+			k := int(op>>3&3) % len(spaces)
+			if op&0x38 == 0x38 && len(spaces) < 4 {
+				fork := *refs[k]
+				spaces, refs = append(spaces, spaces[k].Fork()), append(refs, &fork)
 			}
-			as, ref := spaces[0], refs[0]
-			if len(spaces) == 2 && op&0x20 != 0 {
-				as, ref = spaces[1], refs[1]
-			}
+			as, ref := spaces[k], refs[k]
 			switch op % 8 {
 			case 0:
 				addr, length := r.pageRange()

@@ -6,13 +6,23 @@
 // fetches as zeros, so a mapping nobody touches (most of a thread stack)
 // costs only its header.
 //
-// Page bytes are shared copy-on-write. Fork copies an address space's page
-// headers but none of their bytes, and AttachText maps a loaded image's
+// Page bytes are shared copy-on-write. AttachText maps a loaded image's
 // text pages as views of bytes every process loading the image shares. A
 // page's bytes are written in place only by the address space that owns
 // them; every other write first copies them, so a write in one address
 // space never shows in another. Every write reaches a page through one
 // path, writePage.
+//
+// The page table is shared copy-on-write too. Fork hands the copy the
+// source's page map and page headers as they are, and whichever of the two
+// next changes a mapping or a header first copies the map and headers for
+// itself (own); headers that are shared are never written. A fork that
+// never writes, such as a fuzz probe, copies nothing.
+//
+// The page map is a Go map, read through two caches: the last two pages
+// data accesses looked up, an unmapped answer included, and the page the
+// last predecoded fetch used. A data access hits the first cache nearly
+// always, so it hashes nothing. Reads therefore write the address space.
 //
 // A page may also carry a predecoded table of the instructions its bytes
 // hold (AttachText), which the interpreter reads instead of fetching and
@@ -158,20 +168,33 @@ func (p *page) bytes() *[PageSize]byte {
 var spaceIDs atomic.Uint64
 
 // AddressSpace is a sparse 64-bit paged address space. It is not safe for
-// concurrent use; the VM serializes all accesses. Fork is the exception: it
-// only reads an address space that owns no page (see Fork).
+// concurrent use, not even for reads, which fill its lookup caches; the VM
+// serializes all accesses. Fork is the exception: it only reads an address
+// space that is itself a fork, or was forked before, and owns no page (see
+// Fork).
 type AddressSpace struct {
-	pages map[uint64]*page // keyed by addr >> 12
+	// pages is keyed by addr >> 12. When shared is set, forks may hold
+	// the same map and headers, so neither may change before own copies
+	// them.
+	pages map[uint64]*page
+	// data caches the last two data-access page lookups: entry i holds
+	// the answer for page number dataPN[i]-1, nil when that page is
+	// unmapped, and dataPN[i] is zero when the entry is empty. A miss
+	// fills entry next, and the entries take turns. Map, Unmap and own
+	// clear both caches; every other change to a page is made to the
+	// cached header itself.
+	data   [2]*page
+	dataPN [2]uint64
+	next   uint8
+	shared bool
+	// owns reports whether any page has owner number id, the number of
+	// the pages this address space may write in place.
+	owns bool
+	id   uint64
 	// codePage caches the page Decoded found last, whose number is
-	// codePN, since consecutive instructions mostly share a page. Unmap
-	// clears it; every other change to a page is made to the cached
-	// page itself.
+	// codePN, since consecutive instructions mostly share a page.
 	codePage *page
 	codePN   uint64
-	// id is the owner number of the pages this address space may write
-	// in place, and owns reports whether any page has it.
-	id   uint64
-	owns bool
 	// watch receives the touches of watched pages; watchPN holds the
 	// watched page numbers, mapped or not.
 	watch   func(addr, length uint64)
@@ -184,26 +207,80 @@ func NewAddressSpace() *AddressSpace {
 }
 
 // Fork returns a copy of the address space: every mapping with its
-// permission, bytes, predecoded table and watch-free header. It copies the
-// page headers and no bytes: both address spaces then share every page's
-// bytes, and each copies a page on its own first write to it. Fork writes
-// to the source only when the source owns a page, to stop writing its
-// pages in place; so an address space that is never written after its own
-// fork (a snapshot) can be forked by any number of goroutines at once.
+// permission, bytes, predecoded table and watch-free header. It copies no
+// bytes: both address spaces then share every page's bytes, and each copies
+// a page on its own first write to it. Unless the source watches a page,
+// Fork copies no header either: the two share the page table until either
+// changes it. A watched source's headers are copied, watch-free.
+//
+// Fork writes to the source only to stop it writing its pages in place when
+// it owns one, and to mark its page table shared the first time. A fork's
+// table counts as shared from the start, so an address space that is never
+// written after its own fork (a snapshot) can be forked by any number of
+// goroutines at once.
 func (as *AddressSpace) Fork() *AddressSpace {
 	if as.owns {
 		as.id, as.owns = spaceIDs.Add(1), false
 	}
-	c := &AddressSpace{pages: make(map[uint64]*page, len(as.pages)), id: spaceIDs.Add(1)}
-	slab := make([]page, len(as.pages))
+	c := &AddressSpace{pages: as.pages, id: spaceIDs.Add(1), shared: true}
+	if len(as.watchPN) != 0 {
+		c.pages = copyPages(as.pages, false)
+	} else if !as.shared {
+		as.shared = true
+	}
+	return c
+}
+
+// own gives the address space a page map and headers of its own if forks
+// may share them. Every change to the map or to a header calls it first.
+func (as *AddressSpace) own() {
+	if !as.shared {
+		return
+	}
+	as.pages, as.shared = copyPages(as.pages, true), false
+	as.clearCaches()
+}
+
+// copyPages returns a copy of a page map and its headers, all in one slab;
+// the copies keep their watch marks only if watched is set.
+func copyPages(pages map[uint64]*page, watched bool) map[uint64]*page {
+	c := make(map[uint64]*page, len(pages))
+	slab := make([]page, len(pages))
 	i := 0
-	for pn, p := range as.pages {
+	for pn, p := range pages {
 		slab[i] = *p
-		slab[i].watched = false
-		c.pages[pn] = &slab[i]
+		slab[i].watched = slab[i].watched && watched
+		c[pn] = &slab[i]
 		i++
 	}
 	return c
+}
+
+// lookup returns the page numbered pn, or nil when it is unmapped, from
+// the data cache when it holds the answer. A miss fills the cache.
+func (as *AddressSpace) lookup(pn uint64) *page {
+	if as.dataPN[0] == pn+1 {
+		return as.data[0]
+	}
+	if as.dataPN[1] == pn+1 {
+		return as.data[1]
+	}
+	return as.miss(pn)
+}
+
+// miss looks pn up in the page map and caches the answer, nil included,
+// in the entry whose turn it is.
+func (as *AddressSpace) miss(pn uint64) *page {
+	p := as.pages[pn]
+	i := as.next
+	as.data[i], as.dataPN[i], as.next = p, pn+1, i^1
+	return p
+}
+
+// clearCaches empties the data and code-page caches, for a change that
+// adds, removes or replaces page headers.
+func (as *AddressSpace) clearCaches() {
+	as.data, as.dataPN, as.codePage = [2]*page{}, [2]uint64{}, nil
 }
 
 // Watch makes the pages holding [addr, addr+length) watched, mapped or not,
@@ -218,6 +295,7 @@ func (as *AddressSpace) Watch(addr, length uint64, fn func(addr, length uint64))
 	if length == 0 {
 		return
 	}
+	as.own()
 	if as.watchPN == nil {
 		as.watchPN = make(map[uint64]bool)
 	}
@@ -256,6 +334,8 @@ func (as *AddressSpace) Map(addr, length uint64, perm Perm) error {
 			return fmt.Errorf("map %#x+%#x: overlaps existing page %#x", addr, length, (first+i)*PageSize)
 		}
 	}
+	as.own()
+	as.clearCaches()
 	slab := make([]page, n)
 	for i := range slab {
 		slab[i].perm = perm
@@ -278,10 +358,11 @@ func (as *AddressSpace) Unmap(addr, length uint64) error {
 	if as.watchPN != nil {
 		as.notifyMap(first, n)
 	}
+	as.own()
 	for i := uint64(0); i < n; i++ {
 		delete(as.pages, first+i)
 	}
-	as.codePage = nil
+	as.clearCaches()
 	return nil
 }
 
@@ -297,6 +378,7 @@ func (as *AddressSpace) Protect(addr, length uint64, perm Perm) error {
 			return &Fault{Addr: (first + i) * PageSize, Access: AccessWrite, Unmapped: true}
 		}
 	}
+	as.own()
 	for i := uint64(0); i < n; i++ {
 		as.pages[first+i].perm = perm
 	}
@@ -357,8 +439,8 @@ func (as *AddressSpace) firstBad(addr, length uint64, access Access, anyPerm boo
 		return addr, true, true
 	}
 	for pg := addr / PageSize; pg <= end/PageSize; pg++ {
-		p, ok := as.pages[pg]
-		if !ok {
+		p := as.lookup(pg)
+		if p == nil {
 			return maxU64(pg*PageSize, addr), true, true
 		}
 		if !anyPerm && p.perm&need == 0 {
@@ -434,8 +516,8 @@ func (as *AddressSpace) write(addr uint64, data []byte, anyPerm bool) error {
 // pageFor returns the page holding addr, or the fault an access of that
 // kind makes there: unmapped, or, unless anyPerm, lacking its permission.
 func (as *AddressSpace) pageFor(addr uint64, access Access, anyPerm bool) (*page, error) {
-	p, ok := as.pages[addr/PageSize]
-	if !ok {
+	p := as.lookup(addr / PageSize)
+	if p == nil {
 		return nil, &Fault{Addr: addr, Access: access, Unmapped: true}
 	}
 	if !anyPerm && p.perm&access.perm() == 0 {
@@ -518,6 +600,7 @@ func (as *AddressSpace) AttachText(addr uint64, text [][PageSize]byte, code []is
 			return &Fault{Addr: (first + uint64(i)) * PageSize, Access: AccessExec, Unmapped: true}
 		}
 	}
+	as.own()
 	for i := range text {
 		p := as.pages[first+uint64(i)]
 		p.data, p.owner, p.code = &text[i], 0, &code[i]
@@ -548,6 +631,10 @@ func (as *AddressSpace) WriteShared(addr, length uint64, seed *[PageSize]byte) e
 	}
 	if p.watched {
 		as.watch(addr, length)
+	}
+	if as.shared {
+		as.own()
+		p = as.lookup(addr / PageSize)
 	}
 	p.code, p.data, p.owner = nil, seed, 0
 	return nil
@@ -624,7 +711,7 @@ func (r Region) Contains(addr uint64) bool {
 
 func (as *AddressSpace) copyOut(addr uint64, buf []byte) {
 	for len(buf) > 0 {
-		p := as.pages[addr/PageSize]
+		p := as.lookup(addr / PageSize)
 		n := copy(buf, p.bytes()[addr%PageSize:])
 		if p.watched {
 			as.watch(addr, uint64(n))
@@ -638,7 +725,7 @@ func (as *AddressSpace) copyOut(addr uint64, buf []byte) {
 func (as *AddressSpace) copyIn(addr uint64, data []byte) {
 	for len(data) > 0 {
 		n := min(uint64(len(data)), PageSize-addr%PageSize)
-		as.writePage(as.pages[addr/PageSize], addr, data[:n])
+		as.writePage(as.lookup(addr/PageSize), addr, data[:n])
 		data = data[n:]
 		addr += n
 	}
@@ -646,10 +733,15 @@ func (as *AddressSpace) copyIn(addr uint64, data []byte) {
 
 // writePage is the one write path: it writes data, which fits in page p,
 // at addr. It drops the page's predecoded table, and first copies the
-// page's bytes unless this address space owns them.
+// page's bytes unless this address space owns them, and the page table if
+// forks may share it.
 func (as *AddressSpace) writePage(p *page, addr uint64, data []byte) {
 	if p.watched {
 		as.watch(addr, uint64(len(data)))
+	}
+	if as.shared {
+		as.own()
+		p = as.lookup(addr / PageSize)
 	}
 	p.code = nil
 	if p.owner != as.id {

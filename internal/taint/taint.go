@@ -15,6 +15,8 @@
 package taint
 
 import (
+	"slices"
+
 	"crashresist/internal/isa"
 	"crashresist/internal/mem"
 	"crashresist/internal/vm"
@@ -43,8 +45,12 @@ type threadState struct {
 
 // Engine is a byte-granular taint tracker. It implements vm.DataFlow.
 type Engine struct {
-	threads map[int]*threadState
+	// threads is indexed by TID, which the VM hands out densely from
+	// zero; an entry is nil until its thread's first event.
+	threads []*threadState
 	// shadow maps page index → per-byte label masks, allocated lazily.
+	// A memory event looks it up once per page it touches, and not at
+	// all while it is empty.
 	shadow map[uint64]*[mem.PageSize]uint64
 }
 
@@ -52,10 +58,7 @@ var _ vm.DataFlow = (*Engine)(nil)
 
 // New creates an empty taint engine.
 func New() *Engine {
-	return &Engine{
-		threads: make(map[int]*threadState),
-		shadow:  make(map[uint64]*[mem.PageSize]uint64),
-	}
+	return &Engine{shadow: make(map[uint64]*[mem.PageSize]uint64)}
 }
 
 // Attach installs the engine as the process's data-flow sink.
@@ -63,31 +66,48 @@ func (e *Engine) Attach(p *vm.Process) { p.Flow = e }
 
 // Reset clears all taint and provenance state.
 func (e *Engine) Reset() {
-	e.threads = make(map[int]*threadState)
+	e.threads = nil
 	e.shadow = make(map[uint64]*[mem.PageSize]uint64)
 }
 
 func (e *Engine) thread(tid int) *threadState {
-	ts, ok := e.threads[tid]
-	if !ok {
-		ts = &threadState{}
-		e.threads[tid] = ts
+	if ts := e.known(tid); ts != nil {
+		return ts
 	}
+	if tid >= len(e.threads) {
+		e.threads = append(e.threads, make([]*threadState, tid+1-len(e.threads))...)
+	}
+	ts := &threadState{}
+	e.threads[tid] = ts
 	return ts
 }
 
-// shadowByte returns a pointer to the label mask for one memory byte,
-// allocating the shadow page if create is set; nil otherwise.
-func (e *Engine) shadowByte(addr uint64, create bool) *uint64 {
-	pg, ok := e.shadow[addr/mem.PageSize]
-	if !ok {
-		if !create {
-			return nil
-		}
-		pg = &[mem.PageSize]uint64{}
-		e.shadow[addr/mem.PageSize] = pg
+// known returns the thread's state, or nil before its first event.
+func (e *Engine) known(tid int) *threadState {
+	if tid < 0 || tid >= len(e.threads) {
+		return nil
 	}
-	return &pg[addr%mem.PageSize]
+	return e.threads[tid]
+}
+
+// span returns the shadow of the page holding addr, nil when it has none,
+// addr's offset on that page, and how many of the n bytes from addr lie on
+// it. An access walks its bytes a span at a time; past the top of the
+// address space its addresses wrap to page zero, as byte addresses do.
+func (e *Engine) span(addr uint64, n int) (pg *[mem.PageSize]uint64, off uint64, k int) {
+	off = addr % mem.PageSize
+	k = min(n, int(mem.PageSize-off))
+	if len(e.shadow) != 0 {
+		pg = e.shadow[addr/mem.PageSize]
+	}
+	return pg, off, k
+}
+
+// newPage gives the page holding addr a shadow and returns it.
+func (e *Engine) newPage(addr uint64) *[mem.PageSize]uint64 {
+	pg := &[mem.PageSize]uint64{}
+	e.shadow[addr/mem.PageSize] = pg
+	return pg
 }
 
 // CopyRegReg implements vm.DataFlow: dst = src copies lanes and provenance.
@@ -126,10 +146,13 @@ func (e *Engine) CombineReg(tid int, dst, src isa.Register) {
 func (e *Engine) LoadMem(tid int, dst isa.Register, addr uint64, size int) {
 	ts := e.thread(tid)
 	var rt regTaint
-	for i := 0; i < size && i < 8; i++ {
-		if sb := e.shadowByte(addr+uint64(i), false); sb != nil {
-			rt[i] = *sb
+	n := min(size, 8)
+	for i := 0; i < n; {
+		pg, off, k := e.span(addr+uint64(i), n-i)
+		if pg != nil {
+			copy(rt[i:i+k], pg[off:])
 		}
+		i += k
 	}
 	ts.regs[dst] = rt
 	ts.prov[dst] = addr
@@ -137,23 +160,33 @@ func (e *Engine) LoadMem(tid int, dst isa.Register, addr uint64, size int) {
 }
 
 // StoreMem implements vm.DataFlow: memory bytes take the register's lane
-// labels.
+// labels. A page without a shadow gets one only when a lane stored on it
+// is labelled.
 func (e *Engine) StoreMem(tid int, src isa.Register, addr uint64, size int) {
 	ts := e.thread(tid)
-	for i := 0; i < size && i < 8; i++ {
-		label := ts.regs[src][i]
-		if sb := e.shadowByte(addr+uint64(i), label != 0); sb != nil {
-			*sb = label
+	n := min(size, 8)
+	for i := 0; i < n; {
+		a := addr + uint64(i)
+		pg, off, k := e.span(a, n-i)
+		lanes := ts.regs[src][i : i+k]
+		if pg == nil && slices.ContainsFunc(lanes, func(l uint64) bool { return l != 0 }) {
+			pg = e.newPage(a)
 		}
+		if pg != nil {
+			copy(pg[off:], lanes)
+		}
+		i += k
 	}
 }
 
 // ClearMem implements vm.DataFlow.
 func (e *Engine) ClearMem(addr uint64, size int) {
-	for i := 0; i < size; i++ {
-		if sb := e.shadowByte(addr+uint64(i), false); sb != nil {
-			*sb = 0
+	for i := 0; i < size; {
+		pg, off, k := e.span(addr+uint64(i), size-i)
+		if pg != nil {
+			clear(pg[off : off+uint64(k)])
 		}
+		i += k
 	}
 }
 
@@ -163,16 +196,24 @@ func (e *Engine) MarkMem(label uint8, addr uint64, size int) {
 		return
 	}
 	bit := uint64(1) << label
-	for i := 0; i < size; i++ {
-		sb := e.shadowByte(addr+uint64(i), true)
-		*sb |= bit
+	for i := 0; i < size; {
+		a := addr + uint64(i)
+		pg, off, k := e.span(a, size-i)
+		if pg == nil {
+			pg = e.newPage(a)
+		}
+		marked := pg[off : off+uint64(k)]
+		for j := range marked {
+			marked[j] |= bit
+		}
+		i += k
 	}
 }
 
 // RegTaint returns the union mask of all lanes of a register.
 func (e *Engine) RegTaint(tid int, r isa.Register) uint64 {
-	ts, ok := e.threads[tid]
-	if !ok {
+	ts := e.known(tid)
+	if ts == nil {
 		return 0
 	}
 	return ts.regs[r].union()
@@ -181,10 +222,14 @@ func (e *Engine) RegTaint(tid int, r isa.Register) uint64 {
 // MemTaint returns the union mask of a byte range.
 func (e *Engine) MemTaint(addr uint64, size int) uint64 {
 	var m uint64
-	for i := 0; i < size; i++ {
-		if sb := e.shadowByte(addr+uint64(i), false); sb != nil {
-			m |= *sb
+	for i := 0; i < size; {
+		pg, off, k := e.span(addr+uint64(i), size-i)
+		if pg != nil {
+			for _, l := range pg[off : off+uint64(k)] {
+				m |= l
+			}
 		}
+		i += k
 	}
 	return m
 }
@@ -194,8 +239,8 @@ func (e *Engine) MemTaint(addr uint64, size int) uint64 {
 // attacker's write primitive must aim to influence the register's next
 // value.
 func (e *Engine) RegProvenance(tid int, r isa.Register) (uint64, bool) {
-	ts, ok := e.threads[tid]
-	if !ok || !ts.provOK[r] {
+	ts := e.known(tid)
+	if ts == nil || !ts.provOK[r] {
 		return 0, false
 	}
 	return ts.prov[r], true

@@ -115,8 +115,8 @@ func processBootOp(tb testing.TB) func() {
 }
 
 // forkOp forks a booted two-thread process partway through its run: the
-// copy of its page headers, threads, frames and handlers, and no page
-// bytes.
+// copy of its threads, frames and handlers, and neither page headers nor
+// page bytes.
 func forkOp(tb testing.TB) func() {
 	bb := asm.NewBuilder("bench.exe", bin.KindExecutable)
 	bb.Func("main").Entry("main").
@@ -173,7 +173,9 @@ func TestAllocs(t *testing.T) {
 		// Each boot takes a new seed: 21 in a fresh test binary, while
 		// the first seeds fill mem's seed memo, and 20 once it is full.
 		{"ProcessBoot", processBootOp, 21},
-		{"Fork", forkOp, 13},
+		// The Process, its thread slab, their frames and slices, the
+		// allocator and the AddressSpace, which shares the page table.
+		{"Fork", forkOp, 8},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {

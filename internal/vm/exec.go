@@ -338,10 +338,11 @@ func (p *Process) doCallImport(t *Thread, pc, retPC uint64, slot uint32) *Except
 		// The API faulted in its user-mode stub; the exception is
 		// attributed to the call site, exactly where the frame-based
 		// handler search would land after unwinding the stub frame.
-		excAt := *exc
-		excAt.PC = pc
+		// The exception is the VM's now (APIHandler), so it is
+		// changed in place.
+		exc.PC = pc
 		t.PC = pc // dispatch relative to the call site
-		return &excAt
+		return exc
 	}
 	return nil
 }

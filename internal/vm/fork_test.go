@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"crashresist/internal/asm"
@@ -254,5 +255,106 @@ func TestForkAllocatorContinuesStream(t *testing.T) {
 				t.Fatalf("fork after %d draws: allocation %d at %#x (source %#x), want %#x", at, i, forked[i], got[i], want[i])
 			}
 		}
+	}
+}
+
+// stackProcess boots a process whose main thread, from the seed in R1,
+// pushes, pops and stores on its stack for 600 rounds, reaching a second
+// stack page, and halts with a sum of what it popped. It has run nothing.
+func stackProcess(t *testing.T, seed uint64) *Process {
+	t.Helper()
+	p := buildProc(t, PlatformWindows, func(b *asm.Builder) {
+		b.Func("main").Entry("main").
+			MovRI(isa.R2, 600).
+			Label("loop").
+			Push(isa.R1).
+			MulRI(isa.R1, 3).
+			AddRI(isa.R1, 7).
+			Push(isa.R1).
+			Pop(isa.R3).
+			Store(8, isa.SP, 8, isa.R3).
+			AddRR(isa.R0, isa.R3).
+			SubRI(isa.R2, 1).
+			TestRR(isa.R2, isa.R2).
+			Jnz("loop").
+			Halt().
+			EndFunc()
+	})
+	main, err := p.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	main.SetReg(isa.R1, seed)
+	return p
+}
+
+// stackBytes returns the bytes of the main thread's stack.
+func stackBytes(t *testing.T, p *Process) []byte {
+	t.Helper()
+	main, _ := p.Thread(0)
+	b, err := p.AS.Read(main.StackBase, main.StackSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestForkSharedTableConcurrently forks one booted, never-run snapshot
+// from eight goroutines at once, as the fuzz stage's probes do, and runs
+// each fork with a seed of its own. Every fork shares the snapshot's page
+// table until its first stack write, so each run must end with the
+// registers, Stats and stack bytes of an unforked run of its seed, and the
+// snapshot's memory must not change; under -race, a write that reached the
+// shared table or shared bytes is a race.
+func TestForkSharedTableConcurrently(t *testing.T) {
+	const seeds = 16
+	type result struct {
+		regs  [isa.NumRegisters]uint64
+		stats Stats
+		stack []byte
+	}
+	var want [seeds]result
+	for s := range want {
+		p := stackProcess(t, uint64(s))
+		p.RunUntilIdle(100_000)
+		main, _ := p.Thread(0)
+		want[s] = result{main.Regs, p.Stats, stackBytes(t, p)}
+	}
+	snap, err := stackProcess(t, 0).Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := stackBytes(t, snap)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 40 {
+				s := (g + i) % seeds
+				p, err := snap.Fork()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				main, _ := p.Thread(0)
+				main.SetReg(isa.R1, uint64(s))
+				p.RunUntilIdle(100_000)
+				main, _ = p.Thread(0)
+				got := result{main.Regs, p.Stats, stackBytes(t, p)}
+				if got.regs != want[s].regs || got.stats != want[s].stats || !bytes.Equal(got.stack, want[s].stack) {
+					t.Errorf("goroutine %d fork %d (seed %d): regs %#x stats %+v, want %#x %+v (stacks equal: %v)",
+						g, i, s, got.regs, got.stats, want[s].regs, want[s].stats, bytes.Equal(got.stack, want[s].stack))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if !bytes.Equal(stackBytes(t, snap), before) {
+		t.Error("the forks' runs changed the snapshot's stack")
+	}
+	if snap.Stats != (Stats{}) || snap.Clock != 0 {
+		t.Errorf("the snapshot ran: clock %d stats %+v", snap.Clock, snap.Stats)
 	}
 }

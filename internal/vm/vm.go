@@ -116,7 +116,9 @@ type APIHandler interface {
 	// Call executes API id for the thread; arguments are in R1..R5 and
 	// the result goes to R0. A non-nil Exception means the API faulted in
 	// user mode (e.g. dereferenced a bad pointer in its user-space stub)
-	// and the exception must be dispatched at the call site.
+	// and the exception must be dispatched at the call site. A returned
+	// Exception belongs to the VM, which changes it, so Call returns a
+	// new one each time.
 	Call(p *Process, t *Thread, id uint32) *Exception
 }
 

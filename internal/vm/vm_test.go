@@ -1086,6 +1086,46 @@ func TestCallImportBadSlot(t *testing.T) {
 	}
 }
 
+// TestAPIFaultAtCallSite checks that an exception an API returns is
+// attributed to its CALLI: an unhandled one crashes the process with the
+// call's PC, whatever PC the API's stub gave it.
+func TestAPIFaultAtCallSite(t *testing.T) {
+	p := NewProcess(Config{Platform: PlatformWindows, Seed: 3})
+	p.API = faultAPI{}
+	b := asm.NewBuilder("t.exe", bin.KindExecutable)
+	b.Func("main").Entry("main").
+		MovRI(isa.R1, 0xbad0000).
+		CallImport("", "Deref").
+		Halt().
+		EndFunc()
+	img, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := p.LoadImage(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runMain(t, p)
+	mov, _, err := isa.Decode(img.Text[img.Entry:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := mod.VA(img.Entry) + uint64(mov.Size())
+	if p.State != ProcCrashed || p.Crash.Exc.Code != ExcAccessViolation || p.Crash.Exc.PC != call || p.Crash.Exc.Addr != 0xbad0000 {
+		t.Errorf("state %v crash %v, want an access violation at %#x at the call %#x", p.State, p.Crash, uint64(0xbad0000), call)
+	}
+}
+
+// faultAPI faults every call in its user-mode stub, on the pointer in R1.
+type faultAPI struct{}
+
+func (faultAPI) Resolve(string) (uint32, error) { return 1, nil }
+
+func (faultAPI) Call(p *Process, t *Thread, id uint32) *Exception {
+	return &Exception{Code: ExcAccessViolation, PC: 0x7ff00000, Addr: t.Reg(isa.R1), Access: mem.AccessRead, Unmapped: true}
+}
+
 type slotAPI struct{}
 
 func (slotAPI) Resolve(string) (uint32, error) { return 1, nil }
