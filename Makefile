@@ -29,6 +29,7 @@ race:
 
 fuzz-short:
 	$(GO) test -fuzz=FuzzDecodeRoundTrip -fuzztime=30s ./internal/isa
+	$(GO) test -fuzz=FuzzAssemble -fuzztime=30s ./internal/asm
 	$(GO) test -fuzz=FuzzImageParse -fuzztime=30s ./internal/bin
 	$(GO) test -fuzz=FuzzScopeTableParse -fuzztime=30s ./internal/seh
 	$(GO) test -fuzz=FuzzCacheEntryDecode -fuzztime=30s ./internal/cas

@@ -63,10 +63,13 @@ type Builder struct {
 	importIdx map[string]int
 
 	exports map[string]string // export name → label or data symbol
-	funcs   []funcSpan
-	scopes  []scopeRef
-	relocs  []relocRef
-	entry   string
+	// exportNames lists the export names in the order first declared,
+	// which Build resolves them in.
+	exportNames []string
+	funcs       []funcSpan
+	scopes      []scopeRef
+	relocs      []relocRef
+	entry       string
 
 	err error
 }
@@ -135,6 +138,9 @@ func (b *Builder) Entry(label string) *Builder {
 
 // Export exposes a code label or data/BSS symbol under the given name.
 func (b *Builder) Export(name, label string) *Builder {
+	if _, ok := b.exports[name]; !ok {
+		b.exportNames = append(b.exportNames, name)
+	}
 	b.exports[name] = label
 	return b
 }
@@ -525,8 +531,8 @@ func (b *Builder) Build() (*bin.Image, error) {
 
 	if len(b.exports) > 0 {
 		img.Exports = make(map[string]uint32, len(b.exports))
-		for name, sym := range b.exports {
-			o, err := flatOff(sym)
+		for _, name := range b.exportNames {
+			o, err := flatOff(b.exports[name])
 			if err != nil {
 				return nil, err
 			}

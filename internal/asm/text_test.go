@@ -45,8 +45,7 @@ func TestAssembleAndRunSample(t *testing.T) {
 	}
 }
 
-func TestAssembleDataBssExports(t *testing.T) {
-	img, err := Assemble(`
+const dataBSSSource = `
 .module lib.dll dll
 .func probe
     lea r1, greeting
@@ -60,7 +59,10 @@ func TestAssembleDataBssExports(t *testing.T) {
 .bss buf 128
 .export probe probe
 .export buf buf
-`)
+`
+
+func TestAssembleDataBssExports(t *testing.T) {
+	img, err := Assemble(dataBSSSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +83,7 @@ func TestAssembleDataBssExports(t *testing.T) {
 	}
 }
 
-func TestAssembleGuardAndFilter(t *testing.T) {
-	img, err := Assemble(`
+const guardSource = `
 .module g.dll dll
 .func probe
 try:
@@ -104,7 +105,10 @@ yes:
 .endfunc
 .guard probe try try_end flt land
 .guard probe try try_end catchall land
-`)
+`
+
+func TestAssembleGuardAndFilter(t *testing.T) {
+	img, err := Assemble(guardSource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,8 +120,7 @@ yes:
 	}
 }
 
-func TestAssembleMemoryAndImports(t *testing.T) {
-	img, err := Assemble(`
+const memorySource = `
 .module m.exe exe
 .entry main
 .func main
@@ -134,7 +137,10 @@ func TestAssembleMemoryAndImports(t *testing.T) {
     nop
     halt
 .endfunc
-`)
+`
+
+func TestAssembleMemoryAndImports(t *testing.T) {
+	img, err := Assemble(memorySource)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,28 +175,35 @@ func TestAssembleRoundTripThroughDisassembler(t *testing.T) {
 	}
 }
 
+// errorCases are sources Assemble rejects, each with a piece of its error.
+var errorCases = []struct {
+	name string
+	src  string
+	want string
+}{
+	{"no module", ".func f\nret\n.endfunc", "before .module"},
+	{"dup module", ".module a exe\n.module b exe", "duplicate"},
+	{"bad kind", ".module a elf", "unknown module kind"},
+	{"bad mnemonic", ".module a exe\nfrobnicate r1", "unknown mnemonic"},
+	{"bad register", ".module a exe\nmov r99, 1", "bad register"},
+	{"bad mem operand", ".module a exe\nload8 r1, r2", "bad memory operand"},
+	{"nested func", ".module a exe\n.func f\n.func g", "nested"},
+	{"endfunc alone", ".module a exe\n.endfunc", "without"},
+	{"calli bare", ".module a exe\n.func f\ncalli read\nret\n.endfunc", "calli operand"},
+	{"div imm", ".module a exe\n.func f\ndiv r1, 5\nret\n.endfunc", "register source"},
+	{"bad data kind", ".module a exe\n.data x hex:FF", "unknown data kind"},
+	{"unterminated string", `.module a exe` + "\n" + `.data x str:"abc`, "quoted"},
+	{"bad escape", `.module a exe` + "\n" + `.data x str:"a\q"`, "unknown escape"},
+	{"undefined label", ".module a exe\n.func f\njmp nowhere\nret\n.endfunc", "nowhere"},
+	{"undefined exports", undefinedExportsSource, "nosuch1"},
+}
+
+// undefinedExportsSource exports three undefined symbols; the error names
+// the first declared.
+const undefinedExportsSource = ".module a dll\n.export a nosuch1\n.export b nosuch2\n.export c nosuch3\n"
+
 func TestAssembleErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		src  string
-		want string
-	}{
-		{"no module", ".func f\nret\n.endfunc", "before .module"},
-		{"dup module", ".module a exe\n.module b exe", "duplicate"},
-		{"bad kind", ".module a elf", "unknown module kind"},
-		{"bad mnemonic", ".module a exe\nfrobnicate r1", "unknown mnemonic"},
-		{"bad register", ".module a exe\nmov r99, 1", "bad register"},
-		{"bad mem operand", ".module a exe\nload8 r1, r2", "bad memory operand"},
-		{"nested func", ".module a exe\n.func f\n.func g", "nested"},
-		{"endfunc alone", ".module a exe\n.endfunc", "without"},
-		{"calli bare", ".module a exe\n.func f\ncalli read\nret\n.endfunc", "calli operand"},
-		{"div imm", ".module a exe\n.func f\ndiv r1, 5\nret\n.endfunc", "register source"},
-		{"bad data kind", ".module a exe\n.data x hex:FF", "unknown data kind"},
-		{"unterminated string", `.module a exe` + "\n" + `.data x str:"abc`, "quoted"},
-		{"bad escape", `.module a exe` + "\n" + `.data x str:"a\q"`, "unknown escape"},
-		{"undefined label", ".module a exe\n.func f\njmp nowhere\nret\n.endfunc", "nowhere"},
-	}
-	for _, tt := range tests {
+	for _, tt := range errorCases {
 		t.Run(tt.name, func(t *testing.T) {
 			_, err := Assemble(tt.src)
 			if err == nil || !strings.Contains(err.Error(), tt.want) {
@@ -207,8 +220,7 @@ func TestAssembleLineNumbersInErrors(t *testing.T) {
 	}
 }
 
-func TestAssembleCommentsAndWhitespace(t *testing.T) {
-	img, err := Assemble(`
+const commentSource = `
    ; full-line comment
 .module c.exe exe
 .entry main
@@ -216,7 +228,10 @@ func TestAssembleCommentsAndWhitespace(t *testing.T) {
     nop ; trailing comment
 	halt
 .endfunc
-`)
+`
+
+func TestAssembleCommentsAndWhitespace(t *testing.T) {
+	img, err := Assemble(commentSource)
 	if err != nil {
 		t.Fatal(err)
 	}

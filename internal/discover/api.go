@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"crashresist/internal/cas"
 	"crashresist/internal/defense"
@@ -144,8 +143,9 @@ type APIFunnelReport struct {
 // one descriptor per job (each probe runs in its own fork of the fuzzer's
 // one booted harness), and the final controllability stage fans out per
 // JS-context API (each corrupted browse runs in an environment of its
-// own). Both stages write into index-addressed slices, keeping the funnel
-// byte-identical for any worker count.
+// own, forked from a snapshot the harvest browse took). Both stages write
+// into index-addressed slices, keeping the funnel byte-identical for any
+// worker count.
 func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunnelReport, error) {
 	r := cfg.begin("api", br.Name)
 	var apiParams []byte
@@ -251,15 +251,8 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 	report.JSContext = len(report.JSContextAPIs)
 
 	// Stage 6: pointer-argument controllability for the JS-context set,
-	// one corrupted browse per API with a stored pointer. The first job
-	// that misses the cache runs the watch browse the others fork from.
-	var slots []uint64
-	for _, api := range report.JSContextAPIs {
-		if arg := obs.args[api]; !arg.onStack && arg.provOK {
-			slots = append(slots, arg.prov)
-		}
-	}
-	watch := sync.OnceValue(func() *classifyWatch { return r.watchBrowse(br, slots) })
+	// one corrupted browse per API with a stored pointer, forked from the
+	// harvest's snapshot of its slot's first touch.
 	classifications := make([]APIClassification, len(report.JSContextAPIs))
 	err = fanOut(ctx, r, "classify", len(report.JSContextAPIs), func(i int) string { return report.JSContextAPIs[i] }, nil,
 		func(_ struct{}, i int, api string, _ int) (charge, error) {
@@ -269,7 +262,7 @@ func AnalyzeAPIs(ctx context.Context, cfg Config, br *targets.Browser) (*APIFunn
 					return classifyKey(digest, r.Seed, api, obs.args[api]), err == nil
 				},
 				func() (classifyEntry, bool, error) {
-					cls, cost, _, err := r.classify(br, api, obs.args[api], watch)
+					cls, cost, _, err := r.classify(br, api, obs.args[api], &obs.forks)
 					return classifyEntry{Cls: cls, Cost: cost}, true, err
 				})
 			if err != nil {
@@ -339,6 +332,8 @@ type browseObservation struct {
 	// passed through the scripting engine.
 	called map[string]bool
 	args   map[string]argObservation
+	// forks is what the classify stage forks; empty under fullReplay.
+	forks classifyForks
 }
 
 // apiArgTracer extends the generic recorder, which harvests the called
@@ -409,11 +404,34 @@ func browseSighting(rec *trace.Recorder, ticks uint64) sighting {
 	return sighting{phase: "browse", faults: faults, ticks: ticks, series: series, stream: series}
 }
 
-// observeBrowse runs one instrumented browse.
+// observeBrowse runs the harvest browse (harvestBrowse) and resolves the
+// first slice of every stored pointer it saw, for the classify stage.
 func (r *pipelineRun) observeBrowse(br *targets.Browser, span *metrics.Stage) (*browseObservation, error) {
-	env, err := br.NewEnv(r.Seed)
+	obs, as, err := r.harvestBrowse(br, span)
 	if err != nil {
 		return nil, err
+	}
+	var slots []uint64
+	for _, arg := range obs.args {
+		if arg.provOK && !arg.onStack {
+			slots = append(slots, arg.prov)
+		}
+	}
+	obs.forks.resolve(as, slots)
+	as.RecordTouches(false)
+	return obs, nil
+}
+
+// harvestBrowse runs one instrumented browse: taint and the API harvest
+// observe it, and, unless fullReplay is set, the address space records
+// first touches while the browse keeps a snapshot of the start of each of
+// its Run slices. It returns the browse's address space, still recording.
+// The epoch is the slice's number, and -1 until the first snapshot: in
+// Start and the browse thread's set-up.
+func (r *pipelineRun) harvestBrowse(br *targets.Browser, span *metrics.Stage) (*browseObservation, *mem.AddressSpace, error) {
+	env, err := br.NewEnv(r.Seed)
+	if err != nil {
+		return nil, nil, err
 	}
 	env.Proc.FaultPlan = r.FaultPlan
 	te := taint.New()
@@ -430,24 +448,34 @@ func (r *pipelineRun) observeBrowse(br *targets.Browser, span *metrics.Stage) (*
 	rec.Attach(env.Proc)
 	env.Proc.Tracer = tracer
 
+	obs := &browseObservation{called: make(map[string]bool), args: tracer.args}
+	as := env.Proc.AS
+	as.RecordTouches(!r.fullReplay)
 	if err := env.Start(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	browseErr := env.Browse()
+	var browseErr error
+	if r.fullReplay {
+		browseErr = env.Browse()
+	} else {
+		browseErr = env.BrowseSnapshots(func(slice int, snap *targets.BrowseSnapshot) {
+			as.SetTouchEpoch(slice)
+			obs.forks.snaps = append(obs.forks.snaps, snap)
+		})
+	}
 	r.charge(charge{
 		stage: "harvest", unit: "browse", span: span, sample: env.Proc.Clock,
 		clock: env.Proc.Clock, vm: env.Proc.Stats, sight: browseSighting(rec, env.Proc.Clock),
 	})
 	if browseErr != nil {
-		return nil, browseErr
+		return nil, nil, browseErr
 	}
-	obs := &browseObservation{called: make(map[string]bool), args: tracer.args}
 	for id, st := range rec.APIs() {
 		if d, ok := env.Reg.ByID(id); ok {
 			obs.called[d.Name] = st.FromContext
 		}
 	}
-	return obs, nil
+	return obs, as, nil
 }
 
 // classify decides an API's exclusion reason from its observed argument and
@@ -455,15 +483,15 @@ func (r *pipelineRun) observeBrowse(br *targets.Browser, span *metrics.Stage) (*
 // carries the corrupted browse's deterministic counters; the caller observes
 // them, so a cache hit can replay the identical observations.
 //
-// The corrupted browse forks the watch browse's snapshot of the Run slice
+// The corrupted browse forks the harvest's snapshot of the Run slice
 // holding the slot's first touch (the last snapshot for a slot nothing
 // touched), corrupts the slot there and finishes the browse; forked reports
-// whether it did. A slot first touched in Start, a watch that took no
+// whether it did. A slot first touched in Start, a harvest that took no
 // snapshot, or a run with fullReplay set takes the full replay instead: it
 // rebuilds the environment (same seed, same layout), corrupts the slot and
 // browses from the start. Both give the same verdict, clock and Stats (see
-// classifyWatch.snapshotFor).
-func (r *pipelineRun) classify(br *targets.Browser, api string, obs argObservation, watch func() *classifyWatch) (cls APIClassification, cost classifyCost, forked bool, err error) {
+// classifyForks.snapshotFor).
+func (r *pipelineRun) classify(br *targets.Browser, api string, obs argObservation, forks *classifyForks) (cls APIClassification, cost classifyCost, forked bool, err error) {
 	cls = APIClassification{API: api}
 	switch {
 	case obs.onStack:
@@ -478,7 +506,7 @@ func (r *pipelineRun) classify(br *targets.Browser, api string, obs argObservati
 	cls.Provenance = obs.prov
 
 	if !r.fullReplay {
-		if snap := watch().snapshotFor(obs.prov); snap != nil {
+		if snap := forks.snapshotFor(obs.prov); snap != nil {
 			env, err := snap.Fork()
 			if err != nil {
 				return cls, classifyCost{}, false, err
@@ -532,13 +560,12 @@ func costOf(env *targets.BrowserEnv) classifyCost {
 	return classifyCost{Clock: env.Proc.Clock, Stats: env.Proc.Stats, HasEnv: true}
 }
 
-// classifyWatch is what the classify stage's watch browse saw: one clean
-// browse, without taint, that watched every classify slot and kept a
-// snapshot of the start of each Run slice of its browse. first maps each
-// watched 8-byte slot to the Run slice of the first access that touched its
-// bytes (a read, fetch, write, map or unmap), -1 when that fell in Start,
-// or untouched.
-type classifyWatch struct {
+// classifyForks is what the harvest browse leaves the classify stage: a
+// snapshot of the start of each Run slice of its browse, and first, which
+// maps each resolved slot to the Run slice of the first access that touched
+// its bytes (a read, fetch, write, map or unmap), -1 when that fell in
+// Start, or untouched. A fetch, map or unmap counts for its whole page.
+type classifyForks struct {
 	snaps []*targets.BrowseSnapshot
 	first map[uint64]int
 }
@@ -546,75 +573,46 @@ type classifyWatch struct {
 // untouched is the first slice of a slot nothing touched.
 const untouched = math.MaxInt
 
+// resolve sets the first slice of each 8-byte slot at addrs from the first
+// touches as recorded.
+func (f *classifyForks) resolve(as *mem.AddressSpace, addrs []uint64) {
+	if f.first == nil {
+		f.first = make(map[uint64]int, len(addrs))
+	}
+	for _, a := range addrs {
+		f.first[a] = untouched
+		if slice, ok := as.FirstTouch(a, 8); ok {
+			f.first[a] = slice
+		}
+	}
+}
+
 // snapshotFor returns the snapshot a classify of the slot at addr forks: the
 // one of the slice holding the slot's first touch, or the last one when
 // nothing touched the slot. It returns nil, for the full replay, when the
-// first touch fell in Start or the watch took no snapshot.
+// first touch fell in Start or the harvest took no snapshot.
 //
 // The fork equals the replay. Until the slot's first touch nothing reads,
 // writes, maps or unmaps its bytes, so the replay, which corrupted the slot
-// at build, runs exactly as the clean watch browse did, clock, Stats and
-// fault-plan draws included. At the snapshot every byte but the slot's
-// equals the replay's, and corruptSlot leaves the slot as the build-time
-// corruption did: written when it is mapped, skipped when it is not, and
-// intact when a straddling slot's second page is unmapped. From there both
-// run under the same corruptingFlow. An untouched slot's replay is the
-// clean browse, so a fork of the last snapshot ends as it does, a crash or
-// an exhausted budget in the last slice included.
-func (w *classifyWatch) snapshotFor(addr uint64) *targets.BrowseSnapshot {
-	if w == nil || len(w.snaps) == 0 {
+// at build, runs exactly as the clean browse did, clock, Stats and
+// fault-plan draws included; the harvest is that clean browse, since its
+// taint and tracers only observe and its snapshots drop both. At the
+// snapshot every byte but the slot's equals the replay's, and corruptSlot
+// leaves the slot as the build-time corruption did: written when it is
+// mapped, skipped when it is not, and intact when a straddling slot's
+// second page is unmapped. From there both run under the same
+// corruptingFlow. An untouched slot's replay is the clean browse, so a fork
+// of the last snapshot ends as it does, a crash or an exhausted budget in
+// the last slice included. A first touch recorded for a whole page, or
+// saturated past slice 253, is no later than the slot's own, and a fork of
+// any snapshot before the slot's first touch is exact.
+func (f *classifyForks) snapshotFor(addr uint64) *targets.BrowseSnapshot {
+	if f == nil || len(f.snaps) == 0 {
 		return nil
 	}
-	slice, ok := w.first[addr]
+	slice, ok := f.first[addr]
 	if !ok || slice < 0 {
 		return nil
 	}
-	return w.snaps[min(slice, len(w.snaps)-1)]
-}
-
-// watchBrowse runs the classify stage's watch browse over the slots at
-// addrs: one clean browse without taint, under the run's fault plan. It is
-// host work alone: it charges nothing, opens no span and sends no progress
-// event. A browse that fails partway keeps what it saw before, and its last
-// snapshot is the one before the failing slice; no slot forks when the
-// environment cannot be built or Start fails.
-func (r *pipelineRun) watchBrowse(br *targets.Browser, addrs []uint64) *classifyWatch {
-	if r.watches != nil {
-		r.watches.Add(1)
-	}
-	env, err := br.NewEnv(r.Seed)
-	if err != nil {
-		return nil
-	}
-	env.Proc.FaultPlan = r.FaultPlan
-	w := &classifyWatch{first: make(map[uint64]int, len(addrs))}
-	slice := -1
-	// onPage lists the slots holding bytes of each watched page.
-	onPage := make(map[uint64][]uint64)
-	touch := func(addr, length uint64) {
-		for _, slot := range onPage[addr/mem.PageSize] {
-			if w.first[slot] == untouched && addr < slot+8 && slot < addr+length {
-				w.first[slot] = slice
-			}
-		}
-	}
-	for _, a := range addrs {
-		if _, dup := w.first[a]; dup {
-			continue
-		}
-		w.first[a] = untouched
-		onPage[a/mem.PageSize] = append(onPage[a/mem.PageSize], a)
-		if (a+7)/mem.PageSize != a/mem.PageSize {
-			onPage[(a+7)/mem.PageSize] = append(onPage[(a+7)/mem.PageSize], a)
-		}
-		env.Proc.AS.Watch(a, 8, touch)
-	}
-	if env.Start() != nil {
-		return w
-	}
-	_ = env.BrowseSnapshots(func(i int, snap *targets.BrowseSnapshot) {
-		slice = i
-		w.snaps = append(w.snaps, snap)
-	})
-	return w
+	return f.snaps[min(slice, len(f.snaps)-1)]
 }

@@ -3,17 +3,17 @@ package discover
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime/debug"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
-	"crashresist/internal/cas"
 	"crashresist/internal/faultinject"
 	"crashresist/internal/mem"
 	"crashresist/internal/metrics"
@@ -37,35 +37,29 @@ func classifyScale() targets.BrowserParams {
 	return targets.PaperBrowserParams()
 }
 
-// harvestSlots runs the harvest browse of br and returns its observation
-// and the stored-pointer slots the classify stage watches.
-func harvestSlots(t *testing.T, r *pipelineRun, br *targets.Browser) (*browseObservation, []uint64) {
+// harvest runs the harvest browse of br and returns its observation.
+func harvest(t *testing.T, br *targets.Browser) *browseObservation {
 	t.Helper()
-	obs, err := r.observeBrowse(br, nil)
+	obs, err := Config{Seed: 42}.begin("api", br.Name).observeBrowse(br, nil)
 	if err != nil {
 		t.Fatalf("%s harvest: %v", br.Name, err)
 	}
-	var slots []uint64
-	for _, js := range br.JSAPIs {
-		if arg, ok := obs.args[js.API]; ok && !arg.onStack && arg.provOK {
-			slots = append(slots, arg.prov)
-		}
-	}
-	return obs, slots
+	return obs
 }
 
-// compareClassify classifies api both ways, forking the watch and by the
-// full replay, and fails t unless verdicts, clocks and Stats agree. It
-// reports whether the classify forked and whether it ran a browse at all.
-func compareClassify(t *testing.T, name string, cfg Config, br *targets.Browser, api string, obs argObservation, watch func() *classifyWatch) (forked, browsed bool) {
+// compareClassify classifies api both ways, forking the harvest's
+// snapshots and by the full replay, and fails t unless verdicts, clocks and
+// Stats agree. It reports whether the classify forked and whether it ran a
+// browse at all.
+func compareClassify(t *testing.T, name string, cfg Config, br *targets.Browser, api string, obs argObservation, forks *classifyForks) (forked, browsed bool) {
 	t.Helper()
 	ref := cfg
 	UseFullReplays(&ref)
-	got, gotCost, forked, err := cfg.begin("api", br.Name).classify(br, api, obs, watch)
+	got, gotCost, forked, err := cfg.begin("api", br.Name).classify(br, api, obs, forks)
 	if err != nil {
 		t.Fatalf("%s %s forked: %v", name, api, err)
 	}
-	want, wantCost, _, err := ref.begin("api", br.Name).classify(br, api, obs, watch)
+	want, wantCost, _, err := ref.begin("api", br.Name).classify(br, api, obs, forks)
 	if err != nil {
 		t.Fatalf("%s %s replay: %v", name, api, err)
 	}
@@ -98,12 +92,10 @@ func TestForkedClassifyMatchesReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := Config{Seed: 42}
-		obs, slots := harvestSlots(t, cfg.begin("api", br.Name), br)
-		r := cfg.begin("api", br.Name)
-		watch := sync.OnceValue(func() *classifyWatch { return r.watchBrowse(br, slots) })
+		obs := harvest(t, br)
 		forks, browses := 0, 0
 		for _, js := range br.JSAPIs {
-			forked, browsed := compareClassify(t, c.name, cfg, br, js.API, obs.args[js.API], watch)
+			forked, browsed := compareClassify(t, c.name, cfg, br, js.API, obs.args[js.API], &obs.forks)
 			if forked {
 				forks++
 			}
@@ -121,11 +113,11 @@ func TestForkedClassifyMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestForkedClassifyFallbacks watches every 8-byte slot of a small
-// Firefox's executable, script engine and xul data, and an unmapped one,
-// over a browse of several Run slices, and sorts the slots into kinds: a
-// slot unmapped at build, never touched, first touched in the browse by a
-// read or by a write, or touched in Start. A slot counts as written when
+// TestForkedClassifyFallbacks resolves the first touch of every 8-byte slot
+// of a small Firefox's executable, script engine and xul data, and an
+// unmapped one, from one recorded harvest of several Run slices, and sorts
+// the slots into kinds: a slot unmapped at build, never touched, first
+// touched in the browse by a read or by a write, or touched in Start. A slot counts as written when
 // its bytes differ between the snapshot of its first touch's slice and the
 // next snapshot, or the browse's end after the last slice. It classifies
 // one slot of each kind both ways, and one per slice of the kinds first
@@ -157,8 +149,12 @@ func TestForkedClassifyFallbacks(t *testing.T) {
 		}
 	}
 	cfg := Config{Seed: 42}
-	w := cfg.begin("api", br.Name).watchBrowse(br, slots)
-	watch := func() *classifyWatch { return w }
+	obs, as, err := cfg.begin("api", br.Name).harvestBrowse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &obs.forks
+	w.resolve(as, slots)
 	if len(w.snaps) < 2 {
 		t.Fatalf("the browse took %d snapshots, want several", len(w.snaps))
 	}
@@ -233,8 +229,8 @@ func TestForkedClassifyFallbacks(t *testing.T) {
 			continue
 		}
 		for _, slot := range picked[kind] {
-			obs := argObservation{value: 0x1234, provOK: true, prov: slot}
-			forked, _ := compareClassify(t, kind, cfg, br, "slot", obs, watch)
+			arg := argObservation{value: 0x1234, provOK: true, prov: slot}
+			forked, _ := compareClassify(t, kind, cfg, br, "slot", arg, w)
 			if want := kind != touchedInStart; forked != want {
 				t.Errorf("%s (slot %#x): forked = %v, want %v", kind, slot, forked, want)
 			}
@@ -281,28 +277,25 @@ func TestCorruptingFlowTriggers(t *testing.T) {
 	}
 }
 
-// TestWatchBrowseIsHostOnly runs the small IE funnel forking and by full
-// replays: reports, RunStats (wall times, shard splits and span timing
-// aside), profiles and progress events must be identical, so the watch
-// browse charges nothing, opens no span and sends no event. It runs once in
-// a cold run, lazily, and not at all in a warm one.
-func TestWatchBrowseIsHostOnly(t *testing.T) {
+// TestHarvestSnapshotsAreHostOnly runs the small IE funnel forking and by
+// full replays: reports, RunStats (wall times, shard splits and span timing
+// aside), profiles and progress events must be identical, so recording
+// first touches and taking snapshots in the harvest charges nothing, opens
+// no span and sends no event.
+func TestHarvestSnapshotsAreHostOnly(t *testing.T) {
 	br, err := targets.IE(targets.SmallBrowserParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	run := func(full bool, cache *cas.Cache) (string, int64) {
+	run := func(full bool) string {
 		var events []string
 		var mu sync.Mutex
-		var watches atomic.Int64
-		cfg := Config{Seed: 42, Workers: 2, Profile: prof.New(), Cache: cache,
+		cfg := Config{Seed: 42, Workers: 2, Profile: prof.New(),
 			Progress: func(ev metrics.StageEvent) {
 				mu.Lock()
 				defer mu.Unlock()
 				events = append(events, fmt.Sprintf("%s/%v/%d/%d", ev.Stage, ev.Kind, ev.Done, ev.Total))
 			}}
-		CountWatchBrowses(&cfg, &watches)
 		if full {
 			UseFullReplays(&cfg)
 		}
@@ -315,29 +308,79 @@ func TestWatchBrowseIsHostOnly(t *testing.T) {
 		if err := cfg.Profile.Snapshot().WriteFolded(&folded); err != nil {
 			t.Fatal(err)
 		}
-		return fmt.Sprintf("%s\n%s\n%v", normalizedReport(t, rep), folded.String(), events), watches.Load()
+		return fmt.Sprintf("%s\n%s\n%v", normalizedReport(t, rep), folded.String(), events)
 	}
-	want, n := run(true, nil)
-	if n != 0 {
-		t.Errorf("full replays ran %d watch browses", n)
-	}
-	got, n := run(false, nil)
-	if n != 1 {
-		t.Errorf("a forking run ran %d watch browses, want 1", n)
-	}
-	if got != want {
+	if got, want := run(false), run(true); got != want {
 		t.Errorf("forking run differs from full replays:\n got %.600s\nwant %.600s", got, want)
 	}
-	cache, err := cas.Open(dir)
+}
+
+// TestHarvestSnapshotsMatchCleanBrowse takes the harvest's snapshots of IE
+// and Firefox and those of a browse without taint or tracers: at every
+// slice, clock, Stats, each thread's registers, PC, state and frames, the
+// mappings and their bytes must be equal, since taint and tracers only
+// observe.
+func TestHarvestSnapshotsMatchCleanBrowse(t *testing.T) {
+	for _, build := range []func(targets.BrowserParams) (*targets.Browser, error){targets.IE, targets.Firefox} {
+		br, err := build(classifyScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := harvest(t, br)
+		env, err := br.NewEnv(42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var clean []*targets.BrowseSnapshot
+		if err := env.BrowseSnapshots(func(_ int, s *targets.BrowseSnapshot) { clean = append(clean, s) }); err != nil {
+			t.Fatal(err)
+		}
+		if len(obs.forks.snaps) != len(clean) || len(clean) == 0 {
+			t.Fatalf("%s: the harvest took %d snapshots, a clean browse %d", br.Name, len(obs.forks.snaps), len(clean))
+		}
+		for i := range clean {
+			if got, want := snapshotState(t, obs.forks.snaps[i]), snapshotState(t, clean[i]); got != want {
+				t.Errorf("%s slice %d: harvest snapshot\n%s\nclean browse\n%s", br.Name, i, got, want)
+			}
+		}
+	}
+}
+
+// snapshotState renders the virtual state of a fork of s: clock, Stats,
+// each thread's registers, PC, state and frames, and a digest of the
+// mappings and the bytes they hold.
+func snapshotState(t *testing.T, s *targets.BrowseSnapshot) string {
+	t.Helper()
+	env, err := s.Fork()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, n := run(false, cache); n != 1 {
-		t.Errorf("a cold cached run ran %d watch browses, want 1", n)
+	p := env.Proc
+	var b strings.Builder
+	fmt.Fprintf(&b, "clock %d stats %+v\n", p.Clock, p.Stats)
+	for _, th := range p.Threads() {
+		fmt.Fprintf(&b, "thread %d pc %#x state %v regs %x frames %+v\n", th.ID, th.PC, th.State, th.Regs, th.Frames())
 	}
-	if _, n := run(false, cache); n != 0 {
-		t.Errorf("a warm run ran %d watch browses, want 0", n)
+	h := sha256.New()
+	var page [mem.PageSize]byte
+	for _, r := range p.AS.Regions() {
+		fmt.Fprintln(h, r)
+		// The fork is ours to change: make every page readable.
+		if err := p.AS.Protect(r.Addr, r.Length, mem.PermRead); err != nil {
+			t.Fatal(err)
+		}
+		for a := r.Addr; a < r.Addr+r.Length; a += mem.PageSize {
+			if err := p.AS.ReadInto(a, page[:]); err != nil {
+				t.Fatal(err)
+			}
+			h.Write(page[:])
+		}
 	}
+	fmt.Fprintf(&b, "memory %x", h.Sum(nil))
+	return b.String()
 }
 
 // normalizedReport renders a funnel report with the scheduling-dependent
@@ -371,7 +414,7 @@ var chaosPaper = os.Getenv("CHAOS_SCALE") == "paper"
 
 // TestChaosClassifyFork runs the IE funnel under default fault plans at
 // four workers, forking and by full replays: reports, RunStats and
-// profiles must be identical. Jobs and retries fork the watch browse's
+// profiles must be identical. Jobs and retries fork the harvest's
 // snapshots concurrently, so under -race this also checks that forking a
 // snapshot writes nothing to it. `make chaos` runs it at paper scale.
 func TestChaosClassifyFork(t *testing.T) {

@@ -2,7 +2,6 @@ package discover
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"crashresist/internal/cas"
@@ -55,11 +54,10 @@ type Config struct {
 	Detect *defense.Detect
 
 	// fullReplay makes every classify rebuild the browser and browse from
-	// the start instead of forking the watch browse: the reference path
-	// the differential tests set. watches, when set, counts the run's
-	// watch browses for the tests that bound them.
+	// the start instead of forking the harvest's snapshots, which the
+	// harvest then neither records nor takes: the reference path the
+	// differential tests set.
 	fullReplay bool
-	watches    *atomic.Int64
 }
 
 // pipelineRun is one pipeline run: its Config, its collector, its

@@ -475,12 +475,15 @@ func (r *pipelineRun) validate(srv *targets.Server, cand Candidate) (Finding, va
 	// Track whether the corrupted pointer actually reached the syscall's
 	// EFAULT path. Once it has, the probe is complete and the attacker
 	// stops writing — the corruptor disarms, so storage slots recycled
-	// for later connections behave normally again.
+	// for later connections behave normally again. Both observer and
+	// corruptor then have nothing left to do, so the replay drops them.
 	efaultSeen := false
 	env.Kern.SetObserver(&observationSink{onExit: func(ev kernel.Event, ret uint64) {
 		if ev.Num == cand.Num && int64(ret) == -int64(kernel.EFAULT) {
 			efaultSeen = true
 			cor.disarm()
+			env.Kern.SetObserver(nil)
+			env.Proc.Flow = nil
 		}
 	}})
 

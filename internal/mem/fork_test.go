@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"slices"
 	"sync"
 	"testing"
 
@@ -64,57 +63,131 @@ func TestForkSnapshotConcurrently(t *testing.T) {
 	}
 }
 
-// touch is one access a Watch reported.
-type touch struct{ addr, length uint64 }
-
-// TestWatchReportsEveryTouch watches 8 bytes and checks the address and
-// length each access kind reports, that accesses to other pages report
-// nothing, and that a fork is not watched.
-func TestWatchReportsEveryTouch(t *testing.T) {
-	const base, slot = 0x40000, 0x41010
+// TestFirstTouch runs one access of each kind per epoch with the recorder
+// on and checks the epoch FirstTouch reads on and beside what each touched:
+// data reads and writes stamp their 8-byte granules, keeping the first
+// epoch; map, unmap and fetches, predecoded or not, stamp pages whole;
+// faulting accesses, permission checks and a fork's accesses stamp nothing;
+// an epoch past 253 reads as 253.
+func TestFirstTouch(t *testing.T) {
+	const base = 0x40000
+	pg := func(i uint64) uint64 { return base + i*PageSize }
 	as := NewAddressSpace()
-	if err := as.Map(base, 3*PageSize, PermRWX); err != nil {
+	if err := as.Map(base, 7*PageSize, PermRW); err != nil {
 		t.Fatal(err)
 	}
 	code := make([]byte, PageSize)
 	code[0x10] = byte(isa.OpNop)
-	text := [][PageSize]byte{[PageSize]byte(code)}
-	if err := as.AttachText(base+PageSize, text, isa.SweepPages(code, PageSize)); err != nil {
+	if err := as.AttachText(pg(3), [][PageSize]byte{[PageSize]byte(code)}, isa.SweepPages(code, PageSize)); err != nil {
 		t.Fatal(err)
 	}
-	var got []touch
-	as.Watch(slot, 8, func(addr, length uint64) { got = append(got, touch{addr, length}) })
-	fork := as.Fork()
-	var buf [10]byte
-	steps := []struct {
-		name string
-		do   func() error
-		want []touch
-	}{
-		{"read elsewhere", func() error { _, err := as.ReadUint(base+8, 8); return err }, nil},
-		{"read", func() error { _, err := as.ReadUint(slot+4, 4); return err }, []touch{{slot + 4, 4}}},
-		{"read across pages", func() error { _, err := as.Read(slot-PageSize, PageSize+4); return err },
-			[]touch{{base + PageSize, 0x10 + 4}}},
-		{"predecoded fetch", func() error { _ = as.Decoded(slot); return nil }, []touch{{slot, 1}}},
-		{"fetch", func() error { _, err := as.FetchExec(slot, 10, buf[:0]); return err }, []touch{{slot, 10}}},
-		{"write", func() error { return as.WriteUint(slot, 8, 7) }, []touch{{slot, 8}}},
-		{"forced write", func() error { return as.WriteForce(slot+7, []byte{1, 2}) }, []touch{{slot + 7, 2}}},
-		{"write to the fork", func() error { return fork.WriteUint(slot, 8, 9) }, nil},
-		{"unmap", func() error { return as.Unmap(base+PageSize, PageSize) }, []touch{{base + PageSize, PageSize}}},
-		{"remap", func() error { return as.Map(base+PageSize, PageSize, PermRW) }, []touch{{base + PageSize, PageSize}}},
-		{"read after remap", func() error { _, err := as.ReadUint(slot, 8); return err }, []touch{{slot, 8}}},
-		{"unmap again", func() error { return as.Unmap(base+PageSize, PageSize) }, []touch{{base + PageSize, PageSize}}},
-		{"map again", func() error { return as.Map(base+PageSize, PageSize, PermRW) }, []touch{{base + PageSize, PageSize}}},
-		{"shared write", func() error { return as.WriteShared(slot, 8, seedAt(slot, 8)) }, []touch{{slot, 8}}},
+	for _, p := range []struct {
+		page uint64
+		perm Perm
+	}{{2, PermRead}, {3, PermRX}, {6, PermRX}} {
+		if err := as.Protect(pg(p.page), PageSize, p.perm); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, st := range steps {
-		got = nil
-		if err := st.do(); err != nil {
-			t.Fatalf("%s: %v", st.name, err)
+	as.RecordTouches(true)
+	if e, ok := as.FirstTouch(base, 7*PageSize); ok {
+		t.Fatalf("the record reads epoch %d before any touch", e)
+	}
+	fork := as.Fork()
+	var buf [16]byte
+	steps := []struct {
+		name  string
+		do    func() error
+		fault bool
+	}{
+		{"read", func() error { _, err := as.ReadUint(base+0x14, 4); return err }, false},
+		{"read again", func() error { _, err := as.ReadUint(base+0x10, 8); return err }, false},
+		{"write across pages", func() error { return as.WriteUint(pg(1)-4, 8, 1) }, false},
+		{"read into", func() error { return as.ReadInto(base+0x40, buf[:]) }, false},
+		{"forced write", func() error { return as.WriteForce(pg(2)+0x20, []byte{1, 2}) }, false},
+		{"faulting write", func() error { return as.WriteUint(pg(2)+0x28, 8, 1) }, true},
+		{"faulting read", func() error { _, err := as.Read(base-4, 8); return err }, true},
+		{"checks", func() error {
+			as.Accessible(base+0x80, 8, AccessRead)
+			as.Mapped(base + 0x88)
+			as.PermAt(base + 0x88)
+			return as.Check(base+0x80, 16, AccessWrite)
+		}, false},
+		{"shared write", func() error { return as.WriteShared(pg(4)+0x200, 8, seedAt(pg(4)+0x200, 8)) }, false},
+		{"fork's write", func() error { return fork.WriteUint(base+0x100, 8, 1) }, false},
+		{"predecoded fetch", func() error {
+			if as.Decoded(pg(3)+0x10) == nil {
+				t.Fatal("no predecoded instruction")
+			}
+			return nil
+		}, false},
+		{"fetch", func() error { _, err := as.FetchExec(pg(6)+0x10, 10, buf[:0]); return err }, false},
+		{"map", func() error { return as.Map(pg(7), PageSize, PermRW) }, false},
+		{"unmap", func() error { return as.Unmap(pg(5), PageSize) }, false},
+	}
+	for i, st := range steps {
+		as.SetTouchEpoch(i)
+		if err := st.do(); (err != nil) != st.fault {
+			t.Fatalf("%s: error %v, want a fault: %v", st.name, err, st.fault)
 		}
-		if !slices.Equal(got, st.want) {
-			t.Errorf("%s: touches %+v, want %+v", st.name, got, st.want)
+	}
+	as.SetTouchEpoch(300)
+	if _, err := as.ReadUint(base+0x200, 8); err != nil {
+		t.Fatal(err)
+	}
+	const none = -2 // untouched
+	checks := []struct {
+		addr, length uint64
+		want         int
+	}{
+		{base + 0x10, 8, 0},
+		{base + 0x17, 1, 0},
+		{base + 0x8, 8, none},
+		{base + 0x18, 8, none},
+		{pg(1) - 8, 8, 2},
+		{pg(1), 8, 2},
+		{pg(1) + 8, 8, none},
+		{base + 0x40, 16, 3},
+		{base + 0x50, 8, none},
+		{pg(2) + 0x20, 8, 4},
+		{pg(2) + 0x28, 8, none},
+		{base, 8, none},
+		{base + 0x80, 16, none},
+		{pg(4) + 0x200, 8, 8},
+		{pg(4) + 0x208, 8, none},
+		{base + 0x100, 8, none},
+		{pg(3), 8, 10},
+		{pg(3) + PageSize - 1, 1, 10},
+		{pg(6) + 0x800, 8, 11},
+		{pg(7) + 0x10, 8, 12},
+		{pg(5) + 0x30, 8, 13},
+		{base + 0x200, 8, 253},
+		{base + 0x18, 0x1f0, 3},
+		{base - PageSize, 16 * PageSize, 0},
+		{0, ^uint64(0), 0},
+	}
+	for _, c := range checks {
+		e, ok := as.FirstTouch(c.addr, c.length)
+		if !ok {
+			e = none
 		}
+		if e != c.want {
+			t.Errorf("FirstTouch(%#x, %#x) = %d, want %d (%d: untouched)", c.addr, c.length, e, c.want, none)
+		}
+	}
+	if e, ok := fork.FirstTouch(base+0x10, 8); ok {
+		t.Errorf("the fork reads epoch %d: it records nothing", e)
+	}
+	as.RecordTouches(false)
+	if e, ok := as.FirstTouch(base+0x10, 8); ok {
+		t.Errorf("a switched-off recorder reads epoch %d", e)
+	}
+	as.RecordTouches(true)
+	if _, err := as.ReadUint(base+0x10, 8); err != nil {
+		t.Fatal(err)
+	}
+	if e, ok := as.FirstTouch(base, 7*PageSize); !ok || e != -1 {
+		t.Errorf("a restarted record reads %d, %v; want -1, true", e, ok)
 	}
 }
 

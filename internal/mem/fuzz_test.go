@@ -142,6 +142,60 @@ func (f *flatSpace) fetchExec(addr uint64, max int) ([]byte, *Fault) {
 	return out, nil
 }
 
+// touchModel is the reference first-touch record over the window: each
+// granule's first data epoch and each page's first whole-page epoch, with
+// the set arrays false while untouched.
+type touchModel struct {
+	grain    [fuzzPages * PageSize / granule]int
+	grainSet [fuzzPages * PageSize / granule]bool
+	page     [fuzzPages]int
+	pageSet  [fuzzPages]bool
+}
+
+// data stamps every granule of [addr, addr+n) in the window. A nil model
+// stamps nothing.
+func (m *touchModel) data(epoch int, addr, n uint64) {
+	if m == nil {
+		return
+	}
+	for a := addr; a-addr < n; a++ {
+		if _, in := windowPage(a); in {
+			if g := (a - fuzzBase) / granule; !m.grainSet[g] {
+				m.grain[g], m.grainSet[g] = epoch, true
+			}
+		}
+	}
+}
+
+// pages stamps every window page of [addr, addr+n), a range that does not
+// wrap, whole. A nil model stamps nothing.
+func (m *touchModel) pages(epoch int, addr, n uint64) {
+	if m == nil || n == 0 {
+		return
+	}
+	for pn := addr / PageSize; pn <= (addr+n-1)/PageSize; pn++ {
+		if i, in := windowPage(pn * PageSize); in && !m.pageSet[i] {
+			m.page[i], m.pageSet[i] = epoch, true
+		}
+	}
+}
+
+// checkTouches fails t unless FirstTouch of every granule of the window
+// reads the model's epoch: the earlier of the granule's and its page's.
+func checkTouches(t *testing.T, step int, as *AddressSpace, m *touchModel) {
+	t.Helper()
+	for g := range m.grain {
+		want, wantOK := m.grain[g], m.grainSet[g]
+		if i := g * granule / PageSize; m.pageSet[i] && (!wantOK || m.page[i] < want) {
+			want, wantOK = m.page[i], true
+		}
+		addr := fuzzBase + uint64(g)*granule
+		if got, ok := as.FirstTouch(addr, granule); ok != wantOK || ok && got != want {
+			t.Fatalf("step %d FirstTouch(%#x) = %d, %v; reference %d, %v", step, addr, got, ok, want, wantOK)
+		}
+	}
+}
+
 // progReader decodes a fuzz input; past its end every read is zero.
 type progReader struct{ b []byte }
 
@@ -239,6 +293,15 @@ func attachSwept(as *AddressSpace, addr, length uint64) error {
 // Decoded returns, so a table that outlives a write to its page, or is
 // served from a page without execute permission, fails.
 //
+// Copy 0 records first touches from step 0, each op at the epoch of its
+// step number, into the recorder and into touchModel: data reads and writes
+// that succeed stamp their granules, Map, Unmap and FetchExec their pages,
+// and Decoded the page of an address it looks up on a mapped page. After
+// every op FirstTouch must read the model's epoch on every granule of the
+// window. A FetchExec with bit 6 of its opcode set first restarts the
+// record (RecordTouches), so pages mapped before it show their granules'
+// stamps.
+//
 // Up to four copies of the address space run side by side. Bits 3-4 of an
 // opcode, modulo the number of copies, pick the copy an op runs on; an op
 // with bits 3-5 set first forks that copy (and its reference), while there
@@ -257,9 +320,16 @@ func attachSwept(as *AddressSpace, addr, length uint64) error {
 func FuzzAddressSpace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		spaces, refs := []*AddressSpace{NewAddressSpace()}, []*flatSpace{{}}
+		record := &touchModel{}
+		spaces[0].RecordTouches(true)
 		r := &progReader{b: prog}
 		for step := 0; len(r.b) > 0 && step < 64; step++ {
 			op := r.byte()
+			if op%8 == 7 && op&0x40 != 0 {
+				spaces[0].RecordTouches(true)
+				*record = touchModel{}
+			}
+			spaces[0].SetTouchEpoch(step)
 			top := op&0x80 != 0
 			k := int(op>>3&3) % len(spaces)
 			if op&0x38 == 0x38 && len(spaces) < 4 {
@@ -267,6 +337,11 @@ func FuzzAddressSpace(f *testing.F) {
 				spaces, refs = append(spaces, spaces[k].Fork()), append(refs, &fork)
 			}
 			as, ref := spaces[k], refs[k]
+			// model is the record of this op's copy: copy 0's, or none.
+			var model *touchModel
+			if k == 0 {
+				model = record
+			}
 			switch op % 8 {
 			case 0:
 				addr, length := r.pageRange()
@@ -276,12 +351,18 @@ func FuzzAddressSpace(f *testing.F) {
 				if (err == nil) != (want == nil) {
 					t.Fatalf("step %d Map(%#x, %#x, %v) = %v, reference %v", step, addr, length, perm, err, want)
 				}
+				if err == nil {
+					model.pages(step, addr, length)
+				}
 			case 1:
 				addr, length := r.pageRange()
 				checkAccessible(t, step, as, addr, length)
 				err, want := as.Unmap(addr, length), ref.unmap(addr, length)
 				if (err == nil) != (want == nil) {
 					t.Fatalf("step %d Unmap(%#x, %#x) = %v, reference %v", step, addr, length, err, want)
+				}
+				if err == nil {
+					model.pages(step, addr, length)
 				}
 			case 2:
 				addr, length := r.pageRange()
@@ -311,6 +392,9 @@ func FuzzAddressSpace(f *testing.F) {
 				if !sameFault(err, want) {
 					t.Fatalf("step %d %s(%#x, %d bytes) = %v, reference %v", step, name, addr, len(data), err, want)
 				}
+				if err == nil {
+					model.data(step, addr, uint64(len(data)))
+				}
 			case 5:
 				addr, length := r.addr(top), r.u16()%(2*PageSize+1)
 				checkAccessible(t, step, as, addr, length)
@@ -318,6 +402,9 @@ func FuzzAddressSpace(f *testing.F) {
 				want, wantFault := ref.read(addr, length)
 				if !sameFault(err, wantFault) || !bytes.Equal(got, want) {
 					t.Fatalf("step %d Read(%#x, %d) = %x, %v; reference %x, %v", step, addr, length, got, err, want, wantFault)
+				}
+				if err == nil {
+					model.data(step, addr, length)
 				}
 			case 6:
 				addr, size := r.addr(top), []int{1, 2, 4, 8}[r.byte()%4]
@@ -331,6 +418,9 @@ func FuzzAddressSpace(f *testing.F) {
 				if !sameFault(err, wantFault) || got != want {
 					t.Fatalf("step %d ReadUint(%#x, %d) = %#x, %v; reference %#x, %v", step, addr, size, got, err, want, wantFault)
 				}
+				if err == nil {
+					model.data(step, addr, uint64(size))
+				}
 			case 7:
 				addr, max := r.addr(top), int(r.byte())-8
 				if max > 0 {
@@ -341,13 +431,19 @@ func FuzzAddressSpace(f *testing.F) {
 				if !sameFault(err, wantFault) || !bytes.Equal(got, want) {
 					t.Fatalf("step %d FetchExec(%#x, %d) = %x, %v; reference %x, %v", step, addr, max, got, err, want, wantFault)
 				}
+				model.pages(step, addr, uint64(len(got)))
+				if i, in := windowPage(addr); in && ref.mapped[i] {
+					model.pages(step, addr, 1)
+				}
 				if ins := as.Decoded(addr); ins != nil {
 					code, _ := as.FetchExec(addr, 10, nil)
 					if dec, _, err := isa.Decode(code); err != nil || dec != *ins {
 						t.Fatalf("step %d Decoded(%#x) = %v; its bytes %x decode to %v, %v", step, addr, ins, code, dec, err)
 					}
+					model.pages(step, addr, uint64(len(code)))
 				}
 			}
+			checkTouches(t, step, spaces[0], record)
 		}
 		for k, as := range spaces {
 			checkPages(t, k, as, refs[k])

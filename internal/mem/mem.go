@@ -29,10 +29,12 @@
 // decoding. The next write to the page drops the table, and Decoded serves
 // it only while the page is executable.
 //
-// Watch reports the address and length of every read, instruction fetch,
-// write, map and unmap that touches chosen pages, without saying which, so
-// an analysis can learn when a slot is first touched without stepping the
-// program itself.
+// RecordTouches switches on a first-touch recorder: while a program runs,
+// it keeps, for each 8-byte granule of data and each page, the epoch of the
+// first access that touched it, in a side table beside the pages, as a
+// taint tracker keeps its tags. An analysis sets the epoch as the run goes
+// (SetTouchEpoch) and afterwards learns when a slot was first touched
+// (FirstTouch) without running the program again.
 //
 // Faults are ordinary error values (*Fault) rather than panics, so the VM,
 // the simulated kernel and analysis tooling can all distinguish "the access
@@ -144,13 +146,12 @@ func (f *Fault) Error() string {
 // address space that may write data in place; it is zero for views and for
 // pages without bytes, so their first write copies. code, when set, is the
 // predecoded table of the bytes the page held when it was attached; every
-// write drops it. watched marks a page Watch reports.
+// write drops it.
 type page struct {
-	data    *[PageSize]byte
-	code    *isa.Table
-	owner   uint64
-	perm    Perm
-	watched bool
+	data  *[PageSize]byte
+	code  *isa.Table
+	owner uint64
+	perm  Perm
 }
 
 // zeroPage backs reads of never-written pages; nothing writes it.
@@ -195,10 +196,8 @@ type AddressSpace struct {
 	// codePN, since consecutive instructions mostly share a page.
 	codePage *page
 	codePN   uint64
-	// watch receives the touches of watched pages; watchPN holds the
-	// watched page numbers, mapped or not.
-	watch   func(addr, length uint64)
-	watchPN map[uint64]bool
+	// rec is the first-touch record, nil while RecordTouches is off.
+	rec *recorder
 }
 
 // NewAddressSpace returns an empty address space.
@@ -207,11 +206,10 @@ func NewAddressSpace() *AddressSpace {
 }
 
 // Fork returns a copy of the address space: every mapping with its
-// permission, bytes, predecoded table and watch-free header. It copies no
-// bytes: both address spaces then share every page's bytes, and each copies
-// a page on its own first write to it. Unless the source watches a page,
-// Fork copies no header either: the two share the page table until either
-// changes it. A watched source's headers are copied, watch-free.
+// permission, bytes and predecoded table, but no first-touch record. It
+// copies no bytes: both address spaces then share every page's bytes, and
+// each copies a page on its own first write to it. It copies no header
+// either: the two share the page table until either changes it.
 //
 // Fork writes to the source only to stop it writing its pages in place when
 // it owns one, and to mark its page table shared the first time. A fork's
@@ -222,13 +220,10 @@ func (as *AddressSpace) Fork() *AddressSpace {
 	if as.owns {
 		as.id, as.owns = spaceIDs.Add(1), false
 	}
-	c := &AddressSpace{pages: as.pages, id: spaceIDs.Add(1), shared: true}
-	if len(as.watchPN) != 0 {
-		c.pages = copyPages(as.pages, false)
-	} else if !as.shared {
+	if !as.shared {
 		as.shared = true
 	}
-	return c
+	return &AddressSpace{pages: as.pages, id: spaceIDs.Add(1), shared: true}
 }
 
 // own gives the address space a page map and headers of its own if forks
@@ -237,19 +232,17 @@ func (as *AddressSpace) own() {
 	if !as.shared {
 		return
 	}
-	as.pages, as.shared = copyPages(as.pages, true), false
+	as.pages, as.shared = copyPages(as.pages), false
 	as.clearCaches()
 }
 
-// copyPages returns a copy of a page map and its headers, all in one slab;
-// the copies keep their watch marks only if watched is set.
-func copyPages(pages map[uint64]*page, watched bool) map[uint64]*page {
+// copyPages returns a copy of a page map and its headers, all in one slab.
+func copyPages(pages map[uint64]*page) map[uint64]*page {
 	c := make(map[uint64]*page, len(pages))
 	slab := make([]page, len(pages))
 	i := 0
 	for pn, p := range pages {
 		slab[i] = *p
-		slab[i].watched = slab[i].watched && watched
 		c[pn] = &slab[i]
 		i++
 	}
@@ -283,36 +276,158 @@ func (as *AddressSpace) clearCaches() {
 	as.data, as.dataPN, as.codePage = [2]*page{}, [2]uint64{}, nil
 }
 
-// Watch makes the pages holding [addr, addr+length) watched, mapped or not,
-// and from now on sends fn the address and length of every access that
-// touches a watched page: a read (a VM load, an API stub's read or a kernel
-// copy out of the process), an instruction fetch, predecoded or not, a
-// write, with or without write permission, and a Map or Unmap of the page.
-// The range may reach past the watched one on the same page. An address
-// space has one watcher; each Watch replaces fn. Forks are not watched.
-func (as *AddressSpace) Watch(addr, length uint64, fn func(addr, length uint64)) {
-	as.watch = fn
-	if length == 0 {
-		return
-	}
-	as.own()
-	if as.watchPN == nil {
-		as.watchPN = make(map[uint64]bool)
-	}
-	for pn := addr / PageSize; pn <= (addr+length-1)/PageSize; pn++ {
-		as.watchPN[pn] = true
-		if p, ok := as.pages[pn]; ok {
-			p.watched = true
-		}
+// granule is the grain of the stamps data accesses leave.
+const granule = 8
+
+// recorder is an address space's first-touch record. A stamp is an epoch
+// plus 2, at most 255: 0 means untouched, and an epoch past 253 reads as
+// 253, earlier than it was, never later.
+type recorder struct {
+	// stamp is the current epoch's stamp.
+	stamp byte
+	// next is the cache entry the next miss fills.
+	next  uint8
+	pages map[uint64]*touchedPage
+	// last caches the records of the last two pages looked up, as the
+	// data cache does their headers: entry i is the record of page number
+	// lastPN[i]-1, and lastPN[i] is 0 when the entry is empty.
+	last   [2]*touchedPage
+	lastPN [2]uint64
+}
+
+// touchedPage is one touched page's record: whole is the stamp of the
+// page's first touch as a whole (a map, unmap or fetch), grains those of
+// its granules, nil until a data access touches the page.
+type touchedPage struct {
+	whole  byte
+	grains *[PageSize / granule]byte
+}
+
+// RecordTouches switches the first-touch recorder on, with an empty record
+// and epoch -1, or off, dropping the record. While it is on, a data read or
+// write that succeeds (a VM load, store, push or pop, an API stub's or the
+// kernel's copy, WriteForce, WriteShared) stamps every 8-byte granule it
+// covers that has no stamp yet with the current epoch. Map and Unmap stamp
+// each page of their range whole, FetchExec each page it fetches from, and
+// Decoded, which a fetch tries first, the page of each address it looks up.
+// A page's whole stamp stands for each of its granules. Faulting accesses
+// and permission checks (Check, Accessible, Mapped, PermAt) stamp nothing,
+// and forks record nothing.
+func (as *AddressSpace) RecordTouches(on bool) {
+	as.rec = nil
+	if on {
+		// Decoded stamps on its cache's misses, so the cache starts empty.
+		as.rec, as.codePage = &recorder{stamp: 1, pages: make(map[uint64]*touchedPage)}, nil
 	}
 }
 
-// notifyMap reports a Map or Unmap of the watched pages in [first,
-// first+n).
-func (as *AddressSpace) notifyMap(first, n uint64) {
-	for i := uint64(0); i < n; i++ {
-		if as.watchPN[first+i] {
-			as.watch((first+i)*PageSize, PageSize)
+// SetTouchEpoch sets the epoch, at least -1, that later touches are stamped
+// with. Epochs should not decrease: a granule keeps its first stamp.
+func (as *AddressSpace) SetTouchEpoch(epoch int) {
+	if as.rec != nil {
+		as.rec.stamp = byte(min(max(epoch, -1)+2, 255))
+	}
+}
+
+// FirstTouch returns the least epoch stamped on a granule of [addr,
+// addr+length), and whether any was, since RecordTouches switched the
+// recorder on. It writes nothing.
+func (as *AddressSpace) FirstTouch(addr, length uint64) (epoch int, touched bool) {
+	r := as.rec
+	if r == nil || length == 0 {
+		return 0, false
+	}
+	end := addr + length - 1
+	if end < addr {
+		end = ^uint64(0)
+	}
+	first, last := addr/PageSize, end/PageSize
+	var least byte
+	visit := func(pn uint64, t *touchedPage) {
+		least = earlier(least, t.whole)
+		if t.grains == nil {
+			return
+		}
+		lo, hi := uint64(0), uint64(PageSize-1)
+		if pn == first {
+			lo = addr % PageSize
+		}
+		if pn == last {
+			hi = end % PageSize
+		}
+		for _, s := range t.grains[lo/granule : hi/granule+1] {
+			least = earlier(least, s)
+		}
+	}
+	if last-first < uint64(len(r.pages)) {
+		for pn := first; pn <= last; pn++ {
+			if t := r.pages[pn]; t != nil {
+				visit(pn, t)
+			}
+		}
+	} else {
+		for pn, t := range r.pages {
+			if first <= pn && pn <= last {
+				visit(pn, t)
+			}
+		}
+	}
+	if least == 0 {
+		return 0, false
+	}
+	return int(least) - 2, true
+}
+
+// earlier returns the earlier of two stamps, either of which may be 0 for
+// none.
+func earlier(a, b byte) byte {
+	if a == 0 || b != 0 && b < a {
+		return b
+	}
+	return a
+}
+
+// page returns the record of page pn, making it at the page's first touch.
+func (r *recorder) page(pn uint64) *touchedPage {
+	if r.lastPN[0] == pn+1 {
+		return r.last[0]
+	}
+	if r.lastPN[1] == pn+1 {
+		return r.last[1]
+	}
+	t := r.pages[pn]
+	if t == nil {
+		t = new(touchedPage)
+		r.pages[pn] = t
+	}
+	i := r.next
+	r.last[i], r.lastPN[i], r.next = t, pn+1, i^1
+	return t
+}
+
+// touchPage stamps page pn whole, unless it was before.
+func (r *recorder) touchPage(pn uint64) {
+	if t := r.page(pn); t.whole == 0 {
+		t.whole = r.stamp
+	}
+}
+
+// touchData stamps the granules of [addr, addr+n), a non-empty range on one
+// page, that have no stamp yet. On a page stamped whole no later than now,
+// as a stack mapped while recording is, their stamps could not lower what
+// FirstTouch reads, and it stamps none.
+func (r *recorder) touchData(addr, n uint64) {
+	t := r.page(addr / PageSize)
+	if t.whole != 0 && t.whole <= r.stamp {
+		return
+	}
+	if t.grains == nil {
+		t.grains = new([PageSize / granule]byte)
+	}
+	off := addr % PageSize
+	for g := off / granule; g <= (off+n-1)/granule; g++ {
+		if t.grains[g] == 0 {
+			t.grains[g] = r.stamp
 		}
 	}
 }
@@ -339,11 +454,10 @@ func (as *AddressSpace) Map(addr, length uint64, perm Perm) error {
 	slab := make([]page, n)
 	for i := range slab {
 		slab[i].perm = perm
-		slab[i].watched = as.watchPN[first+uint64(i)]
 		as.pages[first+uint64(i)] = &slab[i]
-	}
-	if as.watchPN != nil {
-		as.notifyMap(first, n)
+		if as.rec != nil {
+			as.rec.touchPage(first + uint64(i))
+		}
 	}
 	return nil
 }
@@ -355,12 +469,12 @@ func (as *AddressSpace) Unmap(addr, length uint64) error {
 		return fmt.Errorf("unmap %#x+%#x: not page aligned", addr, length)
 	}
 	first, n := addr/PageSize, length/PageSize
-	if as.watchPN != nil {
-		as.notifyMap(first, n)
-	}
 	as.own()
 	for i := uint64(0); i < n; i++ {
 		delete(as.pages, first+i)
+		if as.rec != nil {
+			as.rec.touchPage(first + i)
+		}
 	}
 	as.clearCaches()
 	return nil
@@ -464,13 +578,13 @@ func (as *AddressSpace) Read(addr, length uint64) ([]byte, error) {
 // ReadInto fills buf from memory starting at addr, checking read permission.
 func (as *AddressSpace) ReadInto(addr uint64, buf []byte) error {
 	if n := uint64(len(buf)); n > 0 && addr%PageSize+n <= PageSize {
-		// One page: one lookup serves the check, the watch and the copy.
+		// One page: one lookup serves the check, the record and the copy.
 		p, err := as.pageFor(addr, AccessRead, false)
 		if err != nil {
 			return err
 		}
-		if p.watched {
-			as.watch(addr, n)
+		if as.rec != nil {
+			as.rec.touchData(addr, n)
 		}
 		copy(buf, p.bytes()[addr%PageSize:])
 		return nil
@@ -497,7 +611,7 @@ func (as *AddressSpace) WriteForce(addr uint64, data []byte) error {
 // write is Write, or WriteForce when anyPerm.
 func (as *AddressSpace) write(addr uint64, data []byte, anyPerm bool) error {
 	if n := uint64(len(data)); n > 0 && addr%PageSize+n <= PageSize {
-		// One page: one lookup serves the check, the watch, the
+		// One page: one lookup serves the check, the record, the
 		// copy-on-write copy and the copy.
 		p, err := as.pageFor(addr, AccessWrite, anyPerm)
 		if err != nil {
@@ -573,8 +687,8 @@ func (as *AddressSpace) FetchExec(addr uint64, max int, buf []byte) ([]byte, err
 		if int(take) > max-len(buf) {
 			take = uint64(max - len(buf))
 		}
-		if p.watched {
-			as.watch(addr, take)
+		if as.rec != nil {
+			as.rec.touchPage(addr / PageSize)
 		}
 		buf = append(buf, p.bytes()[off:off+take]...)
 		addr += take
@@ -614,8 +728,8 @@ func (as *AddressSpace) AttachText(addr uint64, text [][PageSize]byte, code []is
 // write it. When addr's page has no bytes yet, the page becomes a view of
 // seed, as a text page is a view of its image's bytes, and its first write
 // copies seed; so one seed can stand for the same write in any number of
-// address spaces. Otherwise it writes as Write. A watcher sees a write of
-// the range either way.
+// address spaces. Otherwise it writes as Write. The recorder sees a write
+// of the range either way.
 func (as *AddressSpace) WriteShared(addr, length uint64, seed *[PageSize]byte) error {
 	off := addr % PageSize
 	if length == 0 || off+length > PageSize {
@@ -629,8 +743,8 @@ func (as *AddressSpace) WriteShared(addr, length uint64, seed *[PageSize]byte) e
 		as.writePage(p, addr, seed[off:off+length])
 		return nil
 	}
-	if p.watched {
-		as.watch(addr, length)
+	if as.rec != nil {
+		as.rec.touchData(addr, length)
 	}
 	if as.shared {
 		as.own()
@@ -655,15 +769,14 @@ func (as *AddressSpace) Decoded(addr uint64) *isa.Instruction {
 			return nil
 		}
 		as.codePage, as.codePN = p, pn
+		if as.rec != nil {
+			as.rec.touchPage(pn)
+		}
 	}
 	if p.code == nil || p.perm&PermExec == 0 {
 		return nil
 	}
-	ins := p.code.At(addr % PageSize)
-	if ins != nil && p.watched {
-		as.watch(addr, uint64(ins.Size()))
-	}
-	return ins
+	return p.code.At(addr % PageSize)
 }
 
 // Regions returns the mapped regions as sorted (addr, length, perm) triples,
@@ -713,8 +826,8 @@ func (as *AddressSpace) copyOut(addr uint64, buf []byte) {
 	for len(buf) > 0 {
 		p := as.lookup(addr / PageSize)
 		n := copy(buf, p.bytes()[addr%PageSize:])
-		if p.watched {
-			as.watch(addr, uint64(n))
+		if as.rec != nil {
+			as.rec.touchData(addr, uint64(n))
 		}
 		buf = buf[n:]
 		addr += uint64(n)
@@ -736,8 +849,8 @@ func (as *AddressSpace) copyIn(addr uint64, data []byte) {
 // page's bytes unless this address space owns them, and the page table if
 // forks may share it.
 func (as *AddressSpace) writePage(p *page, addr uint64, data []byte) {
-	if p.watched {
-		as.watch(addr, uint64(len(data)))
+	if as.rec != nil {
+		as.rec.touchData(addr, uint64(len(data)))
 	}
 	if as.shared {
 		as.own()

@@ -46,7 +46,7 @@ func TestAllocs(t *testing.T) {
 	}{
 		// Generating the corpus per environment, as NewEnv used to,
 		// adds 746 at this scale (140,212 at paper scale).
-		{"Browser.NewEnv/small", newEnvOp, 52},
+		{"Browser.NewEnv/small", newEnvOp, 51},
 	}
 	for _, r := range rows {
 		if got := testing.AllocsPerRun(100, r.op(t)); got > r.budget {

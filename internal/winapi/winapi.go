@@ -18,6 +18,7 @@ package winapi
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"crashresist/internal/mem"
 	"crashresist/internal/vm"
@@ -95,8 +96,10 @@ type NativeFunc func(p *vm.Process, t *vm.Thread) *vm.Exception
 // A registry may be layered over a read-only base (Extend): it answers for
 // the base's functions and numbers its own after them.
 type Registry struct {
-	base    *Registry
-	byID    map[uint32]*Descriptor
+	base *Registry
+	// byID holds the functions this layer numbered, in id order: the
+	// last has id nextID-1.
+	byID    []*Descriptor
 	byName  map[string]*Descriptor
 	natives map[uint32]NativeFunc
 	nextID  uint32
@@ -105,14 +108,21 @@ type Registry struct {
 var _ vm.APIHandler = (*Registry)(nil)
 
 // NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
+func NewRegistry() *Registry { return newRegistry(0) }
+
+// newRegistry creates an empty registry with room for n functions.
+func newRegistry(n int) *Registry {
 	return &Registry{
-		byID:    make(map[uint32]*Descriptor),
-		byName:  make(map[string]*Descriptor),
+		byID:    make([]*Descriptor, 0, n),
+		byName:  make(map[string]*Descriptor, n),
 		natives: make(map[uint32]NativeFunc),
 		nextID:  1,
 	}
 }
+
+// extendRoom is the room a layer starts with: enough for the natives an
+// environment layers over its corpus.
+const extendRoom = 8
 
 // Extend returns an empty registry layered over r. The layer answers every
 // query for r's functions as r does, and numbers the functions registered in
@@ -120,7 +130,7 @@ func NewRegistry() *Registry {
 // registering the same functions into r would. r must not change
 // afterwards; any number of layers may share it across goroutines.
 func (r *Registry) Extend() *Registry {
-	l := NewRegistry()
+	l := newRegistry(extendRoom)
 	l.base = r
 	l.nextID = r.nextID
 	return l
@@ -132,6 +142,16 @@ func (r *Registry) layer(id uint32) *Registry {
 		r = r.base
 	}
 	return r
+}
+
+// own returns the descriptor this layer numbered id; id 0 and ids this
+// layer did not number are unknown.
+func (r *Registry) own(id uint32) (*Descriptor, bool) {
+	first := r.nextID - uint32(len(r.byID))
+	if id < first || id >= r.nextID {
+		return nil, false
+	}
+	return r.byID[id-first], true
 }
 
 // RegisterNative adds an API backed by a custom implementation. The
@@ -148,7 +168,7 @@ func (r *Registry) Register(d Descriptor) *Descriptor {
 	r.nextID++
 	nd := new(Descriptor)
 	*nd = d
-	r.byID[nd.ID] = nd
+	r.byID = append(r.byID, nd)
 	r.byName[nd.Name] = nd
 	return nd
 }
@@ -166,8 +186,7 @@ func (r *Registry) Lookup(name string) (*Descriptor, bool) {
 
 // ByID returns a descriptor by id.
 func (r *Registry) ByID(id uint32) (*Descriptor, bool) {
-	d, ok := r.layer(id).byID[id]
-	return d, ok
+	return r.layer(id).own(id)
 }
 
 // All returns every descriptor in id order.
@@ -202,7 +221,7 @@ func (r *Registry) Resolve(symbol string) (uint32, error) {
 // Call implements vm.APIHandler: runs the API's category behaviour.
 func (r *Registry) Call(p *vm.Process, t *vm.Thread, id uint32) *vm.Exception {
 	l := r.layer(id)
-	d, ok := l.byID[id]
+	d, ok := l.own(id)
 	if !ok {
 		t.SetReg(0, ErrInvalidParameter)
 		return nil
@@ -324,7 +343,7 @@ func GenerateCorpus(params CorpusParams) (*Registry, error) {
 		return nil, fmt.Errorf("winapi: inconsistent corpus params %+v", params)
 	}
 	rng := rand.New(rand.NewSource(params.Seed))
-	r := NewRegistry()
+	r := newRegistry(params.Total)
 
 	// Category assignment over the pointer-taking population: the first
 	// CrashResistant slots (after shuffling) are graceful, the rest
@@ -355,7 +374,7 @@ func GenerateCorpus(params CorpusParams) (*Registry, error) {
 			if nPtr > d.NArgs {
 				nPtr = d.NArgs
 			}
-			seen := make(map[int]bool, nPtr)
+			var seen [5]bool // NArgs is at most 5
 			for len(d.PtrArgs) < nPtr {
 				ai := rng.Intn(d.NArgs)
 				if !seen[ai] {
@@ -372,11 +391,22 @@ func GenerateCorpus(params CorpusParams) (*Registry, error) {
 	return r, nil
 }
 
-// apiName produces a plausible deterministic API name.
+// The parts of generated API names.
+var (
+	nameVerbs = [...]string{"Get", "Set", "Query", "Create", "Open", "Close", "Enum", "Read", "Write", "Register"}
+	nameNouns = [...]string{"Pwr", "File", "Window", "Registry", "Thread", "Process", "Token", "Device", "Service", "Timer"}
+	nameTails = [...]string{"Info", "State", "Capabilities", "Attributes", "Ex", "Data", "Context", "Config", "Status", "Entry"}
+)
+
+// apiName produces a plausible deterministic API name: a verb, a noun and
+// a tail drawn in that order, then i zero-padded to five digits.
 func apiName(rng *rand.Rand, i int) string {
-	verbs := []string{"Get", "Set", "Query", "Create", "Open", "Close", "Enum", "Read", "Write", "Register"}
-	nouns := []string{"Pwr", "File", "Window", "Registry", "Thread", "Process", "Token", "Device", "Service", "Timer"}
-	tails := []string{"Info", "State", "Capabilities", "Attributes", "Ex", "Data", "Context", "Config", "Status", "Entry"}
-	return fmt.Sprintf("%s%s%s%05d",
-		verbs[rng.Intn(len(verbs))], nouns[rng.Intn(len(nouns))], tails[rng.Intn(len(tails))], i)
+	b := make([]byte, 0, 40) // the longest parts take 28 bytes
+	b = append(b, nameVerbs[rng.Intn(len(nameVerbs))]...)
+	b = append(b, nameNouns[rng.Intn(len(nameNouns))]...)
+	b = append(b, nameTails[rng.Intn(len(nameTails))]...)
+	for p := 10000; p > 1 && i < p; p /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
 }
