@@ -11,8 +11,7 @@ ci:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
-	$(GO) test -race -timeout 20m ./...
-	$(GO) test -race -count=10 -run Concurrent $(FORKSHARE)
+	$(MAKE) race
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 test:
@@ -21,6 +20,9 @@ test:
 
 # FORKSHARE holds the tests of state several goroutines fork at once; race
 # runs their Concurrent tests ten times, since one run seldom shows a race.
+# crtables' paper-scale suites sit near the default 10m package timeout
+# under -race on shared runners, so race gives them headroom. CI's test job
+# runs this target.
 FORKSHARE = ./internal/mem ./internal/vm ./internal/targets ./internal/fuzz
 
 race:

@@ -61,43 +61,23 @@ func (r ExclusionReason) String() string {
 }
 
 // reasonTokens are the stable JSON wire names.
-var reasonTokens = map[ExclusionReason]string{
+var reasonTokens = tokenCodec[ExclusionReason]{kind: "exclusion reason", fallback: "reason", names: []string{
 	ReasonStackTransient: "stack_transient",
 	ReasonVolatile:       "volatile",
 	ReasonDerefOutside:   "deref_outside",
 	ReasonControllable:   "controllable",
 	ReasonUntriggered:    "untriggered",
-}
+}}
 
 // Token returns the reason's stable wire name (the JSON token), used for
 // provenance verdicts.
-func (r ExclusionReason) Token() string {
-	if tok, ok := reasonTokens[r]; ok {
-		return tok
-	}
-	return fmt.Sprintf("reason_%d", uint8(r))
-}
+func (r ExclusionReason) Token() string { return reasonTokens.token(r) }
 
 // MarshalJSON encodes the reason as a stable string token.
-func (r ExclusionReason) MarshalJSON() ([]byte, error) {
-	tok, ok := reasonTokens[r]
-	if !ok {
-		return nil, fmt.Errorf("marshal: invalid exclusion reason %d", uint8(r))
-	}
-	return []byte(`"` + tok + `"`), nil
-}
+func (r ExclusionReason) MarshalJSON() ([]byte, error) { return reasonTokens.marshal(r) }
 
 // UnmarshalJSON decodes a reason token.
-func (r *ExclusionReason) UnmarshalJSON(b []byte) error {
-	s := string(b)
-	for val, tok := range reasonTokens {
-		if s == `"`+tok+`"` {
-			*r = val
-			return nil
-		}
-	}
-	return fmt.Errorf("unmarshal: unknown exclusion reason %s", s)
-}
+func (r *ExclusionReason) UnmarshalJSON(b []byte) error { return reasonTokens.unmarshal(b, r) }
 
 // APIClassification is the final-stage result for one JS-context API.
 type APIClassification struct {

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"crashresist/internal/faultinject"
@@ -288,20 +287,18 @@ func TestHarvestSnapshotsAreHostOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(full bool) string {
-		var events []string
-		var mu sync.Mutex
-		cfg := Config{Seed: 42, Workers: 2, Profile: prof.New(),
-			Progress: func(ev metrics.StageEvent) {
-				mu.Lock()
-				defer mu.Unlock()
-				events = append(events, fmt.Sprintf("%s/%v/%d/%d", ev.Stage, ev.Kind, ev.Done, ev.Total))
-			}}
+		sink := metrics.NewMemorySink()
+		cfg := Config{Seed: 42, Workers: 2, Profile: prof.New(), Sinks: []metrics.Sink{sink}}
 		if full {
 			UseFullReplays(&cfg)
 		}
 		rep, err := AnalyzeAPIs(context.Background(), cfg, br)
 		if err != nil {
 			t.Fatal(err)
+		}
+		var events []string
+		for _, ev := range sink.Events() {
+			events = append(events, fmt.Sprintf("%s/%v/%d/%d", ev.Stage, ev.Kind, ev.Done, ev.Total))
 		}
 		sort.Strings(events)
 		var folded bytes.Buffer

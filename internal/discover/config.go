@@ -23,11 +23,9 @@ type Config struct {
 	// Workers bounds every fan-out (servers, validation replays, fuzzing,
 	// classification, per-DLL symex); <= 0 selects GOMAXPROCS.
 	Workers int
-	// Progress receives live stage events. Each run serializes its own
-	// events, but AnalyzeServers interleaves concurrent runs, so the
-	// callback must then be safe for concurrent use.
-	Progress func(metrics.StageEvent)
-	// Sinks receive each run's live events and final RunStats.
+	// Sinks receive each run's live events and final RunStats. Each run
+	// serializes its own events, but AnalyzeServers interleaves
+	// concurrent runs, so a sink must then be safe for concurrent use.
 	Sinks []metrics.Sink
 	// FaultPlan, when non-nil, injects deterministic failures into the
 	// run's VM, kernel, symex and pool-job sites (chaos mode).
@@ -77,7 +75,6 @@ type pipelineRun struct {
 // begin builds the observers for one run of pipeline against target.
 func (c Config) begin(pipeline, target string) *pipelineRun {
 	col := metrics.NewCollector(pipeline, target, poolWorkers(c.Workers))
-	col.SetProgress(c.Progress)
 	for _, s := range c.Sinks {
 		col.AddSink(s)
 	}

@@ -84,46 +84,26 @@ func (s SyscallStatus) String() string {
 	}
 }
 
-// syscallStatusTokens are the stable JSON wire names. The display strings
-// above carry table-legend punctuation, so the wire uses separate tokens.
-var syscallStatusTokens = map[SyscallStatus]string{
+// statusTokens are the stable JSON wire names. The display strings above
+// carry table-legend punctuation, so the wire uses separate tokens.
+var statusTokens = tokenCodec[SyscallStatus]{kind: "syscall status", fallback: "status", names: []string{
 	StatusNotObserved:      "not_observed",
 	StatusObserved:         "observed",
 	StatusUntriggered:      "untriggered",
 	StatusInvalidCandidate: "invalid_candidate",
 	StatusFalsePositive:    "false_positive",
 	StatusUsable:           "usable",
-}
+}}
 
 // Token returns the status's stable wire name (the JSON token), used for
 // provenance verdicts.
-func (s SyscallStatus) Token() string {
-	if tok, ok := syscallStatusTokens[s]; ok {
-		return tok
-	}
-	return fmt.Sprintf("status_%d", uint8(s))
-}
+func (s SyscallStatus) Token() string { return statusTokens.token(s) }
 
 // MarshalJSON encodes the status as a stable string token.
-func (s SyscallStatus) MarshalJSON() ([]byte, error) {
-	tok, ok := syscallStatusTokens[s]
-	if !ok {
-		return nil, fmt.Errorf("marshal: invalid syscall status %d", uint8(s))
-	}
-	return []byte(`"` + tok + `"`), nil
-}
+func (s SyscallStatus) MarshalJSON() ([]byte, error) { return statusTokens.marshal(s) }
 
 // UnmarshalJSON decodes a status token.
-func (s *SyscallStatus) UnmarshalJSON(b []byte) error {
-	str := string(b)
-	for val, tok := range syscallStatusTokens {
-		if str == `"`+tok+`"` {
-			*s = val
-			return nil
-		}
-	}
-	return fmt.Errorf("unmarshal: unknown syscall status %s", str)
-}
+func (s *SyscallStatus) UnmarshalJSON(b []byte) error { return statusTokens.unmarshal(b, s) }
 
 // Mark returns the compact Table I cell mark.
 func (s SyscallStatus) Mark() string {

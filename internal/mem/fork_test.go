@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -49,8 +51,8 @@ func TestForkSnapshotConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if snap.id != before.id || snap.owns != before.owns {
-		t.Errorf("forking the snapshot changed its owner number %d -> %d", before.id, snap.id)
+	if !reflect.DeepEqual(*snap, before) {
+		t.Error("forking the snapshot wrote to it")
 	}
 	if got, _ := snap.ReadUint(base+8, 8); got != 1 {
 		t.Errorf("snapshot reads %d, want 1", got)
@@ -218,8 +220,8 @@ func TestWriteShared(t *testing.T) {
 	if err := as.WriteShared(addr, 8, seed); err != nil {
 		t.Fatal(err)
 	}
-	if p := as.pages[addr/PageSize]; p.data != seed || p.owner != 0 {
-		t.Fatalf("page data %p owner %d, want a view of the seed %p", p.data, p.owner, seed)
+	if p := as.pages[addr/PageSize]; p.data != seed || p.owned {
+		t.Fatalf("page data %p owned %v, want a view of the seed %p", p.data, p.owned, seed)
 	}
 	if v, _ := as.ReadUint(addr, 8); v != 0xa5a5a5a5a5a5a5a5 {
 		t.Fatalf("reads %#x after the shared write", v)
@@ -276,4 +278,149 @@ func mustRead(t *testing.T, as *AddressSpace, addr uint64) uint64 {
 		t.Fatal(err)
 	}
 	return v
+}
+
+// forkRule says what a field of a fork holds, next to the same field of the
+// value it was forked from.
+type forkRule string
+
+const (
+	// same: the source's value; for a pointer, map or slice, the same
+	// referent.
+	same forkRule = "same"
+	// forked: a value of the fork's own, not the source's, that forking
+	// the source's made.
+	forked forkRule = "forked"
+	// reset: the zero value.
+	reset forkRule = "reset"
+	// copied: a pointer or slice whose contents equal the source's, in
+	// storage of the fork's own.
+	copied forkRule = "copied"
+)
+
+// checkFork fails t unless every field of *src's struct type has a rule in
+// rules, every rule names a field, every field of *src but those in zeroOK
+// is non-zero, so that each rule can tell its cases apart, and every field
+// of *fork follows its rule. A field without a rule fails, so that a fork
+// that reuses a spent value cannot carry one fork's state into the next.
+func checkFork(t *testing.T, src, fork any, rules map[string]forkRule, zeroOK ...string) {
+	t.Helper()
+	s, f := reflect.ValueOf(src).Elem(), reflect.ValueOf(fork).Elem()
+	typ := s.Type()
+	for name := range rules {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("%s has no field %s, which has a fork rule", typ, name)
+		}
+	}
+	for i := range typ.NumField() {
+		name := typ.Field(i).Name
+		sv, fv := s.Field(i), f.Field(i)
+		rule, ok := rules[name]
+		switch {
+		case !ok:
+			t.Errorf("%s.%s has no fork rule", typ, name)
+		case sv.IsZero() && !slices.Contains(zeroOK, name):
+			t.Errorf("%s.%s is zero in the source, so its rule cannot be checked", typ, name)
+		case rule == same && !identical(sv, fv),
+			rule == forked && (fv.IsZero() || identical(sv, fv)),
+			rule == reset && !fv.IsZero(),
+			rule == copied && !copyOf(sv, fv):
+			t.Errorf("%s.%s breaks its fork rule %q", typ, name, rule)
+		}
+	}
+}
+
+// identical reports whether a and b hold the same value: equal scalars,
+// arrays and structs, and the same referent for pointers, maps and slices.
+func identical(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Map, reflect.Func:
+		return a.UnsafePointer() == b.UnsafePointer()
+	case reflect.Slice:
+		return a.UnsafePointer() == b.UnsafePointer() && a.Len() == b.Len()
+	default:
+		return a.Equal(b)
+	}
+}
+
+// copyOf reports whether b, a pointer or slice, holds what a holds in
+// storage of its own.
+func copyOf(a, b reflect.Value) bool {
+	if a.IsNil() || b.IsNil() || a.UnsafePointer() == b.UnsafePointer() {
+		return false
+	}
+	if a.Kind() == reflect.Pointer {
+		return a.Elem().Equal(b.Elem())
+	}
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := range a.Len() {
+		if !a.Index(i).Equal(b.Index(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestForkCensus forks an address space and an allocator whose fields are
+// all non-zero and checks every field of the copies against its rule:
+// AddressSpace.Fork shares the page table and starts every cache and the
+// first-touch record empty, and Allocator.Fork continues the stream on the
+// fork's address space.
+func TestForkCensus(t *testing.T) {
+	const base = 0x40000
+	as := NewAddressSpace()
+	if err := as.Map(base, 4*PageSize, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	code := make([]byte, PageSize)
+	code[0x10] = byte(isa.OpNop)
+	if err := as.AttachText(base+2*PageSize, [][PageSize]byte{[PageSize]byte(code)}, isa.SweepPages(code, PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Protect(base+2*PageSize, PageSize, PermRX); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.WriteUint(base, 8, 1); err != nil {
+		t.Fatal(err)
+	}
+	alloc := NewAllocator(as, 0x100000000, 0x80000000000, 77)
+	for range memoDraws + 1 { // past the memo, so the allocator has a source
+		if _, err := alloc.Alloc(PageSize, PermRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	as.RecordTouches(true)
+	as.Fork() // marks the page table shared
+	// Each read misses and flips next; read until next is non-zero.
+	for pn := uint64(0); pn == 0 || as.next == 0; pn++ {
+		if _, err := as.ReadUint(base+pn*PageSize, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if as.Decoded(base+2*PageSize+0x10) == nil {
+		t.Fatal("no predecoded instruction")
+	}
+
+	fork := as.Fork()
+	checkFork(t, as, fork, map[string]forkRule{
+		"pages":    same,
+		"data":     reset,
+		"dataPN":   reset,
+		"next":     reset,
+		"shared":   same,
+		"codePage": reset,
+		"codePN":   reset,
+		"rec":      reset,
+	})
+	checkFork(t, alloc, alloc.Fork(fork), map[string]forkRule{
+		"memo":  same,
+		"draws": same,
+		"rng":   reset,
+		"seed":  same,
+		"as":    forked,
+		"low":   same,
+		"high":  same,
+	})
 }

@@ -8,16 +8,17 @@
 //
 // Page bytes are shared copy-on-write. AttachText maps a loaded image's
 // text pages as views of bytes every process loading the image shares. A
-// page's bytes are written in place only by the address space that owns
-// them; every other write first copies them, so a write in one address
-// space never shows in another. Every write reaches a page through one
-// path, writePage.
+// page's bytes are written in place only when its header says this address
+// space allocated them (owned); every other write first copies them, so a
+// write in one address space never shows in another. Every write reaches a
+// page through one path, writePage.
 //
 // The page table is shared copy-on-write too. Fork hands the copy the
 // source's page map and page headers as they are, and whichever of the two
 // next changes a mapping or a header first copies the map and headers for
-// itself (own); headers that are shared are never written. A fork that
-// never writes, such as a fuzz probe, copies nothing.
+// itself (own), clearing owned in every copy; headers that are shared are
+// never written. A fork that never writes, such as a fuzz probe, copies
+// nothing.
 //
 // The page map is a Go map, read through two caches: the last two pages
 // data accesses looked up, an unmapped answer included, and the page the
@@ -48,7 +49,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"crashresist/internal/isa"
 )
@@ -142,16 +142,17 @@ func (f *Fault) Error() string {
 
 // page is one mapped page. data is nil until the first write, or a view of
 // bytes the page shares: with the address spaces forked from its own, and,
-// for a text page, with every process that loaded the image. owner is the
-// address space that may write data in place; it is zero for views and for
-// pages without bytes, so their first write copies. code, when set, is the
-// predecoded table of the bytes the page held when it was attached; every
-// write drops it.
+// for a text page, with every process that loaded the image. owned reports
+// that the address space holding this header allocated data and may write
+// it in place; it is false for views and for pages without bytes, so their
+// first write copies, and copying the header clears it. code, when set, is
+// the predecoded table of the bytes the page held when it was attached;
+// every write drops it.
 type page struct {
 	data  *[PageSize]byte
 	code  *isa.Table
-	owner uint64
 	perm  Perm
+	owned bool
 }
 
 // zeroPage backs reads of never-written pages; nothing writes it.
@@ -165,14 +166,10 @@ func (p *page) bytes() *[PageSize]byte {
 	return p.data
 }
 
-// spaceIDs numbers address spaces; page owners hold these numbers.
-var spaceIDs atomic.Uint64
-
 // AddressSpace is a sparse 64-bit paged address space. It is not safe for
 // concurrent use, not even for reads, which fill its lookup caches; the VM
 // serializes all accesses. Fork is the exception: it only reads an address
-// space that is itself a fork, or was forked before, and owns no page (see
-// Fork).
+// space that is itself a fork or was forked before (see Fork).
 type AddressSpace struct {
 	// pages is keyed by addr >> 12. When shared is set, forks may hold
 	// the same map and headers, so neither may change before own copies
@@ -188,10 +185,6 @@ type AddressSpace struct {
 	dataPN [2]uint64
 	next   uint8
 	shared bool
-	// owns reports whether any page has owner number id, the number of
-	// the pages this address space may write in place.
-	owns bool
-	id   uint64
 	// codePage caches the page Decoded found last, whose number is
 	// codePN, since consecutive instructions mostly share a page.
 	codePage *page
@@ -202,7 +195,7 @@ type AddressSpace struct {
 
 // NewAddressSpace returns an empty address space.
 func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{pages: make(map[uint64]*page), id: spaceIDs.Add(1)}
+	return &AddressSpace{pages: make(map[uint64]*page)}
 }
 
 // Fork returns a copy of the address space: every mapping with its
@@ -211,19 +204,16 @@ func NewAddressSpace() *AddressSpace {
 // each copies a page on its own first write to it. It copies no header
 // either: the two share the page table until either changes it.
 //
-// Fork writes to the source only to stop it writing its pages in place when
-// it owns one, and to mark its page table shared the first time. A fork's
-// table counts as shared from the start, so an address space that is never
-// written after its own fork (a snapshot) can be forked by any number of
-// goroutines at once.
+// Fork writes to the source only to mark its page table shared the first
+// time; the next write of either address space then copies the headers,
+// and the copies own no bytes. A fork's table counts as shared from the
+// start, so an address space that is never written after its own fork (a
+// snapshot) can be forked by any number of goroutines at once.
 func (as *AddressSpace) Fork() *AddressSpace {
-	if as.owns {
-		as.id, as.owns = spaceIDs.Add(1), false
-	}
 	if !as.shared {
 		as.shared = true
 	}
-	return &AddressSpace{pages: as.pages, id: spaceIDs.Add(1), shared: true}
+	return &AddressSpace{pages: as.pages, shared: true}
 }
 
 // own gives the address space a page map and headers of its own if forks
@@ -237,12 +227,15 @@ func (as *AddressSpace) own() {
 }
 
 // copyPages returns a copy of a page map and its headers, all in one slab.
+// The copies own no bytes: the headers they were copied from may still
+// hold them.
 func copyPages(pages map[uint64]*page) map[uint64]*page {
 	c := make(map[uint64]*page, len(pages))
 	slab := make([]page, len(pages))
 	i := 0
 	for pn, p := range pages {
 		slab[i] = *p
+		slab[i].owned = false
 		c[pn] = &slab[i]
 		i++
 	}
@@ -717,7 +710,7 @@ func (as *AddressSpace) AttachText(addr uint64, text [][PageSize]byte, code []is
 	as.own()
 	for i := range text {
 		p := as.pages[first+uint64(i)]
-		p.data, p.owner, p.code = &text[i], 0, &code[i]
+		p.data, p.owned, p.code = &text[i], false, &code[i]
 	}
 	return nil
 }
@@ -750,7 +743,7 @@ func (as *AddressSpace) WriteShared(addr, length uint64, seed *[PageSize]byte) e
 		as.own()
 		p = as.lookup(addr / PageSize)
 	}
-	p.code, p.data, p.owner = nil, seed, 0
+	p.code, p.data, p.owned = nil, seed, false
 	return nil
 }
 
@@ -846,8 +839,8 @@ func (as *AddressSpace) copyIn(addr uint64, data []byte) {
 
 // writePage is the one write path: it writes data, which fits in page p,
 // at addr. It drops the page's predecoded table, and first copies the
-// page's bytes unless this address space owns them, and the page table if
-// forks may share it.
+// page's bytes unless the page owns them, and the page table if forks may
+// share it.
 func (as *AddressSpace) writePage(p *page, addr uint64, data []byte) {
 	if as.rec != nil {
 		as.rec.touchData(addr, uint64(len(data)))
@@ -857,12 +850,12 @@ func (as *AddressSpace) writePage(p *page, addr uint64, data []byte) {
 		p = as.lookup(addr / PageSize)
 	}
 	p.code = nil
-	if p.owner != as.id {
+	if !p.owned {
 		d := new([PageSize]byte)
 		if p.data != nil {
 			*d = *p.data
 		}
-		p.data, p.owner, as.owns = d, as.id, true
+		p.data, p.owned = d, true
 	}
 	copy(p.data[addr%PageSize:], data)
 }
@@ -899,10 +892,12 @@ func NewAllocator(as *AddressSpace, low, high uint64, seed int64) *Allocator {
 }
 
 // Fork returns an allocator for as, a fork of a's address space, that
-// continues a's stream: it keeps a's seed and draw count and rebuilds its
-// source from them when it first needs one. It writes nothing to a.
+// continues a's stream: a copy of a that rebuilds its source from the seed
+// and draw count when it first needs one. It writes nothing to a.
 func (a *Allocator) Fork(as *AddressSpace) *Allocator {
-	return &Allocator{memo: a.memo, draws: a.draws, seed: a.seed, as: as, low: a.low, high: a.high}
+	c := *a
+	c.as, c.rng = as, nil
+	return &c
 }
 
 // Alloc maps length bytes (rounded up to pages) at a randomized address and

@@ -7,7 +7,7 @@
 // layers below it (emulator, kernel, fuzzer, symbolic-execution cache,
 // worker pool) add counters, and the pipeline marks stage boundaries. The
 // final snapshot is a RunStats attached to the pipeline's report; live
-// StageEvents stream to an optional progress callback and to Sinks.
+// StageEvents stream to Sinks.
 //
 // Determinism contract: counter totals are sums of per-job contributions,
 // and jobs are scheduling-independent, so every counter except the
@@ -198,7 +198,7 @@ func (k *EventKind) UnmarshalJSON(b []byte) error {
 }
 
 // StageEvent is one live progress notification. Events are serialized per
-// Collector: callbacks never run concurrently for the same run.
+// Collector: a sink never receives two events of one run at once.
 type StageEvent struct {
 	// Pipeline names the running pipeline: syscall, api or seh.
 	Pipeline string `json:"pipeline"`
@@ -336,8 +336,8 @@ type Collector struct {
 
 	counts [numCounters]atomic.Uint64
 
-	// emitting is non-zero when a progress callback or sink is attached;
-	// workers check it before paying for event serialization.
+	// emitting is set when a sink is attached; workers check it before
+	// paying for event serialization.
 	emitting atomic.Bool
 	// jobSpans counts the job spans opened, dropped ones included;
 	// spansDropped counts those past the cap.
@@ -349,7 +349,6 @@ type Collector struct {
 	stages      []StageStats
 	stageSeq    int
 	spans       []Span
-	progress    func(StageEvent)
 	sinks       []Sink
 }
 
@@ -365,20 +364,6 @@ func NewCollector(pipeline, target string, workers int) *Collector {
 		runID:    runID,
 		pipeID:   deriveSpanID(runID, SpanPipeline, pipeline, 0),
 	}
-}
-
-// SetProgress installs a live progress callback. Events for one collector
-// are serialized; when multiple analyses run in parallel (AnalyzeServers),
-// each has its own collector, so the callback must tolerate interleaving
-// across runs (the public API wraps callbacks with a mutex).
-func (c *Collector) SetProgress(fn func(StageEvent)) {
-	if c == nil || fn == nil {
-		return
-	}
-	c.mu.Lock()
-	c.progress = fn
-	c.mu.Unlock()
-	c.emitting.Store(true)
 }
 
 // AddSink attaches a sink receiving live events and the final snapshot.
@@ -442,7 +427,7 @@ func (c *Collector) SetDetect(sec *defense.Section) {
 }
 
 // Detection emits one typed detector verdict into the live event stream
-// (progress callback + sinks) and counts it in CtrDetections.
+// (the sinks) and counts it in CtrDetections.
 func (c *Collector) Detection(ev defense.DetectionEvent) {
 	if c == nil {
 		return
@@ -451,7 +436,7 @@ func (c *Collector) Detection(ev defense.DetectionEvent) {
 	c.emit(StageEvent{Stage: "detect", Kind: StageDetection, Detection: &ev})
 }
 
-// emit delivers one event to the progress callback and sinks, serialized.
+// emit delivers one event to the sinks, serialized.
 func (c *Collector) emit(ev StageEvent) {
 	if c == nil || !c.emitting.Load() {
 		return
@@ -460,9 +445,6 @@ func (c *Collector) emit(ev StageEvent) {
 	ev.Target = c.target
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.progress != nil {
-		c.progress(ev)
-	}
 	for _, s := range c.sinks {
 		s.Event(ev)
 	}

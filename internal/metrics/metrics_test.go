@@ -62,7 +62,6 @@ func TestCollectorCountsAndStages(t *testing.T) {
 func TestNilCollectorAndStageAreNoOps(t *testing.T) {
 	var c *Collector
 	c.Add(CtrFaults, 1)
-	c.SetProgress(func(StageEvent) {})
 	c.AddSink(NewMemorySink())
 	st := c.StartStage("x", 1)
 	st.JobDone()
@@ -78,13 +77,14 @@ func TestNilCollectorAndStageAreNoOps(t *testing.T) {
 
 func TestProgressEventSequence(t *testing.T) {
 	c := NewCollector("syscall", "nginx", 1)
-	var got []StageEvent
-	c.SetProgress(func(ev StageEvent) { got = append(got, ev) })
+	sink := NewMemorySink()
+	c.AddSink(sink)
 
 	st := c.StartStage("validate", 2)
 	st.JobDone()
 	st.JobDone()
 	st.End()
+	got := sink.Events()
 
 	want := []StageEvent{
 		{Pipeline: "syscall", Target: "nginx", Stage: "validate", Kind: StageBegin, Total: 2},

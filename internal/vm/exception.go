@@ -199,7 +199,6 @@ func (p *Process) dispatchSignal(t *Thread, exc Exception) {
 	}
 	ctx := sigCtx{regs: t.Regs, pc: resumeAt, resume: resumeAt, frames: len(t.frames)}
 	t.savedSigCtx = append(t.savedSigCtx, ctx)
-	t.sigDepth++
 
 	sp := t.Regs[16] - 512
 	if err := p.AS.WriteUint(sp, 8, uint64(sigReturnMagic)); err != nil {
@@ -219,13 +218,12 @@ func (p *Process) dispatchSignal(t *Thread, exc Exception) {
 
 // sigReturn restores the context saved by dispatchSignal.
 func (p *Process) sigReturn(t *Thread) {
-	if t.sigDepth == 0 || len(t.savedSigCtx) == 0 {
+	if len(t.savedSigCtx) == 0 {
 		p.crashProcess(t, Exception{Code: ExcIllegalInstruction, PC: t.PC})
 		return
 	}
 	ctx := t.savedSigCtx[len(t.savedSigCtx)-1]
 	t.savedSigCtx = t.savedSigCtx[:len(t.savedSigCtx)-1]
-	t.sigDepth--
 	t.Regs = ctx.regs
 	t.PC = ctx.pc
 	if ctx.frames <= len(t.frames) {

@@ -81,21 +81,14 @@ func (p *Process) exec(t *Thread, ins *isa.Instruction) *Exception {
 	next := pc + uint64(ins.Size())
 	flow := p.Flow
 
-	advance := func() {
-		t.PC = next
-		t.Instructions++
-		p.Stats.Instructions++
-		p.Clock++
-	}
-
 	switch ins.Op {
 	case isa.OpNop:
-		advance()
+		p.retire(t, next)
 	case isa.OpYield:
-		advance()
+		p.retire(t, next)
 		return nil
 	case isa.OpHalt:
-		advance()
+		p.retire(t, next)
 		p.Exit(t.Regs[0])
 	case isa.OpRet:
 		retPC, err := p.AS.ReadUint(t.Regs[16], 8)
@@ -106,12 +99,9 @@ func (p *Process) exec(t *Thread, ins *isa.Instruction) *Exception {
 		if len(t.frames) > 1 {
 			t.frames = t.frames[:len(t.frames)-1]
 		}
-		t.PC = retPC
-		t.Instructions++
-		p.Stats.Instructions++
-		p.Clock++
+		p.retire(t, retPC)
 	case isa.OpSyscall:
-		advance()
+		p.retire(t, next)
 		p.Stats.Syscalls++
 		if p.Syscalls == nil {
 			return &Exception{Code: ExcIllegalInstruction, PC: pc}
@@ -127,7 +117,7 @@ func (p *Process) exec(t *Thread, ins *isa.Instruction) *Exception {
 			flow.StoreMem(t.ID, ins.A, sp, 8)
 		}
 		t.Regs[16] = sp
-		advance()
+		p.retire(t, next)
 	case isa.OpPop:
 		sp := t.Regs[16]
 		v, err := p.AS.ReadUint(sp, 8)
@@ -139,34 +129,31 @@ func (p *Process) exec(t *Thread, ins *isa.Instruction) *Exception {
 			flow.LoadMem(t.ID, ins.A, sp, 8)
 		}
 		t.Regs[16] = sp + 8
-		advance()
+		p.retire(t, next)
 	case isa.OpCallR:
 		return p.doCall(t, pc, next, t.Regs[ins.A])
 	case isa.OpJmpR:
-		t.PC = t.Regs[ins.A]
-		t.Instructions++
-		p.Stats.Instructions++
-		p.Clock++
+		p.retire(t, t.Regs[ins.A])
 	case isa.OpNot:
 		t.Regs[ins.A] = ^t.Regs[ins.A]
-		advance()
+		p.retire(t, next)
 	case isa.OpNeg:
 		t.Regs[ins.A] = -t.Regs[ins.A]
-		advance()
+		p.retire(t, next)
 
 	case isa.OpMovRR:
 		t.Regs[ins.A] = t.Regs[ins.B]
 		if flow != nil {
 			flow.CopyRegReg(t.ID, ins.A, ins.B)
 		}
-		advance()
+		p.retire(t, next)
 	case isa.OpAddRR, isa.OpSubRR, isa.OpAndRR, isa.OpOrRR, isa.OpXorRR,
 		isa.OpShlRR, isa.OpShrRR, isa.OpMulRR:
 		t.Regs[ins.A] = aluOp(ins.Op, t.Regs[ins.A], t.Regs[ins.B])
 		if flow != nil {
 			flow.CombineReg(t.ID, ins.A, ins.B)
 		}
-		advance()
+		p.retire(t, next)
 	case isa.OpDivRR:
 		if t.Regs[ins.B] == 0 {
 			return &Exception{Code: ExcDivideByZero, PC: pc}
@@ -175,36 +162,36 @@ func (p *Process) exec(t *Thread, ins *isa.Instruction) *Exception {
 		if flow != nil {
 			flow.CombineReg(t.ID, ins.A, ins.B)
 		}
-		advance()
+		p.retire(t, next)
 	case isa.OpCmpRR:
 		setCmpFlags(t, t.Regs[ins.A], t.Regs[ins.B])
-		advance()
+		p.retire(t, next)
 	case isa.OpTestRR:
 		setTestFlags(t, t.Regs[ins.A], t.Regs[ins.B])
-		advance()
+		p.retire(t, next)
 
 	case isa.OpMovRI:
 		t.Regs[ins.A] = ins.Imm
 		if flow != nil {
 			flow.SetRegImm(t.ID, ins.A)
 		}
-		advance()
+		p.retire(t, next)
 	case isa.OpAddRI, isa.OpSubRI, isa.OpAndRI, isa.OpOrRI, isa.OpXorRI,
 		isa.OpShlRI, isa.OpShrRI, isa.OpMulRI:
 		t.Regs[ins.A] = aluOp(riToRR(ins.Op), t.Regs[ins.A], uint64(int64(ins.Disp)))
-		advance()
+		p.retire(t, next)
 	case isa.OpCmpRI:
 		setCmpFlags(t, t.Regs[ins.A], uint64(int64(ins.Disp)))
-		advance()
+		p.retire(t, next)
 	case isa.OpTestRI:
 		setTestFlags(t, t.Regs[ins.A], uint64(int64(ins.Disp)))
-		advance()
+		p.retire(t, next)
 	case isa.OpLea:
 		t.Regs[ins.A] = next + uint64(int64(ins.Disp))
 		if flow != nil {
 			flow.SetRegImm(t.ID, ins.A)
 		}
-		advance()
+		p.retire(t, next)
 
 	case isa.OpLoad1, isa.OpLoad2, isa.OpLoad4, isa.OpLoad8:
 		sz := ins.LoadSize()
@@ -220,7 +207,7 @@ func (p *Process) exec(t *Thread, ins *isa.Instruction) *Exception {
 		if flow != nil {
 			flow.LoadMem(t.ID, ins.A, addr, sz)
 		}
-		advance()
+		p.retire(t, next)
 	case isa.OpStore1, isa.OpStore2, isa.OpStore4, isa.OpStore8:
 		sz := ins.StoreSize()
 		addr := t.Regs[ins.A] + uint64(int64(ins.Disp))
@@ -233,22 +220,16 @@ func (p *Process) exec(t *Thread, ins *isa.Instruction) *Exception {
 		if flow != nil {
 			flow.StoreMem(t.ID, ins.B, addr, sz)
 		}
-		advance()
+		p.retire(t, next)
 
 	case isa.OpJmp:
-		t.PC = next + uint64(int64(ins.Disp))
-		t.Instructions++
-		p.Stats.Instructions++
-		p.Clock++
+		p.retire(t, next+uint64(int64(ins.Disp)))
 	case isa.OpJz, isa.OpJnz, isa.OpJl, isa.OpJge, isa.OpJle, isa.OpJg, isa.OpJb, isa.OpJae:
 		target := next
 		if condTaken(ins.Op, t) {
 			target = next + uint64(int64(ins.Disp))
 		}
-		t.PC = target
-		t.Instructions++
-		p.Stats.Instructions++
-		p.Clock++
+		p.retire(t, target)
 	case isa.OpCall:
 		return p.doCall(t, pc, next, next+uint64(int64(ins.Disp)))
 	case isa.OpCallI:
@@ -260,6 +241,15 @@ func (p *Process) exec(t *Thread, ins *isa.Instruction) *Exception {
 		return &Exception{Code: ExcIllegalInstruction, PC: pc}
 	}
 	return nil
+}
+
+// retire completes t's instruction: t continues at next, and the process's
+// instruction count and clock advance by one. It is the one place an
+// instruction retires.
+func (p *Process) retire(t *Thread, next uint64) {
+	t.PC = next
+	p.Stats.Instructions++
+	p.Clock++
 }
 
 // predecoded returns the instruction at pc from its page's predecoded
@@ -300,10 +290,7 @@ func (p *Process) doCall(t *Thread, pc, retPC, target uint64) *Exception {
 	}
 	t.Regs[16] = sp
 	t.frames = append(t.frames, Frame{FuncEntry: target, SPAtEntry: sp, RetPC: retPC})
-	t.PC = target
-	t.Instructions++
-	p.Stats.Instructions++
-	p.Clock++
+	p.retire(t, target)
 	return nil
 }
 
@@ -322,10 +309,7 @@ func (p *Process) doCallImport(t *Thread, pc, retPC uint64, slot uint32) *Except
 	if p.API == nil {
 		return &Exception{Code: ExcIllegalInstruction, PC: pc}
 	}
-	t.PC = retPC
-	t.Instructions++
-	p.Stats.Instructions++
-	p.Clock++
+	p.retire(t, retPC)
 	p.Stats.APICalls++
 	if p.Tracer != nil {
 		p.Tracer.OnAPICall(t, pc, id)

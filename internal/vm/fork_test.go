@@ -2,11 +2,14 @@ package vm
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"crashresist/internal/asm"
 	"crashresist/internal/bin"
+	"crashresist/internal/faultinject"
 	"crashresist/internal/isa"
 	"crashresist/internal/mem"
 )
@@ -95,7 +98,7 @@ func sameRun(t *testing.T, name string, got, want *Process) {
 		t.Fatalf("%s: %d threads, want %d", name, len(gt), len(wt))
 	}
 	for i := range gt {
-		if gt[i].Regs != wt[i].Regs || gt[i].PC != wt[i].PC || gt[i].State != wt[i].State || gt[i].Instructions != wt[i].Instructions {
+		if gt[i].Regs != wt[i].Regs || gt[i].PC != wt[i].PC || gt[i].State != wt[i].State {
 			t.Errorf("%s: thread %d ended at pc %#x regs %#x, want pc %#x regs %#x", name, i, gt[i].PC, gt[i].Regs, wt[i].PC, wt[i].Regs)
 		}
 	}
@@ -356,5 +359,186 @@ func TestForkSharedTableConcurrently(t *testing.T) {
 	}
 	if snap.Stats != (Stats{}) || snap.Clock != 0 {
 		t.Errorf("the snapshot ran: clock %d stats %+v", snap.Clock, snap.Stats)
+	}
+}
+
+// forkRule says what a field of a fork holds, next to the same field of the
+// value it was forked from. It and checkFork repeat internal/mem's census
+// helpers, since test files cannot share code across packages.
+type forkRule string
+
+const (
+	// same: the source's value; for a pointer, map, slice or interface,
+	// the same referent.
+	same forkRule = "same"
+	// forked: a value of the fork's own, not the source's, that forking
+	// the source's made.
+	forked forkRule = "forked"
+	// reset: the zero value.
+	reset forkRule = "reset"
+	// copied: a pointer or slice whose contents equal the source's, in
+	// storage of the fork's own.
+	copied forkRule = "copied"
+)
+
+// checkFork fails t unless every field of *src's struct type has a rule in
+// rules, every rule names a field, every field of *src but those in zeroOK
+// is non-zero, so that each rule can tell its cases apart, and every field
+// of *fork follows its rule. A field without a rule fails, so that a fork
+// that reuses a spent value cannot carry one fork's state into the next.
+func checkFork(t *testing.T, src, fork any, rules map[string]forkRule, zeroOK ...string) {
+	t.Helper()
+	s, f := reflect.ValueOf(src).Elem(), reflect.ValueOf(fork).Elem()
+	typ := s.Type()
+	for name := range rules {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("%s has no field %s, which has a fork rule", typ, name)
+		}
+	}
+	for i := range typ.NumField() {
+		name := typ.Field(i).Name
+		sv, fv := s.Field(i), f.Field(i)
+		rule, ok := rules[name]
+		switch {
+		case !ok:
+			t.Errorf("%s.%s has no fork rule", typ, name)
+		case sv.IsZero() && !slices.Contains(zeroOK, name):
+			t.Errorf("%s.%s is zero in the source, so its rule cannot be checked", typ, name)
+		case rule == same && !identical(sv, fv),
+			rule == forked && (fv.IsZero() || identical(sv, fv)),
+			rule == reset && !fv.IsZero(),
+			rule == copied && !copyOf(sv, fv):
+			t.Errorf("%s.%s breaks its fork rule %q", typ, name, rule)
+		}
+	}
+}
+
+// identical reports whether a and b hold the same value: equal scalars,
+// arrays and structs, and the same referent for pointers, maps, slices and
+// interfaces.
+func identical(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Map, reflect.Func:
+		return a.UnsafePointer() == b.UnsafePointer()
+	case reflect.Slice:
+		return a.UnsafePointer() == b.UnsafePointer() && a.Len() == b.Len()
+	default:
+		return a.Equal(b)
+	}
+}
+
+// copyOf reports whether b, a pointer or slice, holds what a holds in
+// storage of its own.
+func copyOf(a, b reflect.Value) bool {
+	if a.IsNil() || b.IsNil() || a.UnsafePointer() == b.UnsafePointer() {
+		return false
+	}
+	if a.Kind() == reflect.Pointer {
+		return a.Elem().Equal(b.Elem())
+	}
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := range a.Len() {
+		if !a.Index(i).Equal(b.Index(i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// censusHooks stands in for a tracer and a data flow, which Fork drops.
+// Nothing calls it.
+type censusHooks struct {
+	Tracer
+	DataFlow
+}
+
+// TestForkCensus forks a process whose fields, and whose threads' fields,
+// are all non-zero and checks every field of the fork and of its threads
+// against its rule. The source has a loaded image, two threads with frames
+// and a saved signal context, a vectored handler, a signal handler and a
+// crash record; Fork refuses a syscall handler and a thread's
+// continuation, so those alone are nil.
+func TestForkCensus(t *testing.T) {
+	p := forkProgram(t)
+	p.Run(97)
+	p.Policy = Policy{MappedOnlyAV: true}
+	p.API = faultAPI{}
+	p.Tracer, p.Flow = &censusHooks{}, &censusHooks{}
+	p.FaultPlan = faultinject.New(1)
+	p.SetSignalHandler(SigSegv, 0x1234)
+	p.ExitCode = 3
+	p.Crash = &CrashInfo{TID: 1, Exc: Exception{Code: ExcAccessViolation, Addr: 0xbad1000}, Clock: p.Clock}
+	p.referenceFetch = true
+	p.rrIndex = 1
+	for _, th := range p.threads {
+		th.Block(p.Clock+10, nil)
+		th.flagZ, th.flagL, th.flagB = true, true, true
+		th.filterDepth = 1
+		th.savedSigCtx = append(th.savedSigCtx, sigCtx{regs: th.Regs, pc: th.PC, resume: th.PC, frames: len(th.frames)})
+	}
+	if _, err := p.Fork(); err != nil { // shares the maps
+		t.Fatal(err)
+	}
+
+	c, err := p.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFork(t, p, c, map[string]forkRule{
+		"AS":             forked,
+		"Alloc":          forked,
+		"Platform":       same,
+		"Policy":         same,
+		"Clock":          same,
+		"Syscalls":       same,
+		"API":            same,
+		"Tracer":         reset,
+		"Flow":           reset,
+		"FaultPlan":      same,
+		"SignalHandlers": same,
+		"Stats":          same,
+		"State":          same,
+		"ExitCode":       same,
+		"Crash":          copied,
+		"referenceFetch": same,
+		"sharedMaps":     same,
+		"modules":        copied,
+		"modsByName":     same,
+		"threads":        forked,
+		"stackSize":      same,
+		"rrIndex":        same,
+		"veh":            copied,
+	}, "Syscalls")
+	if len(c.threads) != len(p.threads) {
+		t.Fatalf("the fork has %d threads, want %d", len(c.threads), len(p.threads))
+	}
+	threadRules := map[string]forkRule{
+		"ID":          same,
+		"Name":        same,
+		"Regs":        same,
+		"PC":          same,
+		"flagZ":       same,
+		"flagL":       same,
+		"flagB":       same,
+		"State":       same,
+		"WakeAt":      same,
+		"resume":      same,
+		"StackBase":   same,
+		"StackSize":   same,
+		"frames":      copied,
+		"savedSigCtx": copied,
+		"filterDepth": same,
+		"isMain":      same,
+		"proc":        forked,
+	}
+	// Thread 0 has ID 0 and only thread 0 is the main thread, so each of
+	// those fields is non-zero in one of the two.
+	for i, zero := range []string{"ID", "isMain"} {
+		checkFork(t, p.threads[i], c.threads[i], threadRules, "resume", zero)
+		if c.threads[i].proc != c {
+			t.Errorf("the fork's thread %d belongs to another process", i)
+		}
 	}
 }

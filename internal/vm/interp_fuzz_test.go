@@ -235,12 +235,11 @@ func (tr *interpTracer) OnExceptionHandled(t *vm.Thread, exc vm.Exception, handl
 
 // interpThread is a thread's observable end state.
 type interpThread struct {
-	ID           int
-	PC           uint64
-	Regs         [isa.NumRegisters]uint64
-	State        vm.ThreadState
-	Instructions uint64
-	Frames       []vm.Frame
+	ID     int
+	PC     uint64
+	Regs   [isa.NumRegisters]uint64
+	State  vm.ThreadState
+	Frames []vm.Frame
 }
 
 // interpResult is everything the two paths must agree on.
@@ -372,7 +371,7 @@ func (s *interpSetup) result() interpResult {
 	}
 	for _, t := range p.Threads() {
 		res.Threads = append(res.Threads, interpThread{
-			ID: t.ID, PC: t.PC, Regs: t.Regs, State: t.State, Instructions: t.Instructions, Frames: t.Frames(),
+			ID: t.ID, PC: t.PC, Regs: t.Regs, State: t.State, Frames: t.Frames(),
 		})
 	}
 	h := sha256.New()

@@ -12,11 +12,11 @@ import (
 	"crashresist/internal/mem"
 )
 
-// Default process parameters.
+// Process parameters.
 const (
-	// DefaultQuantum is how many instructions a thread runs before the
-	// scheduler rotates to the next runnable thread.
-	DefaultQuantum = 64
+	// quantum is how many instructions a thread runs before the scheduler
+	// rotates to the next runnable thread.
+	quantum = 64
 	// DefaultStackSize is the stack allocated for new threads.
 	DefaultStackSize = 64 * 1024
 	// arenaLow and arenaHigh bound the user address arena the ASLR
@@ -31,14 +31,8 @@ type Config struct {
 	// Seed drives the ASLR allocator; identical seeds give identical
 	// layouts.
 	Seed int64
-	// Quantum overrides DefaultQuantum when non-zero.
-	Quantum int
 	// StackSize overrides DefaultStackSize when non-zero.
 	StackSize uint64
-	Policy    Policy
-	// FaultPlan, when non-nil, injects deterministic faults at the
-	// emulator's memory-access and exception-dispatch sites.
-	FaultPlan *faultinject.Plan
 }
 
 // Process is a simulated user-space process.
@@ -86,12 +80,12 @@ type Process struct {
 
 	modules    []*bin.Module
 	modsByName map[string]*bin.Module
-	threads    []*Thread
-	nextTID    int
-	quantum    int
-	stackSize  uint64
-	rrIndex    int
-	veh        []uint64
+	// threads holds every thread ever started, finished ones included, so
+	// a thread's ID is its index.
+	threads   []*Thread
+	stackSize uint64
+	rrIndex   int
+	veh       []uint64
 }
 
 // AddVEHandler registers a vectored exception handler (Windows model): the
@@ -110,10 +104,6 @@ func (p *Process) VEHandlers() []uint64 {
 
 // NewProcess creates an empty process with a fresh address space.
 func NewProcess(cfg Config) *Process {
-	quantum := cfg.Quantum
-	if quantum <= 0 {
-		quantum = DefaultQuantum
-	}
 	stack := cfg.StackSize
 	if stack == 0 {
 		stack = DefaultStackSize
@@ -123,12 +113,9 @@ func NewProcess(cfg Config) *Process {
 		AS:             as,
 		Alloc:          mem.NewAllocator(as, arenaLow, arenaHigh, cfg.Seed),
 		Platform:       cfg.Platform,
-		Policy:         cfg.Policy,
-		FaultPlan:      cfg.FaultPlan,
 		SignalHandlers: make(map[int]uint64),
 		modsByName:     make(map[string]*bin.Module),
 		State:          ProcRunning,
-		quantum:        quantum,
 		stackSize:      stack,
 	}
 }
@@ -140,6 +127,11 @@ func NewProcess(cfg Config) *Process {
 // API handler and fault plan and has no tracer and no data flow; callers
 // attach their own. The two share the signal-handler and module-name maps
 // until either writes one (SetSignalHandler, LoadImage), which copies it.
+//
+// The copy is p's struct with those differences written over it; the
+// module and vectored-handler slices, which LoadImage and AddVEHandler
+// append to, the threads and the crash record are copies of their own.
+// TestForkCensus holds the rule of every field.
 //
 // Fork refuses a process with a syscall handler, whose kernel state it
 // cannot copy, and one with a thread blocked on a continuation, a closure
@@ -155,37 +147,20 @@ func (p *Process) Fork() (*Process, error) {
 			return nil, fmt.Errorf("fork: thread %d is blocked on a continuation", t.ID)
 		}
 	}
-	as := p.AS.Fork()
 	if !p.sharedMaps {
 		p.sharedMaps = true
 	}
-	c := &Process{
-		AS:             as,
-		Alloc:          p.Alloc.Fork(as),
-		Platform:       p.Platform,
-		Policy:         p.Policy,
-		Clock:          p.Clock,
-		API:            p.API,
-		FaultPlan:      p.FaultPlan,
-		SignalHandlers: p.SignalHandlers,
-		Stats:          p.Stats,
-		State:          p.State,
-		ExitCode:       p.ExitCode,
-		referenceFetch: p.referenceFetch,
-		sharedMaps:     true,
-		modules:        slices.Clone(p.modules),
-		modsByName:     p.modsByName,
-		threads:        make([]*Thread, len(p.threads)),
-		nextTID:        p.nextTID,
-		quantum:        p.quantum,
-		stackSize:      p.stackSize,
-		rrIndex:        p.rrIndex,
-		veh:            slices.Clone(p.veh),
-	}
+	c := new(Process)
+	*c = *p
+	c.AS = p.AS.Fork()
+	c.Alloc = p.Alloc.Fork(c.AS)
+	c.Tracer, c.Flow = nil, nil
+	c.modules, c.veh = slices.Clone(p.modules), slices.Clone(p.veh)
 	if p.Crash != nil {
 		crash := *p.Crash
 		c.Crash = &crash
 	}
+	c.threads = make([]*Thread, len(p.threads))
 	threads := make([]Thread, len(p.threads))
 	for i, t := range p.threads {
 		threads[i] = *t
@@ -309,7 +284,7 @@ func (p *Process) StartThread(name string, entry uint64, args ...uint64) (*Threa
 	}
 
 	t := &Thread{
-		ID:        p.nextTID,
+		ID:        len(p.threads),
 		Name:      name,
 		PC:        entry,
 		State:     ThreadRunnable,
@@ -322,7 +297,6 @@ func (p *Process) StartThread(name string, entry uint64, args ...uint64) (*Threa
 			RetPC:     threadExitMagic,
 		}},
 	}
-	p.nextTID++
 	t.Regs[16] = sp // SP register index
 	for i, a := range args {
 		t.Regs[1+i] = a
@@ -365,12 +339,10 @@ func (p *Process) Threads() []*Thread {
 
 // Thread returns the thread with the given ID.
 func (p *Process) Thread(id int) (*Thread, bool) {
-	for _, t := range p.threads {
-		if t.ID == id {
-			return t, true
-		}
+	if id < 0 || id >= len(p.threads) {
+		return nil, false
 	}
-	return nil, false
+	return p.threads[id], true
 }
 
 // Alive reports whether the process can still make progress now or in the
@@ -492,7 +464,7 @@ func (p *Process) fireTimers() {
 
 // runQuantum executes up to the scheduler quantum of instructions on t.
 func (p *Process) runQuantum(t *Thread, deadline uint64) {
-	for i := 0; i < p.quantum && p.Clock < deadline; i++ {
+	for i := 0; i < quantum && p.Clock < deadline; i++ {
 		if t.State != ThreadRunnable || !p.Alive() {
 			return
 		}

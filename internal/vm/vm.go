@@ -285,16 +285,12 @@ type Thread struct {
 	StackSize uint64
 
 	frames      []Frame
-	sigDepth    int
 	savedSigCtx []sigCtx
 
 	filterDepth int
 	isMain      bool
 
 	proc *Process
-
-	// Instructions counts instructions retired by this thread.
-	Instructions uint64
 }
 
 type sigCtx struct {

@@ -449,7 +449,8 @@ func TestMappedOnlyAVPolicy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := NewProcess(Config{Platform: PlatformWindows, Seed: 5, Policy: policy})
+		p := NewProcess(Config{Platform: PlatformWindows, Seed: 5})
+		p.Policy = policy
 		if _, err := p.LoadImage(img); err != nil {
 			t.Fatal(err)
 		}
@@ -492,7 +493,8 @@ func TestMappedOnlyAVStillAllowsGuardPageFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewProcess(Config{Platform: PlatformWindows, Seed: 5, Policy: Policy{MappedOnlyAV: true}})
+	p := NewProcess(Config{Platform: PlatformWindows, Seed: 5})
+	p.Policy = Policy{MappedOnlyAV: true}
 	mod, err := p.LoadImage(img)
 	if err != nil {
 		t.Fatal(err)

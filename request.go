@@ -237,7 +237,8 @@ func (r *Result) DegradedJobs() []Degraded {
 // config resolves the request's settings into the one discover.Config
 // every pipeline runs on: a ChaosSeed becomes the default fault plan with
 // two retries unless a budget is given, an attached Cache wins over
-// CacheDir, and the Progress callback is serialized.
+// CacheDir, and the Progress callback becomes a serialized sink ahead of
+// the request's own.
 func (req Request) config() discover.Config {
 	cfg := discover.Config{
 		Seed:         req.Seed,
@@ -263,18 +264,27 @@ func (req Request) config() discover.Config {
 			cfg.Cache = c
 		}
 	}
-	if fn := req.Progress; fn != nil {
-		// A multi-server request runs several collectors concurrently;
-		// serialize the callback across them.
-		var mu sync.Mutex
-		cfg.Progress = func(ev StageEvent) {
-			mu.Lock()
-			defer mu.Unlock()
-			fn(ev)
-		}
+	if req.Progress != nil {
+		cfg.Sinks = append([]MetricSink{&progressSink{fn: req.Progress}}, req.Sinks...)
 	}
 	return cfg
 }
+
+// progressSink is a Progress callback as a sink whose Flush does nothing.
+// A multi-server request runs several collectors concurrently, so it
+// serializes the calls across them.
+type progressSink struct {
+	mu sync.Mutex
+	fn func(StageEvent)
+}
+
+func (s *progressSink) Event(ev StageEvent) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.fn(ev)
+}
+
+func (*progressSink) Flush(*RunStats) error { return nil }
 
 // Validate checks the request's declarative fields without building any
 // target: pipeline and scale selectors must be known, a target must be
